@@ -30,7 +30,6 @@ from .decoys import (
     check_event,
     deploy,
     generate_decoy,
-    watch_live,
 )
 from .notes import (
     GenePool,

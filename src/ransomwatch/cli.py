@@ -20,14 +20,15 @@ from .decoys import (
     deploy,
 )
 from .events import parse_event_log, window_events
-from .features import extract_features
+from .features import FEATURE_NAMES, N_EXPERT_FEATURES
 from .gbdt import BoostParams, BoostedForest, fit
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, build_graph, encode
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
 from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, similarity, tokenize
 from .pipeline import (
     FilesystemContentProvider,
     MappingContentProvider,
     PipelineConfig,
+    featurize,
     metrics_report,
     run_live,
     run_replay,
@@ -171,8 +172,7 @@ def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) 
     if delta_us is None:
         delta_us = max(1, pid_events[-1].time - start + 1)
     window = window_events(parsed.events, pid, start, delta_us)
-    vec = extract_features(window)
-    embedding = encode(build_graph(window), dims, hash_seed).values
+    row = featurize(window, dims, hash_seed)
     payload = {
         "pid": pid,
         "window_start_us": start,
@@ -180,9 +180,9 @@ def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) 
         "events": len(window.events),
         "dims": dims,
         "hash_seed": hash_seed,
-        "expert": vec.as_dict(),
-        "embedding": embedding.tolist(),
-        "vector": vec.as_array().tolist() + embedding.tolist(),
+        "expert": dict(zip(FEATURE_NAMES, row[:N_EXPERT_FEATURES].tolist())),
+        "embedding": row[N_EXPERT_FEATURES:].tolist(),
+        "vector": row.tolist(),
     }
     Path(out_path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     click.echo(f"{len(window.events)} events -> {len(payload['vector'])}-dim vector -> {out_path}")
@@ -296,7 +296,7 @@ def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_
 @click.option("--tau", default=DEFAULT_TAU_SIM, show_default=True, type=float)
 @click.option("--duration", default=None, type=float, help="Stop after this many seconds (default: run until interrupted).")
 def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> None:
-    """Watch directories live; print alerts as they fire."""
+    """Watch directories and the decoys' directories live; print alerts as they fire."""
     registry = DecoyRegistry.load(registry_path)
     pool = GenePool.load(pool_path)
     forest = BoostedForest.load(model_path)

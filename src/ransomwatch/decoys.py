@@ -1,16 +1,17 @@
-"""Decoy file generation, deployment, registry and live monitoring.
+"""Decoy file generation, deployment, registry and the decoy trigger rule.
 
 Decoys are ordinary files whose paths are registered as tripwires: any
-mutating operation on a registered path is a DecoyTouch trigger. Reads never
-trigger, since search indexers and backup agents read everything.
+mutating operation on a registered path is a DecoyTouch trigger
+(``check_event``, the one rule replay and live runs share). Reads never
+trigger, since search indexers and backup agents read everything. Live runs
+see decoy files through the pipeline's DirectoryWatcher, which also watches
+every registered decoy's directory.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
-import queue
 import random
 import threading
 import time as time_mod
@@ -18,14 +19,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Container, Iterator, Optional, Sequence, Union
 
-from .events import FileEvent, MUTATING_OPS, Operation, Trigger, TriggerKind
-
-logger = logging.getLogger(__name__)
-
-DEFAULT_POLL_INTERVAL = 0.05
-DEFAULT_QUEUE_SIZE = 1024
+from .events import FileEvent, MUTATING_OPS, Trigger, TriggerKind
 
 
 class UnsupportedKind(ValueError):
@@ -335,17 +331,18 @@ def deploy(
     return [w[0] for w in written]
 
 
-def check_event(event: FileEvent, registry: DecoyRegistry) -> Optional[Trigger]:
+def check_event(event: FileEvent, decoys: Container[str]) -> Optional[Trigger]:
     """DecoyTouch when a mutating operation hits a registered path.
 
-    Renames match on either side; reads never trigger.
+    ``decoys`` is a DecoyRegistry (which honours deployment suppression) or
+    any set of decoy paths. Renames match on either side; reads never trigger.
     """
     if event.operation not in MUTATING_OPS:
         return None
     path = None
-    if event.file_name in registry:
+    if event.file_name in decoys:
         path = event.file_name
-    elif event.old_file_name is not None and event.old_file_name in registry:
+    elif event.old_file_name is not None and event.old_file_name in decoys:
         path = event.old_file_name
     if path is None:
         return None
@@ -356,85 +353,3 @@ def check_event(event: FileEvent, registry: DecoyRegistry) -> Optional[Trigger]:
         event.time,
         f"decoy {event.operation.value.lower()} {path}",
     )
-
-
-class DecoyWatcher:
-    """Polls registered decoy paths and emits triggers for live modifications.
-
-    Runs on its own thread; triggers land in a bounded queue and drops are
-    counted, never silent. Poll interval keeps worst-case notification
-    latency well under the 200 ms budget.
-    """
-
-    def __init__(
-        self,
-        registry: DecoyRegistry,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
-    ) -> None:
-        self.registry = registry
-        self.poll_interval = poll_interval
-        self.triggers: "queue.Queue[Trigger]" = queue.Queue(maxsize=queue_size)
-        self.dropped = 0
-        self._thread: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self._snapshot: dict[str, Optional[tuple[int, int]]] = {}
-
-    @staticmethod
-    def _stat(path: str) -> Optional[tuple[int, int]]:
-        try:
-            st = os.stat(path)
-        except OSError:
-            return None
-        return (st.st_mtime_ns, st.st_size)
-
-    def start(self) -> None:
-        paths = self.registry.paths()
-        if not paths:
-            raise WatchUnavailable("no decoys registered")
-        missing = [p for p in paths if self._stat(p) is None]
-        if len(missing) == len(paths):
-            raise WatchUnavailable("no registered decoy is reachable on disk")
-        self._snapshot = {p: self._stat(p) for p in paths}
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, name="decoy-watcher", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-
-    def _emit(self, trigger: Trigger) -> None:
-        try:
-            self.triggers.put_nowait(trigger)
-        except queue.Full:
-            self.dropped += 1
-            logger.warning("decoy trigger queue full; dropped %s", trigger.path)
-
-    def _run(self) -> None:
-        start = time_mod.monotonic()
-        while not self._stop.is_set():
-            for path in self.registry.paths():
-                now_us = int((time_mod.monotonic() - start) * 1_000_000)
-                current = self._stat(path)
-                previous = self._snapshot.get(path, current)
-                self._snapshot[path] = current
-                if previous == current:
-                    continue
-                if current is None:
-                    op = Operation.DELETE
-                else:
-                    op = Operation.WRITE
-                self._emit(
-                    Trigger(TriggerKind.DECOY_TOUCH, 0, path, now_us, f"decoy {op.value.lower()} {path}")
-                )
-            self._stop.wait(self.poll_interval)
-
-
-def watch_live(registry: DecoyRegistry, poll_interval: float = DEFAULT_POLL_INTERVAL) -> DecoyWatcher:
-    """Start live decoy watching; raises WatchUnavailable when impossible."""
-    watcher = DecoyWatcher(registry, poll_interval)
-    watcher.start()
-    return watcher

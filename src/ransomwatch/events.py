@@ -49,18 +49,10 @@ class Level(str, Enum):
     HIGH = "High"
 
 
-_LEVEL_RANK = {Level.NONE: 0, Level.LOW: 1, Level.HIGH: 2}
-
-
-def level_at_least(a: Level, b: Level) -> bool:
-    return _LEVEL_RANK[a] >= _LEVEL_RANK[b]
-
-
 class Response(str, Enum):
     NONE_YET = "NoneYet"
     TRACK_ONLY = "TrackOnly"
     TERMINATE_SIMULATED = "TerminateSimulated"
-    ISOLATE_SIMULATED = "IsolateSimulated"
 
 
 def extension_of(path: str) -> str:
@@ -184,6 +176,7 @@ class Trigger:
     path: str
     time: int
     detail: str = ""
+    score: float = 0.0  # note similarity for RansomNote triggers
 
 
 class ParseIssueKind(str, Enum):

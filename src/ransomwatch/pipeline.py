@@ -22,12 +22,11 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .decoys import DecoyRegistry, WatchUnavailable
+from .decoys import DecoyRegistry, WatchUnavailable, check_event
 from .events import (
     Alert,
     FileEvent,
     Level,
-    MUTATING_OPS,
     Operation,
     ParseIssue,
     ParseIssueKind,
@@ -50,6 +49,17 @@ US = 1_000_000
 
 # Extensions whose create/write closes are scored for ransom-note content.
 TEXT_EXTENSIONS = frozenset(("txt", "html", "htm", "hta", "md", "rtf"))
+
+
+def featurize(window: ProcessWindow, dims: int, hash_seed: int) -> np.ndarray:
+    """The classifier row: expert features, then the hashed graph embedding.
+
+    Training, serving and the CLI all build rows here, so the model scores
+    exactly the row layout it was trained on.
+    """
+    expert = extract_features(window).as_array()
+    embedding = encode(build_graph(window), dims, hash_seed).values
+    return np.concatenate([expert, embedding])
 
 
 class ContentProvider(Protocol):
@@ -216,21 +226,6 @@ class Engine:
 
     # -- monitors ------------------------------------------------------------
 
-    def _decoy_trigger(self, ev: FileEvent) -> Optional[Trigger]:
-        if ev.operation not in MUTATING_OPS:
-            return None
-        path = None
-        if ev.file_name in self._decoy_paths:
-            path = ev.file_name
-        elif ev.old_file_name is not None and ev.old_file_name in self._decoy_paths:
-            path = ev.old_file_name
-        if path is None:
-            return None
-        return Trigger(
-            TriggerKind.DECOY_TOUCH, ev.pid, path, ev.time,
-            f"decoy {ev.operation.value.lower()} {path}",
-        )
-
     def _note_trigger(self, ev: FileEvent) -> Optional[Trigger]:
         if self.pool is None:
             return None
@@ -256,6 +251,7 @@ class Engine:
         return Trigger(
             TriggerKind.RANSOM_NOTE, ev.pid, ev.file_name, ev.time,
             f"ransom note {ev.file_name} sim={verdict.score:.3f} matched={len(verdict.matched)}",
+            verdict.score,
         )
 
     # -- window lifecycle ------------------------------------------------------
@@ -275,9 +271,7 @@ class Engine:
             tuple(state.events),
             trigger.kind,
         )
-        expert = extract_features(window).as_array()
-        embedding = encode(build_graph(window), self.forest.dims, self.forest.hash_seed).values
-        row = np.concatenate([expert, embedding])
+        row = featurize(window, self.forest.dims, self.forest.hash_seed)
         self.metrics.classifier_calls += 1
         prob = self.forest.predict_row(row)
         state.last_row_digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
@@ -313,9 +307,7 @@ class Engine:
         pid = trigger.pid
         self._escalate(pid, Level.LOW)
         self.metrics.alerts_low += 1
-        score = 0.0
-        if trigger.kind is TriggerKind.RANSOM_NOTE and "sim=" in trigger.detail:
-            score = min(1.0, float(trigger.detail.split("sim=")[1].split()[0]))
+        score = min(1.0, round(trigger.score, 3))
         self.alerts.append(
             Alert(
                 created_at=trigger.time + self.config.window_total_us,
@@ -360,7 +352,7 @@ class Engine:
             self._advance(state, ev.time)
             if pid in self._terminated:
                 return
-        trigger = self._decoy_trigger(ev)
+        trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
             trigger = self._note_trigger(ev)
         if trigger is not None:
@@ -526,10 +518,15 @@ def run_live(
 ) -> ReplayResult:
     """Watch directories live and run the same funnel over observed events.
 
+    Besides ``dirs``, the watcher covers the directory of every registered
+    decoy that exists, so a decoy planted outside ``dirs`` still trips.
     Raises WatchUnavailable when the directories cannot be watched; the
     caller degrades to replay-only operation.
     """
-    watcher = DirectoryWatcher(dirs, poll_interval=poll_interval)
+    watched = [str(d) for d in dirs]
+    decoy_dirs = {os.path.dirname(path) for path in registry.paths()}
+    watched += sorted(d for d in decoy_dirs if d not in watched and os.path.isdir(d))
+    watcher = DirectoryWatcher(watched, poll_interval=poll_interval)
     engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider())
     stop = stop or threading.Event()
     started = time_mod.perf_counter()

@@ -17,8 +17,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .events import FileEvent, Operation, ProcessWindow, TriggerKind, extension_of, serialize_events
-from .features import Mode, extract_features
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, build_graph, encode
+from .features import Mode
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from .pipeline import featurize
 
 US = 1_000_000
 
@@ -581,13 +582,6 @@ class Corpus:
         return cls(data["X"], data["y"], tuple(info["windows"]), int(info["dims"]), int(info["hash_seed"]))
 
 
-def featurize_window(window: ProcessWindow, dims: int, hash_seed: int) -> np.ndarray:
-    """Expert features concatenated with the hashed graph embedding."""
-    expert = extract_features(window).as_array()
-    embedding = encode(build_graph(window), dims, hash_seed).values
-    return np.concatenate([expert, embedding])
-
-
 def scenario_windows(result: ScenarioResult, min_events: int = 3) -> list[ProcessWindow]:
     """Slide-aligned prefix windows (1 s, 2 s, 3 s) per anchor point.
 
@@ -647,7 +641,7 @@ def build_corpus(
         for window in scenario_windows(result):
             if taken >= want:
                 break
-            rows.append(featurize_window(window, dims, hash_seed))
+            rows.append(featurize(window, dims, hash_seed))
             labels.append(label)
             meta.append(
                 {

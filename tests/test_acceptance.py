@@ -16,9 +16,8 @@ from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Level, Operation, serialize_events, window_events
 from ransomwatch.features import Mode, extract_features
 from ransomwatch.gbdt import BoostParams, TreeParams, fit, grow_tree, split_sse_decomposed, split_sse_direct
-from ransomwatch.graph import build_graph, encode
 from ransomwatch.notes import build_pool, ngrams, similarity, sweep_threshold, sweep_window, tokenize
-from ransomwatch.pipeline import MappingContentProvider, run_replay
+from ransomwatch.pipeline import MappingContentProvider, featurize, run_replay
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -246,9 +245,7 @@ def test_criterion_6_latency_budgets(tmp_path, trained_forest, gene_pool):
     timings = []
     for window in windows:
         t0 = time.perf_counter()
-        expert = extract_features(window).as_array()
-        embedding = encode(build_graph(window), trained_forest.dims, trained_forest.hash_seed).values
-        trained_forest.predict_row(np.concatenate([expert, embedding]))
+        trained_forest.predict_row(featurize(window, trained_forest.dims, trained_forest.hash_seed))
         timings.append(time.perf_counter() - t0)
     timings.sort()
     p99 = timings[max(1, -(-99 * len(timings) // 100)) - 1]

@@ -1,6 +1,7 @@
-"""Decoy generation, deployment, event checking and the live watcher."""
+"""Decoy generation, deployment, event checking and live decoy triggers."""
 from __future__ import annotations
 
+import os
 import queue
 import re
 import time
@@ -14,13 +15,12 @@ from ransomwatch.decoys import (
     IoFailure,
     NameStyle,
     UnsupportedKind,
-    WatchUnavailable,
     check_event,
     deploy,
     generate_decoy,
-    watch_live,
 )
 from ransomwatch.events import FileEvent, MUTATING_OPS, Operation, TriggerKind, extension_of
+from ransomwatch.pipeline import DirectoryWatcher
 from ransomwatch.simulator import BenignProfile, BenignSpec, ScenarioSpec, TreeSpec, generate
 
 
@@ -190,17 +190,37 @@ def test_registry_persistence_and_verify(tmp_path):
     assert list(problems) == [paths[0]] and problems[paths[0]] == "digest mismatch"
 
 
+def _first_trigger(watcher, registry, timeout):
+    """Check live events against the registry until one triggers or timeout passes.
+
+    Returns the trigger (or None) and every event seen on the way.
+    """
+    seen = []
+    deadline = time.monotonic() + timeout
+    while (left := deadline - time.monotonic()) > 0:
+        try:
+            ev = watcher.events.get(timeout=left)
+        except queue.Empty:
+            break
+        seen.append(ev)
+        trigger = check_event(ev, registry)
+        if trigger is not None:
+            return trigger, seen
+    return None, seen
+
+
 def test_watch_live_write_trigger_within_budget(tmp_path):
     registry = DecoyRegistry()
     paths = deploy(DecoySpec(str(tmp_path), count=2), registry, seed=2)
-    watcher = watch_live(registry, poll_interval=0.02)
+    watcher = DirectoryWatcher([tmp_path], poll_interval=0.02)
+    watcher.start()
     try:
-        time.sleep(0.1)
         started = time.monotonic()
         with open(paths[0], "ab") as fp:
             fp.write(b"ENCRYPTED")
-        trigger = watcher.triggers.get(timeout=2.0)
+        trigger, _ = _first_trigger(watcher, registry, timeout=2.0)
         elapsed = time.monotonic() - started
+        assert trigger is not None
         assert trigger.kind is TriggerKind.DECOY_TOUCH and trigger.path == paths[0]
         assert elapsed < 0.2
     finally:
@@ -210,31 +230,21 @@ def test_watch_live_write_trigger_within_budget(tmp_path):
 def test_watch_live_sibling_create_no_trigger_and_delete_triggers(tmp_path):
     registry = DecoyRegistry()
     paths = deploy(DecoySpec(str(tmp_path), count=1), registry, seed=3)
-    watcher = watch_live(registry, poll_interval=0.02)
+    watcher = DirectoryWatcher([tmp_path], poll_interval=0.02)
+    watcher.start()
     try:
-        time.sleep(0.1)
-        (tmp_path / "innocent_new_file.txt").write_text("hello")
-        with pytest.raises(queue.Empty):
-            watcher.triggers.get(timeout=0.3)
-        import os
+        sibling = tmp_path / "innocent_new_file.txt"
+        sibling.write_text("hello")
+        trigger, seen = _first_trigger(watcher, registry, timeout=0.3)
+        assert trigger is None
+        assert (Operation.CREATE, str(sibling)) in {(ev.operation, ev.file_name) for ev in seen}
 
         os.unlink(paths[0])
-        trigger = watcher.triggers.get(timeout=2.0)
+        trigger, _ = _first_trigger(watcher, registry, timeout=2.0)
+        assert trigger is not None and trigger.path == paths[0]
         assert "delete" in trigger.detail
     finally:
         watcher.stop()
-
-
-def test_watch_live_unavailable_without_decoys():
-    with pytest.raises(WatchUnavailable):
-        watch_live(DecoyRegistry())
-
-
-def test_watch_live_unavailable_when_paths_missing():
-    registry = DecoyRegistry()
-    registry.register("/nonexistent/decoy.docx", "d", DecoyKind.DOCUMENT)
-    with pytest.raises(WatchUnavailable):
-        watch_live(registry)
 
 
 def test_decoy_spec_validation(tmp_path):

@@ -6,8 +6,9 @@ import time
 
 import pytest
 
+from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry, DecoySpec, WatchUnavailable, deploy
-from ransomwatch.events import Level, Response, TriggerKind, serialize_events
+from ransomwatch.events import FileEvent, Level, Operation, Response, TriggerKind, serialize_events
 from ransomwatch.features import Mode
 from ransomwatch.notes import similarity, tokenize
 from ransomwatch.pipeline import (
@@ -125,6 +126,25 @@ def test_note_trigger_path_without_decoys(tmp_path, trained_forest, gene_pool):
     assert result.metrics.alerts_high == 1
     (alert,) = [a for a in result.alerts if a.threat.level is Level.HIGH]
     assert alert.threat.source is TriggerKind.RANSOM_NOTE
+
+
+def test_note_only_pid_low_alert_carries_note_score(tmp_path, trained_forest, gene_pool):
+    note_path = "C:/Users/bob/Documents/HOW_TO_RECOVER_FILES.txt"
+    text = make_note_corpus(1, seed=31)[0]
+    events = [FileEvent(1_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt")]
+    trace = tmp_path / "note.jsonl"
+    trace.write_text(serialize_events(events), encoding="utf-8")
+    result = run_replay(
+        trace, _registry_for([]), gene_pool, trained_forest,
+        content_provider=MappingContentProvider({note_path: text}),
+    )
+    (alert,) = result.alerts
+    assert alert.threat.level is Level.LOW
+    assert alert.threat.source is TriggerKind.RANSOM_NOTE
+    assert alert.response_taken is Response.TRACK_ONLY
+    expected = round(similarity(tokenize(text), gene_pool).score, 3)
+    assert expected >= 0.21
+    assert alert.threat.score == expected
 
 
 def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
@@ -269,6 +289,30 @@ def test_run_live_detects_scripted_encryptor(tmp_path, trained_forest, gene_pool
     runner.join(timeout=10)
 
 
+def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool):
+    workdir = tmp_path / "user_docs"
+    hidden = tmp_path / "app_config"
+    workdir.mkdir()
+    hidden.mkdir()
+    registry = DecoyRegistry()
+    (decoy,) = deploy(DecoySpec(str(hidden), count=1), registry, seed=6)
+
+    def tamper():
+        with open(decoy, "ab") as fp:
+            fp.write(b"ENCRYPTED!")
+
+    timer = threading.Timer(0.3, tamper)
+    timer.start()
+    try:
+        result = run_live([str(workdir)], registry, gene_pool, trained_forest,
+                          duration_s=1.5, poll_interval=0.02)
+    finally:
+        timer.join(timeout=5.0)
+    decoy_alerts = [a for a in result.alerts if a.threat.source is TriggerKind.DECOY_TOUCH]
+    assert decoy_alerts, "write to a decoy outside --dirs raised no alert"
+    assert decoy_alerts[0].evidence[0] == f"decoy write {decoy}"
+
+
 def test_run_live_idle_quiet(tmp_path, trained_forest, gene_pool):
     workdir = tmp_path / "quiet"
     workdir.mkdir()
@@ -309,3 +353,28 @@ def test_directory_watcher_event_kinds(tmp_path):
         assert str(tmp_path / "b.txt") in kinds.get("Delete", set())
     finally:
         watcher.stop()
+
+
+def test_featurize_layers_called_once_per_classification(tmp_path, trained_forest, gene_pool, monkeypatch):
+    # perfbench traces these layers by swapping the pipeline module globals;
+    # a row built without them would leave the layers untraced.
+    names = ("extract_features", "build_graph", "encode")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    decoys = _decoy_in_first_dir(seed=60)
+    spec = ScenarioSpec(
+        kind=RansomwareSpec(mode=Mode.M3, files_per_second=80),
+        seed=60, tree=TREE, decoy_paths=decoys,
+    )
+    trace, notes = _write_trace(tmp_path, [generate(spec)])
+    result = run_replay(
+        trace, _registry_for(decoys), gene_pool, trained_forest,
+        content_provider=MappingContentProvider(notes),
+    )
+    assert result.metrics.classifier_calls >= 1
+    assert calls == dict.fromkeys(names, result.metrics.classifier_calls)
