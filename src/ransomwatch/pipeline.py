@@ -238,7 +238,7 @@ class Engine:
         if ev.file_name in self._scored_paths:
             return None
         blob = self.content.get(ev.file_name)
-        if blob is None:
+        if not blob:  # an empty note may be filled by a later Write
             return None
         self._scored_paths.add(ev.file_name)
         try:
@@ -360,7 +360,7 @@ class Engine:
             if pid not in self._windows:
                 self._open_window(trigger, ev.pid_name)
         state = self._windows.get(pid)
-        if state is not None and ev.time < state.trigger.time + self.config.window_total_us:
+        if state is not None and 0 <= ev.time - state.trigger.time < self.config.window_total_us:
             state.events.append(ev)
 
     def advance_time(self, now: int) -> None:

@@ -1,12 +1,17 @@
 """Event model: parsing, serialization round-trips, windowing."""
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ransomwatch import events as events_mod
 from ransomwatch.events import (
     FileEvent,
     Operation,
@@ -80,6 +85,131 @@ def test_invalid_json_and_bad_types():
     assert not result.events
     assert [i.line_no for i in result.issues] == [1, 2]
     assert all(i.kind is ParseIssueKind.MALFORMED_LINE for i in result.issues)
+
+
+@pytest.mark.parametrize("token", [["Write"], {"op": "Write"}])
+def test_non_string_operation_reported_as_unknown(token):
+    line = GOOD_LINE.replace('"Create"', json.dumps(token))
+    result = parse_event_log(line)
+    assert not result.events
+    assert [(i.kind, i.detail) for i in result.issues] == [(ParseIssueKind.UNKNOWN_OPERATION, str(token))]
+
+
+@pytest.mark.parametrize("bad", ["[" * 100_000, '{"time":1' + "0" * 5000 + "}"])
+def test_deep_nesting_and_huge_integers_reported_as_malformed(bad):
+    result = parse_event_log(GOOD_LINE + "\n" + bad + "\n" + GOOD_LINE)
+    assert len(result.events) == 2
+    assert [(i.kind, i.line_no) for i in result.issues] == [(ParseIssueKind.MALFORMED_LINE, 2)]
+
+
+def _field_line(**overrides) -> str:
+    """GOOD_LINE with fields replaced by raw JSON text, or dropped when None."""
+    fields = {
+        "time": "0", "pid": "4", "pid_name": '"a.exe"', "operation": '"Create"',
+        "file_name": '"C:/u/x.txt"', "file_type": '"txt"',
+    }
+    fields.update(overrides)
+    return "{" + ",".join(f'"{k}":{v}' for k, v in fields.items() if v is not None) + "}"
+
+
+WIDE = "123456789012345678901234567890"  # wider than 64 bits
+EDGE_CORPUS = [
+    GOOD_LINE,
+    _field_line(extra="NaN"),
+    _field_line(extra="Infinity"),
+    _field_line(extra="-Infinity"),
+    _field_line(extra="1e400"),
+    _field_line(time="NaN"),
+    _field_line(pid="1e400"),
+    _field_line(time=WIDE),
+    _field_line(pid="-" + WIDE),
+    _field_line(time="18446744073709551615", pid="-9223372036854775809"),
+    _field_line(operation=WIDE),
+    _field_line(file_name='"C:/u/\\ud800.txt"'),  # lone surrogate, escaped
+    _field_line(file_name='"C:/u/\ud800.txt"'),  # lone surrogate, raw
+    _field_line(pid_name='"\\ud83d\\ude00"'),  # surrogate pair, escaped
+    _field_line(file_name='"C:/u/caf\u00e9.txt"'),
+    "\ufeff" + GOOD_LINE,
+    GOOD_LINE[:-1] + ',"time":7,"pid":9}',
+    "[1, 2]",
+    "5",
+    '"text"',
+    "null",
+    "{}",
+    *(_field_line(**{name: None}) for name in ("time", "pid", "pid_name", "operation", "file_name", "file_type")),
+    _field_line(pid_name=None, file_type=None),
+    _field_line(time="true"),
+    _field_line(pid="false"),
+    _field_line(time="1.0"),
+    _field_line(time="-0"),
+    _field_line(time='"0"'),
+    _field_line(pid_name="5"),
+    _field_line(file_name="null"),
+    _field_line(file_type="[]"),
+    _field_line(operation="null"),
+    _field_line(operation='"Defragment"'),
+    _field_line(operation='["Write"]'),
+    _field_line(operation='{"op":"Write"}'),
+    _field_line(operation="[[[[[[[[[[]]]]]]]]]]"),
+    _field_line(operation='"Rename"', old_file_name='"C:/u/y.txt"'),
+    _field_line(old_file_name="null"),
+    _field_line(old_file_name="5"),
+    _field_line(old_file_name="1e400"),
+    _field_line(file_name='"a\tb"'),
+    GOOD_LINE + " x",
+    GOOD_LINE + GOOD_LINE,
+    GOOD_LINE[:-1],
+    "not json at all",
+    _field_line(extra="[" * 200 + "]" * 200),
+    _field_line(extra="[" * 1000 + "]" * 1000),
+    "[" * 100_000,
+    _field_line(time="1" + "0" * 5000),
+]
+
+
+def test_fast_decoder_matches_json_fallback(monkeypatch):
+    pytest.importorskip("orjson")
+    assert events_mod._fast_loads is not None
+    text = "\n".join(EDGE_CORPUS)
+    fast = parse_event_log(text)
+    monkeypatch.setattr(events_mod, "_fast_loads", None)
+    exact = parse_event_log(text)
+    assert fast.events == exact.events
+    assert [(i.kind, i.line_no, i.detail) for i in fast.issues] == [
+        (i.kind, i.line_no, i.detail) for i in exact.issues
+    ]
+    assert len(exact.events) >= 10 and len(exact.issues) >= 30  # the corpus exercises both outcomes
+
+
+def test_fast_decoder_handles_valid_lines_alone(monkeypatch):
+    pytest.importorskip("orjson")
+
+    class NoJson:
+        JSONDecodeError = json.JSONDecodeError
+
+        @staticmethod
+        def loads(line):
+            raise AssertionError(f"valid line fell back to json: {line}")
+
+    monkeypatch.setattr(events_mod, "json", NoJson)
+    result = parse_event_log(GOOD_LINE + "\n" + _field_line(operation='"Rename"', old_file_name='"C:/u/y.txt"'))
+    assert len(result.events) == 2 and not result.issues
+
+
+def test_parse_without_orjson_installed():
+    code = (
+        "import sys; sys.modules['orjson'] = None\n"
+        "from ransomwatch import events\n"
+        "assert events._fast_loads is None\n"
+        f"r = events.parse_event_log({GOOD_LINE!r} + '\\n[1]')\n"
+        "print(len(r.events), [i.detail for i in r.issues])\n"
+    )
+    src_dir = str(Path(events_mod.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src_dir!r})\n" + code],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "1 ['event must be a JSON object']"
 
 
 @pytest.mark.parametrize(

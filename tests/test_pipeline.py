@@ -8,7 +8,7 @@ import pytest
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry, DecoySpec, WatchUnavailable, deploy
-from ransomwatch.events import FileEvent, Level, Operation, Response, TriggerKind, serialize_events
+from ransomwatch.events import FileEvent, Level, Operation, ParseIssueKind, Response, TriggerKind, serialize_events
 from ransomwatch.features import Mode
 from ransomwatch.notes import similarity, tokenize
 from ransomwatch.pipeline import (
@@ -145,6 +145,45 @@ def test_note_only_pid_low_alert_carries_note_score(tmp_path, trained_forest, ge
     expected = round(similarity(tokenize(text), gene_pool).score, 3)
     assert expected >= 0.21
     assert alert.threat.score == expected
+
+
+def test_empty_note_at_create_is_scored_when_written(tmp_path, trained_forest, gene_pool):
+    note_path = "C:/Users/bob/Documents/HOW_TO_RECOVER_FILES.txt"
+    text = make_note_corpus(1, seed=31)[0]
+
+    class FilledLater:  # the file is empty when created, then written
+        def __init__(self):
+            self.blobs = [b"", text.encode("utf-8")]
+
+        def get(self, path):
+            return self.blobs.pop(0) if self.blobs else None
+
+    events = [
+        FileEvent(1_000, 7, "notepad.exe", Operation.CREATE, note_path, "txt"),
+        FileEvent(2_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt"),
+    ]
+    trace = tmp_path / "note.jsonl"
+    trace.write_text(serialize_events(events), encoding="utf-8")
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, content_provider=FilledLater())
+    assert result.metrics.triggers == 1
+    (alert,) = result.alerts
+    assert alert.threat.source is TriggerKind.RANSOM_NOTE
+
+
+def test_event_before_trigger_time_stays_out_of_window(tmp_path, trained_forest, gene_pool):
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    events = [
+        FileEvent(5_000_000, 7, "x.exe", Operation.WRITE, decoy, "docx"),
+        FileEvent(4_000_000, 7, "x.exe", Operation.WRITE, "C:/Users/alice/Documents/a.txt", "txt"),
+        FileEvent(7_500_000, 7, "x.exe", Operation.READ, "C:/Users/alice/Documents/b.txt", "txt"),
+    ]
+    trace = tmp_path / "disorder.jsonl"
+    trace.write_text(serialize_events(events), encoding="utf-8")
+    result = run_replay(trace, _registry_for([decoy]), gene_pool, trained_forest)
+    assert [(i.kind, i.line_no) for i in result.issues] == [(ParseIssueKind.NON_MONOTONIC_TIME, 2)]
+    assert result.metrics.windows_opened == 1
+    assert result.metrics.classifier_calls >= 2
+    assert len(result.alerts) == 1
 
 
 def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
