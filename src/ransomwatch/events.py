@@ -6,6 +6,7 @@ to share across threads.
 """
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -282,13 +283,14 @@ def parse_event_log(stream: Union[str, bytes, IO]) -> ParseResult:
     unknown operations are reported with their 1-based line numbers and
     skipped; non-monotonic per-pid timestamps are reported as warnings but
     the events are kept.
+
+    A blob is split into the lines that open() reads from the same text, at
+    "\n", "\r\n" or "\r". str.splitlines() would also break inside a JSON
+    string at U+0085, U+2028 or U+2029, which serialize_event writes raw.
     """
     if isinstance(stream, bytes):
-        lines: Iterable[str] = stream.decode("utf-8").splitlines()
-    elif isinstance(stream, str):
-        lines = stream.splitlines()
-    else:
-        lines = stream
+        stream = stream.decode("utf-8")
+    lines: Iterable[str] = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
     events: list[FileEvent] = []
     issues: list[ParseIssue] = []
     last_time_by_pid: dict[int, int] = {}

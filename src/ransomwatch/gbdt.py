@@ -278,6 +278,11 @@ class BoostedForest:
     def _flat_trees(self):
         return [_flatten(t) for t in self.trees]
 
+    @cached_property
+    def _list_trees(self):
+        """``_flat_trees`` as Python lists, which predict_row indexes faster than arrays."""
+        return [tuple(a.tolist() for a in flat) for flat in self._flat_trees]
+
     def _check_width(self, width: int) -> None:
         if width != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {width}")
@@ -298,12 +303,16 @@ class BoostedForest:
         """Probability for a single row; the low-latency path."""
         row = np.asarray(row, dtype=np.float64)
         self._check_width(row.shape[-1])
+        x = row.tolist()
+        eta = self.eta
         z = self.base_score
-        for tree in self.trees:
-            node = tree
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            z += self.eta * node.weight
+        for features, values, lefts, rights in self._list_trees:
+            node = 0
+            feature = features[0]
+            while feature >= 0:
+                node = lefts[node] if x[feature] <= values[node] else rights[node]
+                feature = features[node]
+            z += eta * values[node]
         return float(_sigmoid(z))
 
     # -- serialization ------------------------------------------------------

@@ -10,7 +10,10 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
@@ -25,11 +28,12 @@ class BadDim(ValueError):
     """Embedding width must be a power of two, at least 8."""
 
 
+# Searched case-sensitively on a lowered, folded stem; see name_pattern_class.
 _NOTE_NAME_RE = re.compile(
     r"how[\s_-]*to|read[\s_-]*me|readme|decrypt|encrypt|recover|restore|unlock"
-    r"|ransom|instruction|important|attention|warning|help",
-    re.IGNORECASE,
+    r"|ransom|instruction|important|attention|warning|help"
 )
+_CASE_FOLD = str.maketrans({"\u0131": "i", "\u017f": "s"})  # dotless i, long s
 _WORDS_RE = re.compile(r"[a-z]+(?:[ _\-][a-z]+)*")
 _HEX_RE = re.compile(r"[0-9a-f]{8,}")
 
@@ -50,31 +54,54 @@ RARE_EXTENSION_LABEL = "ext:#rare"
 
 
 def name_pattern_class(file_name: str) -> str:
-    """Classify a filename into {note, hash, word, other}."""
+    """Classify a filename into {note, hash, word, other}.
+
+    The note search runs case-sensitively on the lowered stem and gives the
+    answer an IGNORECASE search would. Every letter of the pattern is
+    lowercase ASCII. Among the characters that lower() can output,
+    IGNORECASE matches such a letter only to itself, and "i" also to U+0131
+    and "s" also to U+017F; a scan of every code point confirms it
+    (tests/test_labels.py). Folding those two onto "i" and "s" keeps the
+    length and every other character, so the two searches agree.
+    """
     stem = basename_of(file_name)
     dot = stem.rfind(".")
     if dot > 0:
         stem = stem[:dot]
     low = stem.lower()
-    if _NOTE_NAME_RE.search(low):
+    if _NOTE_NAME_RE.search(low if low.isascii() else low.translate(_CASE_FOLD)):
         return "note"
     if _HEX_RE.fullmatch(low):
         return "hash"
     compact = low.replace("-", "").replace("_", "")
-    if len(compact) >= 10 and compact.isalnum() and sum(c.isdigit() for c in compact) >= 3:
+    if len(compact) >= 10 and compact.isalnum() and sum(map(str.isdigit, compact)) >= 3:
         return "hash"
     if _WORDS_RE.fullmatch(low):
         return "word"
     return "other"
 
 
+def _directory_depth(directory: str) -> int:
+    """Non-empty components of a directory path that do not end in ":" (drive roots), clamped."""
+    depth = 0
+    for part in directory.replace("\\", "/").split("/"):
+        if part and part[-1] != ":":
+            depth += 1
+    return min(depth, MAX_DEPTH_BUCKET)
+
+
 def path_depth_bucket(file_name: str) -> int:
     """Directory depth of a path, clamped to MAX_DEPTH_BUCKET."""
-    directory = dirname_of(file_name)
-    if not directory:
-        return 0
-    parts = [p for p in re.split(r"[/\\]+", directory) if p and not p.endswith(":")]
-    return min(len(parts), MAX_DEPTH_BUCKET)
+    return _directory_depth(dirname_of(file_name))
+
+
+_EXT_LABELS = {ext: f"ext:{ext}" for ext in EXTENSION_VOCABULARY}
+_DEPTH_LABELS = tuple(f"depth:{depth}" for depth in range(MAX_DEPTH_BUCKET + 1))
+_NAME_LABELS = {name: f"name:{name}" for name in ("note", "hash", "word", "other")}
+# One shared tuple per distinct triple, so a kept list of labels costs a
+# pointer per event. The label vocabulary bounds it at 57 * 8 * 4 entries.
+_TRIPLES: dict[tuple[str, str, str], tuple[str, str, str]] = {}
+_op_value = attrgetter("operation._value_")  # ev.operation.value without the enum property
 
 
 @dataclass(frozen=True)
@@ -95,26 +122,53 @@ class BehaviorGraph:
 
 
 def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
-    ext = f"ext:{file_type}" if file_type in EXTENSION_VOCABULARY else RARE_EXTENSION_LABEL
-    return (
-        ext,
-        f"depth:{path_depth_bucket(file_name)}",
-        f"name:{name_pattern_class(file_name)}",
+    """The (extension, depth, name-pattern) parameter labels of one event."""
+    return _label(file_name, file_type, _DEPTH_LABELS[path_depth_bucket(file_name)])
+
+
+def _label(file_name: str, file_type: str, depth_label: str) -> tuple[str, str, str]:
+    triple = (
+        _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL),
+        depth_label,
+        _NAME_LABELS[name_pattern_class(file_name)],
     )
+    return _TRIPLES.setdefault(triple, triple)
 
 
-def build_graph(window: ProcessWindow) -> BehaviorGraph:
-    """One op node per distinct operation, three parameter edges per event."""
+def build_graph(window: ProcessWindow, labels: Optional[list[tuple[str, str, str]]] = None) -> BehaviorGraph:
+    """One op node per distinct operation, three parameter edges per event.
+
+    ``labels``, when given, holds the ``event_params`` triples of a prefix of
+    ``window.events``, in order. The triples of the events past that prefix
+    are appended to it, so a caller that keeps the list for a window that
+    only grows labels each event once. Edges are counted over all events in
+    event order either way, so the graph, and the order of its edges, do not
+    depend on the list.
+    """
+    events = window.events
+    if labels is None:
+        labels = []
+    elif len(labels) > len(events):
+        raise ValueError(f"{len(labels)} labels for a window of {len(events)} events")
+    depth_by_dir: dict[str, str] = {}
+    for ev in events[len(labels):]:
+        directory = dirname_of(ev.file_name)
+        depth = depth_by_dir.get(directory)
+        if depth is None:
+            depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
+        labels.append(_label(ev.file_name, ev.file_type, depth))
+    # Counting (op, triple) pairs first inserts each edge when its first
+    # event is reached, as counting edge by edge would, so the edges keep
+    # the order that encode sums them in.
     ops: set[str] = set()
     params: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
-    for ev in window.events:
-        op = ev.operation.value
+    for (op, triple), count in Counter(zip(map(_op_value, events), labels)).items():
         ops.add(op)
-        for param in event_params(ev.file_name, ev.file_type):
+        for param in triple:
             params.add(param)
             key = (op, param)
-            edges[key] = edges.get(key, 0) + 1
+            edges[key] = edges.get(key, 0) + count
     return BehaviorGraph(frozenset(ops), frozenset(params), edges)
 
 

@@ -51,14 +51,18 @@ US = 1_000_000
 TEXT_EXTENSIONS = frozenset(("txt", "html", "htm", "hta", "md", "rtf"))
 
 
-def featurize(window: ProcessWindow, dims: int, hash_seed: int) -> np.ndarray:
+def featurize(
+    window: ProcessWindow, dims: int, hash_seed: int, labels: Optional[list[tuple[str, str, str]]] = None
+) -> np.ndarray:
     """The classifier row: expert features, then the hashed graph embedding.
 
     Training, serving and the CLI all build rows here, so the model scores
-    exactly the row layout it was trained on.
+    exactly the row layout it was trained on. ``labels`` is passed to
+    ``build_graph``: the graph labels of a prefix of the window's events,
+    extended in place to all of them.
     """
     expert = extract_features(window).as_array()
-    embedding = encode(build_graph(window), dims, hash_seed).values
+    embedding = encode(build_graph(window, labels), dims, hash_seed).values
     return np.concatenate([expert, embedding])
 
 
@@ -174,6 +178,7 @@ class _WindowState:
     trigger: Trigger
     pid_name: str
     events: list[FileEvent] = field(default_factory=list)
+    labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
     slides_done: int = 0
     last_row_digest: str = ""
 
@@ -271,7 +276,7 @@ class Engine:
             tuple(state.events),
             trigger.kind,
         )
-        row = featurize(window, self.forest.dims, self.forest.hash_seed)
+        row = featurize(window, self.forest.dims, self.forest.hash_seed, state.labels)
         self.metrics.classifier_calls += 1
         prob = self.forest.predict_row(row)
         state.last_row_digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]

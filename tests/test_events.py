@@ -54,6 +54,39 @@ def test_malformed_middle_line_reported_with_line_number():
     assert result.issues[0].line_no == 2
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85", "\x1c", "\x1d", "\x1e"])
+def test_blob_and_file_object_split_lines_alike(tmp_path, char):
+    # str.splitlines() breaks at each of these characters; a file object does not.
+    named = FileEvent(0, 4, "a.exe", Operation.WRITE, f"C:/u/a{char}b.txt", "txt")
+    serialized = serialize_events([named])  # escapes the control characters, keeps the rest raw
+    raw = GOOD_LINE.replace("x.txt", f"x{char}y.txt")  # raw in a JSON string: invalid for \x1c-\x1e
+    text = "\n".join([GOOD_LINE, serialized.rstrip("\n"), raw, GOOD_LINE]) + "\n"
+    path = tmp_path / "log.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with open(path, "r", encoding="utf-8") as fp:
+        from_file = parse_event_log(fp)
+    assert named in from_file.events
+    expected = (from_file.events, [(i.kind, i.line_no, i.detail) for i in from_file.issues])
+    for blob in (text, text.encode("utf-8")):
+        parsed = parse_event_log(blob)
+        assert (parsed.events, [(i.kind, i.line_no, i.detail) for i in parsed.issues]) == expected
+    malformed = [(ParseIssueKind.MALFORMED_LINE, 3)] if char < " " else []
+    assert [(i.kind, i.line_no) for i in from_file.issues] == malformed
+    assert len(from_file.events) == 4 - len(malformed)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_blob_line_numbers_with_any_line_ending(tmp_path, end):
+    text = end.join([GOOD_LINE, "not json", GOOD_LINE.replace('"time":0', '"time":2')]) + end
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, "r", encoding="utf-8") as fp:
+        from_file = parse_event_log(fp)
+    for parsed in (parse_event_log(text), parse_event_log(text.encode("utf-8")), from_file):
+        assert len(parsed.events) == 2
+        assert [i.line_no for i in parsed.issues] == [2]
+
+
 def test_unknown_operation_reported():
     bad = GOOD_LINE.replace("Create", "Defragment")
     result = parse_event_log(bad)

@@ -219,6 +219,26 @@ def test_batch_predict_equals_per_row(trained_forest, heldout_corpus):
     assert np.allclose(batch, rows, atol=1e-12)
 
 
+def test_predict_row_equals_batch_exactly(trained_forest):
+    rng = np.random.default_rng(5)
+    thresholds = {}
+    for features, values, _, _ in trained_forest._flat_trees:
+        for feature, value in zip(features.tolist(), values.tolist()):
+            if feature >= 0:
+                thresholds.setdefault(feature, []).append(value)
+    rows = rng.normal(size=(300, trained_forest.n_features)) * 5
+    for row in rows[:200]:  # values exactly on a split threshold, which route left
+        for feature, values in thresholds.items():
+            if rng.random() < 0.5:
+                row[feature] = values[rng.integers(len(values))]
+    specials = np.array([np.inf, -np.inf, np.nan])
+    edge = rng.random(rows[200:].shape) < 0.2
+    rows[200:][edge] = specials[rng.integers(3, size=int(edge.sum()))]
+    for row in rows:
+        assert trained_forest.predict_row(row) == trained_forest.predict(row[None])[0]
+    assert trained_forest.predict_row(rows[0].tolist()) == trained_forest.predict_row(rows[0])
+
+
 def test_predict_width_mismatch(trained_forest):
     with pytest.raises(WidthMismatch):
         trained_forest.predict_row(np.zeros(3))

@@ -72,6 +72,39 @@ def test_edges_match_brute_force_enumeration():
     assert graph.param_nodes == {p for _, p in brute}
 
 
+def _edges_event_by_event(events):
+    edges = {}
+    for ev in events:
+        for param in event_params(ev.file_name, ev.file_type):
+            key = (ev.operation.value, param)
+            edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+def test_kept_labels_give_the_graph_and_edge_order_from_scratch():
+    rng = random.Random(12)
+    paths = ["C:/u/a.txt", "C:/u/deep/dir/b.docx", "D:\\x\\HOW_TO_PAY.txt", "C:/u/8f2c9a1db4.bin", "x.k3xq7"]
+    ops = list(Operation)
+    events = [_ev(rng.choice(ops), rng.choice(paths), time=i) for i in range(400)]
+    labels = []
+    for end in (0, 1, 2, 50, 51, 200, 400, 400):  # the window grows, the list is kept
+        window = _window(events[:end])
+        kept = build_graph(window, labels)
+        assert labels == [event_params(ev.file_name, ev.file_type) for ev in window.events]
+        fresh = build_graph(window)
+        assert kept == fresh
+        assert list(kept.edges.items()) == list(_edges_event_by_event(window.events).items())
+        assert np.array_equal(encode(kept, 64).values, encode(fresh, 64).values)
+
+
+def test_labels_longer_than_window_rejected():
+    events = [_ev(Operation.WRITE, "C:/a/x.txt", time=i) for i in range(3)]
+    labels = []
+    build_graph(_window(events), labels)
+    with pytest.raises(ValueError):
+        build_graph(_window(events[:2]), labels)
+
+
 def test_bipartite_by_construction():
     graph = build_graph(_window([_ev(Operation.WRITE, "C:/a/x.txt")]))
     for op, param in graph.edges:

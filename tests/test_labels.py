@@ -1,0 +1,193 @@
+"""The behavior-graph labels are exact: case folding, reference formulation, golden digest.
+
+The labels are part of the model contract: a model is trained on rows built
+from them, so any change to a label changes what a saved model reads.
+"""
+from __future__ import annotations
+
+import hashlib
+import random
+import re
+import string
+
+from ransomwatch.events import basename_of, dirname_of, extension_of
+from ransomwatch.graph import _NOTE_NAME_RE, MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
+from ransomwatch.simulator import (
+    BenignProfile,
+    BenignSpec,
+    Mode,
+    RansomwareSpec,
+    ScenarioSpec,
+    TreeSpec,
+    generate,
+)
+
+# The labels' first formulation: an IGNORECASE note search and a regex split.
+_REF_NOTE_RE = re.compile(
+    r"how[\s_-]*to|read[\s_-]*me|readme|decrypt|encrypt|recover|restore|unlock"
+    r"|ransom|instruction|important|attention|warning|help",
+    re.IGNORECASE,
+)
+_REF_WORDS_RE = re.compile(r"[a-z]+(?:[ _\-][a-z]+)*")
+_REF_HEX_RE = re.compile(r"[0-9a-f]{8,}")
+
+
+def _ref_name_pattern_class(file_name: str) -> str:
+    stem = basename_of(file_name)
+    dot = stem.rfind(".")
+    if dot > 0:
+        stem = stem[:dot]
+    low = stem.lower()
+    if _REF_NOTE_RE.search(low):
+        return "note"
+    if _REF_HEX_RE.fullmatch(low):
+        return "hash"
+    compact = low.replace("-", "").replace("_", "")
+    if len(compact) >= 10 and compact.isalnum() and sum(c.isdigit() for c in compact) >= 3:
+        return "hash"
+    if _REF_WORDS_RE.fullmatch(low):
+        return "word"
+    return "other"
+
+
+def _ref_path_depth_bucket(file_name: str) -> int:
+    directory = dirname_of(file_name)
+    if not directory:
+        return 0
+    parts = [p for p in re.split(r"[/\\]+", directory) if p and not p.endswith(":")]
+    return min(len(parts), MAX_DEPTH_BUCKET)
+
+
+def _label_corpus() -> list[tuple[str, str]]:
+    """(file_name, file_type) of every path in a fixed set of seeded scenarios."""
+    trees = (
+        TreeSpec(depth=1, fanout=3, files=30, root="D:\\share\\Data"),
+        TreeSpec(depth=3, fanout=3, files=90),
+        TreeSpec(depth=6, fanout=2, files=60, root="//server/share"),
+    )
+    specs = []
+    for seed, tree in enumerate(trees, start=1):
+        for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
+            specs.append(ScenarioSpec(RansomwareSpec(mode=mode, files_per_second=200), 100 * seed + i, tree))
+        for i, profile in enumerate(BenignProfile):
+            specs.append(ScenarioSpec(BenignSpec(profile=profile), 100 * seed + 50 + i, tree))
+    pairs = []
+    for spec in specs:
+        for ev in generate(spec).events:
+            pairs.append((ev.file_name, ev.file_type))
+            if ev.old_file_name is not None:
+                pairs.append((ev.old_file_name, extension_of(ev.old_file_name)))
+    return pairs
+
+
+ADVERSARIAL_NAMES = [
+    "",
+    "/",
+    "\\",
+    "C:",
+    "C:/",
+    "D:\\",
+    "dir/",
+    "C:/Users/alice/",
+    "x.txt",
+    ".profile",
+    "C:/u/.hidden",
+    "C:\\Users\\alice\\Documents\\report_0001.docx",
+    "C:\\\\Users\\\\alice\\\\x.txt",
+    "C://Users//alice//x.txt",
+    "C:/Users\\alice/Documents\\x.txt",
+    "\\\\server\\share\\dir\\x.txt",
+    "//server/share/dir/x.txt",
+    "C:/a:b/c:/x.txt",
+    "C:/a/b/c/d/e/f/g/h/i/j/k.txt",
+    "C:/u/HOW_TO_DECRYPT.TXT",
+    "C:/u/ReadMe.md",
+    "C:/u/READ ME NOW",
+    "C:/u/how - to.txt",
+    "C:/u/\u0131nstruct\u0131ons.txt",  # dotless i
+    "C:/u/\u0131mportant",
+    "C:/u/ran\u017fom.html",  # long s
+    "C:/u/re\u017ftore_files.txt",
+    "C:/u/unloc\u212a.txt",  # Kelvin sign
+    "C:/u/\u0130MPORTANT.txt",  # capital I with dot above
+    "C:/u/\u0130nstruction.txt",
+    "C:/u/R\u0130NSOM.txt",
+    "C:/u/\u017f\u017f\u017f\u017f\u017f\u017f\u017f\u017f\u017f\u017f.txt",
+    "C:/u/\u0131\u0131\u0131-\u0131\u0131\u0131.txt",
+    "C:/u/DEADBEEF00.bin",
+    "C:/u/deadbeef",
+    "C:/u/a1b2c3d4e5f6.docx",
+    "C:/u/report_0012.docx.xyz666",
+    "C:/u/report_0012.docx.a8f3kq",
+    "C:/u/abc-def_123-456.txt",
+    "C:/u/\u0663\u0663\u0663abcdefgh.txt",  # Arabic-Indic digits
+    "C:/u/\uff11\uff12\uff13abcdefgh.txt",  # full-width digits
+    "C:/u/report\u00b2\u00b3\u2074abcdef.txt",  # digits that are not decimal
+    "C:/u/family budget",
+    "C:/u/\u01c5ungla.txt",  # title-case letter
+    "C:/u/stra\u00dfe.txt",
+    "C:/u/\ufb05tore.txt",  # ligature long s t
+]
+
+
+def _random_names(count: int, seed: int) -> list[str]:
+    rng = random.Random(seed)
+    alphabet = (
+        string.ascii_letters + string.digits + "/\\:._- "
+        + "\u0131\u017f\u212a\u0130\u00df\ufb05\u0663\uff11\u00b2\u01c5\u0307\u2028"
+    )
+    words = ["how", "to", "read", "me", "decrypt", "ransom", "help", "restore", "instruction", "C:", "\\\\", "//"]
+    names = []
+    for _ in range(count):
+        parts = [rng.choice(words) if rng.random() < 0.3 else rng.choice(alphabet) for _ in range(rng.randint(0, 24))]
+        names.append("".join(parts))
+    return names
+
+
+def test_ignorecase_matches_only_dotless_i_and_long_s_beyond_ascii():
+    # Every character str.lower() can output. The note pattern is searched
+    # case-sensitively on lowered stems, after folding exactly the
+    # characters this scan finds.
+    lowered = "".join(map(str.lower, map(chr, range(0x110000))))
+    assert re.search("[A-Z]", lowered) is None
+    found = {}
+    for letter in string.ascii_lowercase:
+        hits = set(re.findall(letter, lowered, re.IGNORECASE)) - {letter}
+        if hits:
+            found[letter] = hits
+    assert found == {"i": {"\u0131"}, "s": {"\u017f"}}
+    letters = set(re.sub(r"\\s", "", _NOTE_NAME_RE.pattern)) & set(string.ascii_letters)
+    assert letters <= set(string.ascii_lowercase)
+    assert not _NOTE_NAME_RE.flags & re.IGNORECASE
+
+
+def test_labels_equal_reference_formulation():
+    names = [name for name, _ in _label_corpus()] + ADVERSARIAL_NAMES + _random_names(3000, seed=8)
+    classes = set()
+    for name in names:
+        pattern, depth = _ref_name_pattern_class(name), _ref_path_depth_bucket(name)
+        assert name_pattern_class(name) == pattern, name
+        assert path_depth_bucket(name) == depth, name
+        assert event_params(name, extension_of(name))[1:] == (f"depth:{depth}", f"name:{pattern}"), name
+        classes.add(pattern)
+    assert classes == {"note", "hash", "word", "other"}
+    assert name_pattern_class("C:/u/ran\u017fom.html") == "note"
+    assert name_pattern_class("C:/u/\u0131mportant") == "note"
+
+
+# Digests of the corpus and of its label triples, computed with the first
+# formulation of the labels. The triples are plain strings, so the digest is
+# the same on every platform.
+CORPUS_SIZE = 6069
+CORPUS_DIGEST = "752dce8ab3b809f596d03cec4e92f2c679982a3516edfcdcf578e1f3eaae9366"
+LABELS_DIGEST = "5018279bd3dfc3d9898bce57268879e651b6ea93e28de37c6438c7606677f3c1"
+
+
+def test_label_triples_match_golden_digest():
+    pairs = _label_corpus()
+    corpus = hashlib.sha256("".join(f"{n}\t{t}\n" for n, t in pairs).encode("utf-8")).hexdigest()
+    assert (len(pairs), corpus) == (CORPUS_SIZE, CORPUS_DIGEST), "the simulator's paths changed, not the labels"
+    labels = "".join("\t".join(event_params(n, t)) + "\n" for n, t in pairs)
+    assert hashlib.sha256(labels.encode("utf-8")).hexdigest() == LABELS_DIGEST, (
+        "graph labels changed: every saved model reads different rows"
+    )

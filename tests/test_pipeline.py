@@ -417,3 +417,48 @@ def test_featurize_layers_called_once_per_classification(tmp_path, trained_fores
     )
     assert result.metrics.classifier_calls >= 1
     assert calls == dict.fromkeys(names, result.metrics.classifier_calls)
+
+
+def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
+    results, decoys = [], []
+    for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
+        decoy = _decoy_in_first_dir(seed=90 + i)
+        decoys.extend(decoy)
+        results.append(generate(ScenarioSpec(
+            kind=RansomwareSpec(mode=mode, files_per_second=40 + 30 * i),
+            seed=90 + i, tree=TREE, decoy_paths=decoy, start_us=150_000 * i)))
+    decoy = _decoy_in_first_dir(seed=99)
+    decoys.extend(decoy)
+    results.append(generate(ScenarioSpec(
+        kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
+        seed=99, tree=TREE, decoy_paths=decoy, start_us=200_000)))
+    events, notes = merge_results(results)
+    real = pipeline.featurize
+    slides_by_window = {}
+
+    labeled_by_window = {}
+
+    def checked(window, dims, hash_seed, labels=None):
+        key = (window.pid, window.window_start)
+        assert labels is not None
+        assert len(labels) == labeled_by_window.get(key, 0)  # labeled at the window's earlier slides
+        row = real(window, dims, hash_seed, labels)
+        assert len(labels) == len(window.events)
+        assert row.tobytes() == real(window, dims, hash_seed).tobytes()
+        labeled_by_window[key] = len(labels)
+        slides_by_window[key] = slides_by_window.get(key, 0) + 1
+        return row
+
+    monkeypatch.setattr(pipeline, "featurize", checked)
+    engine = pipeline.Engine(_registry_for(decoys), gene_pool, trained_forest,
+                             content_provider=MappingContentProvider(notes))
+    for ev in events:
+        engine.process(ev)
+        for state in engine._windows.values():
+            assert len(state.labels) <= len(state.events)
+    engine.finish()
+    assert not engine._windows
+    assert engine.metrics.windows_opened == len(results)
+    assert len(slides_by_window) == len(results)
+    assert sum(slides_by_window.values()) == engine.metrics.classifier_calls
+    assert max(slides_by_window.values()) >= 2  # a kept list was extended, not only filled
