@@ -25,7 +25,6 @@ from .gbdt import BoostParams, BoostedForest, fit
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
 from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, similarity, tokenize
 from .pipeline import (
-    FilesystemContentProvider,
     MappingContentProvider,
     PipelineConfig,
     featurize,
@@ -305,7 +304,6 @@ def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> No
         result = run_live(
             watch_dirs, registry, pool, forest, config,
             duration_s=duration,
-            content_provider=FilesystemContentProvider(),
             on_alert=lambda alert: click.echo(alert.to_json_line()),
         )
     except WatchUnavailable as exc:

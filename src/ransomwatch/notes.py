@@ -8,8 +8,9 @@ from __future__ import annotations
 import json
 import unicodedata
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_NGRAM_SIZE = 3
 DEFAULT_POOL_CAPACITY = 300
@@ -37,6 +38,11 @@ class TokenizedNote:
         return len(self.words)
 
 
+# The category-P characters among the 128 ASCII code points (23 of them);
+# $+<=>^`|~ are symbols and stay.
+_ASCII_PUNCT = "".join(c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P"))
+
+
 def _strip_punct(token: str) -> str:
     start, end = 0, len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):
@@ -53,6 +59,10 @@ def tokenize(text: str) -> TokenizedNote:
     kept ("don't" survives, "ENCRYPTED!" becomes "encrypted"). Empty tokens
     are dropped.
     """
+    if text.isascii():
+        # On ASCII, lower() changes only A-Z, so lowering the whole text
+        # first changes neither the whitespace split nor what is punctuation.
+        return TokenizedNote(tuple(filter(None, [raw.strip(_ASCII_PUNCT) for raw in text.lower().split()])))
     words = []
     for raw in text.split():
         tok = _strip_punct(raw).lower()
@@ -63,10 +73,18 @@ def tokenize(text: str) -> TokenizedNote:
 
 def ngrams(note: TokenizedNote, n: int) -> list[Fragment]:
     """All sliding n-word sequences, max(0, k - n + 1) of them, in order."""
+    return list(_fragments(note.words, n))
+
+
+def _fragments(words: tuple[str, ...], n: int) -> Iterator[Fragment]:
+    """The sliding n-grams of words, in order, zipped from shifted slices.
+
+    Intersected with ``pool.fragments.keys()``, each one is hashed once and
+    only the hits are stored.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    words = note.words
-    return [words[i : i + n] for i in range(len(words) - n + 1)]
+    return zip(*[words[i:] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -98,9 +116,24 @@ class GenePool:
 
     @classmethod
     def from_json(cls, text: str) -> "GenePool":
+        """Load a pool. Raises ValueError unless n >= 1 and the pool holds at
+        least one fragment, each a list of exactly n strings."""
         payload = json.loads(text)
-        fragments = {tuple(item["words"]): float(item["f"]) for item in payload["fragments"]}
-        return cls(int(payload["n"]), payload["top_k"], fragments, int(payload["source_count"]))
+        n = int(payload["n"])
+        if n < 1:
+            raise ValueError(f"gene pool n must be at least 1, got {n}")
+        items = payload["fragments"]
+        word_lists = [item["words"] for item in items]
+        if not word_lists:
+            raise ValueError("gene pool has no fragments")
+        if (
+            set(map(type, word_lists)) != {list}
+            or set(map(len, word_lists)) != {n}
+            or set(map(type, chain.from_iterable(word_lists))) != {str}
+        ):
+            raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
+        fragments = {tuple(words): float(item["f"]) for words, item in zip(word_lists, items)}
+        return cls(n, payload["top_k"], fragments, int(payload["source_count"]))
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -117,9 +150,12 @@ def build_pool(
 ) -> GenePool:
     """Count fragments over all notes, normalize, keep the top_k highest.
 
-    Raises EmptyCorpus when no note is at least n words long. top_k=None
-    keeps every fragment (then the retained scores sum to 1 exactly).
+    Raises EmptyCorpus when no note is at least n words long, and ValueError
+    when top_k is below 1. top_k=None keeps every fragment (then the retained
+    scores sum to 1 exactly).
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be at least 1, got {top_k}")
     counts: dict[Fragment, int] = {}
     for note in notes:
         for frag in ngrams(note, n):
@@ -148,18 +184,18 @@ def similarity(doc: TokenizedNote, pool: GenePool, tau: float = DEFAULT_TAU_SIM)
     Set semantics: each distinct pool fragment counts at most once no matter
     how often it repeats in the document.
     """
-    if not pool.fragments:
+    fragments = pool.fragments
+    if not fragments:
         raise ValueError("gene pool is empty")
-    doc_fragments = set(ngrams(doc, pool.n))
-    matched = tuple((frag, score) for frag, score in pool.fragments.items() if frag in doc_fragments)
+    hits = fragments.keys() & _fragments(doc.words, pool.n)
+    matched = tuple((frag, score) for frag, score in fragments.items() if frag in hits) if hits else ()
     score = sum(s for _, s in matched)
     return SimilarityVerdict(score, matched, score >= tau, tau)
 
 
 def match_count(doc: TokenizedNote, pool: GenePool) -> int:
     """Number of distinct pool fragments present in the document."""
-    doc_fragments = set(ngrams(doc, pool.n))
-    return sum(1 for frag in pool.fragments if frag in doc_fragments)
+    return len(pool.fragments.keys() & _fragments(doc.words, pool.n))
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,6 +8,7 @@ that never trips a monitoring point is never deeply analyzed.
 """
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import logging
@@ -247,7 +248,10 @@ class Engine:
             return None
         self._scored_paths.add(ev.file_name)
         try:
-            text = blob[: self.config.max_note_bytes].decode("utf-8")
+            # A blob that may have been cut at max_note_bytes loses only a
+            # partial last character; invalid bytes elsewhere still raise.
+            limit = self.config.max_note_bytes
+            text = codecs.getincrementaldecoder("utf-8")().decode(blob[:limit], final=len(blob) < limit)
         except UnicodeDecodeError:
             return None
         verdict = similarity(tokenize(text), self.pool, tau=self.config.tau_sim)
@@ -532,7 +536,7 @@ def run_live(
     decoy_dirs = {os.path.dirname(path) for path in registry.paths()}
     watched += sorted(d for d in decoy_dirs if d not in watched and os.path.isdir(d))
     watcher = DirectoryWatcher(watched, poll_interval=poll_interval)
-    engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider())
+    engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider(config.max_note_bytes))
     stop = stop or threading.Event()
     started = time_mod.perf_counter()
     watcher.start()

@@ -1,18 +1,23 @@
 """Note analyzer: tokenization, n-grams, gene pool laws, similarity, sweeps."""
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import re
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ransomwatch import notes as notes_module
 from ransomwatch.notes import (
     DEFAULT_TAU_SIM,
     DegenerateLabels,
     EmptyCorpus,
     GenePool,
+    SimilarityVerdict,
     TokenizedNote,
     build_pool,
     match_count,
@@ -22,6 +27,7 @@ from ransomwatch.notes import (
     sweep_window,
     tokenize,
 )
+from ransomwatch.simulator import make_benign_doc_corpus, make_benign_text, make_note_corpus
 
 
 def test_tokenize_normalizes():
@@ -128,6 +134,12 @@ def test_pool_descending_order_with_lexicographic_ties():
 def test_build_pool_empty_corpus():
     with pytest.raises(EmptyCorpus):
         build_pool([TokenizedNote(("too", "short"))], n=3)
+
+
+@pytest.mark.parametrize("top_k", [0, -1])
+def test_build_pool_rejects_top_k_below_one(top_k):
+    with pytest.raises(ValueError):
+        build_pool([TokenizedNote(("your", "files", "are", "encrypted"))], n=3, top_k=top_k)
 
 
 def test_pool_serialization_deterministic_and_round_trips(note_corpus):
@@ -246,3 +258,192 @@ def test_sweep_window_needs_corpora(note_corpus):
     notes, _ = note_corpus
     with pytest.raises(DegenerateLabels):
         sweep_window(notes, [], n_values=(3,))
+
+
+# -- exactness of the fast tokenizer and similarity ------------------------------
+
+def _reference_strip_punct(token: str) -> str:
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
+def _reference_tokenize(text: str) -> TokenizedNote:
+    words = []
+    for raw in text.split():
+        tok = _reference_strip_punct(raw).lower()
+        if tok:
+            words.append(tok)
+    return TokenizedNote(tuple(words))
+
+
+def _reference_similarity(doc: TokenizedNote, pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
+    if not pool.fragments:
+        raise ValueError("gene pool is empty")
+    doc_fragments = set(ngrams(doc, pool.n))
+    matched = tuple((frag, score) for frag, score in pool.fragments.items() if frag in doc_fragments)
+    score = sum(s for _, s in matched)
+    return SimilarityVerdict(score, matched, score >= tau, tau)
+
+
+def _reference_match_count(doc: TokenizedNote, pool: GenePool) -> int:
+    doc_fragments = set(ngrams(doc, pool.n))
+    return sum(1 for frag in pool.fragments if frag in doc_fragments)
+
+
+def _non_ascii_variant(text: str) -> str:
+    """The same text dressed in non-ASCII punctuation and letters."""
+    return (
+        text.replace("'", "\u2019").replace(". ", "\u3002 ").replace("!", "\uff01")
+        .replace(", ", " \u00bb ").replace("files", "F\u00cfLES").replace("your", "\u00abYour\u00bb")
+    )
+
+
+def _simulator_texts() -> list[str]:
+    rng = random.Random(5)
+    texts = make_note_corpus(80, seed=41) + make_benign_doc_corpus(80, seed=42)
+    texts += [make_benign_text(rng) for _ in range(80)]
+    return texts + [_non_ascii_variant(t) for t in texts]
+
+
+_ADVERSARIAL_TEXTS = [
+    "files\u2019 \u2019pay\u2019 don\u2019t",  # right single quotation mark
+    "ENCRYPTED\u3002 \u3002\u3002 done\u3002\u3002",  # ideographic full stop
+    "\u00abquoted\u00bb \u00ab\u00bb \u00ab \u00bb",  # guillemets
+    "no\u00a0break\u00a0space a\u2028b\u2029c\x85d",  # non-ASCII whitespace
+    "x\x1cy\x1dz\x1e!w\x1f. sep\x1c",  # ASCII separators split
+    "\u0130STANBUL \u0130 \u0130! !\u0130",  # I with dot lowers to two chars
+    "STRA\u1e9eE \u1e9e \u1e9e\u2026",  # capital sharp s
+    "PAY\uff01 \uff01now\uff01 \uff01",  # fullwidth exclamation mark
+    "e\u0301te\u0301 \u0301x\u0301 a\u0308! !\u0308 \u0301",  # combining marks
+    "!!! ... \u00bf? \u2026 \u3001\u3002 -- () []{}",  # all punctuation
+    "'\u2019'word'\u2019' \u2019'\u2019 .a. '\u00e9'",  # ASCII and non-ASCII P interleaved
+    "\u00c9CRIT! Ma\u00cfs. \u03a3\u039f\u03a3 \u0130i\u0307",
+    "",
+    "   \t\n  ",
+]
+
+
+@pytest.mark.parametrize("text", _ADVERSARIAL_TEXTS)
+def test_tokenize_equals_reference_on_adversarial_text(text):
+    assert tokenize(text) == _reference_tokenize(text)
+
+
+def test_tokenize_equals_reference_on_simulator_corpora():
+    for text in _simulator_texts():
+        assert tokenize(text) == _reference_tokenize(text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text())
+def test_tokenize_equals_reference_on_any_text(text):
+    assert tokenize(text) == _reference_tokenize(text)
+
+
+def test_ascii_lower_keeps_whitespace_and_punctuation():
+    for c in map(chr, range(128)):
+        low = c.lower()
+        assert low == c or "A" <= c <= "Z"
+        assert low.isspace() == c.isspace()
+        assert unicodedata.category(low).startswith("P") == unicodedata.category(c).startswith("P")
+    assert notes_module._ASCII_PUNCT == "!\"#%&'()*,-./:;?@[\\]_{}"
+
+
+def _random_pool(rng: random.Random, n: int, vocab: str) -> GenePool:
+    fragments = {}
+    for _ in range(rng.randint(1, 12)):
+        frag = tuple(rng.choice(vocab) for _ in range(n))
+        fragments[frag] = rng.choice([rng.random(), 0.25, 1e-17, 0.1 + 0.2])
+    return GenePool(n, None, fragments, 1)
+
+
+def _random_doc(rng: random.Random, vocab: str) -> TokenizedNote:
+    if rng.random() < 0.3:  # a fragment repeated many times
+        unit = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
+        return TokenizedNote(tuple(unit * rng.randint(1, 6)))
+    return TokenizedNote(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12))))
+
+
+def test_similarity_and_match_count_equal_reference_on_random_pools():
+    rng = random.Random(17)
+    short_docs = 0
+    for _ in range(3000):
+        n = rng.randint(1, 4)
+        vocab = "abcd"[: rng.randint(1, 4)]
+        pool = _random_pool(rng, n, vocab)
+        doc = _random_doc(rng, vocab)
+        short_docs += doc.k < n
+        tau = rng.choice([0.0, 0.21, 0.5])
+        got, want = similarity(doc, pool, tau), _reference_similarity(doc, pool, tau)
+        assert got.matched == want.matched
+        assert repr(got.score) == repr(want.score) and type(got.score) is type(want.score)
+        assert (got.is_note, got.threshold) == (want.is_note, want.threshold)
+        assert match_count(doc, pool) == _reference_match_count(doc, pool)
+    assert short_docs > 100
+
+
+def test_similarity_no_match_scores_int_zero(gene_pool):
+    verdict = similarity(tokenize("nothing here matches"), gene_pool, tau=0.0)
+    assert verdict.matched == ()
+    assert verdict.score == 0 and type(verdict.score) is int
+    assert verdict.is_note  # 0 >= 0.0
+
+
+def test_similarity_rejects_empty_pool_and_bad_n():
+    doc = TokenizedNote(("a", "b"))
+    with pytest.raises(ValueError):
+        similarity(doc, GenePool(2, None, {}, 0))
+    with pytest.raises(ValueError):
+        similarity(doc, GenePool(0, None, {(): 1.0}, 1))
+    with pytest.raises(ValueError):
+        match_count(doc, GenePool(0, None, {(): 1.0}, 1))
+
+
+def test_sweeps_equal_reference(note_corpus, monkeypatch):
+    pool, labeled = _labeled(note_corpus)
+    notes_docs, benign = note_corpus
+    taus = [i / 20 for i in range(21)]
+    fast = (sweep_threshold(pool, labeled, taus), sweep_window(notes_docs, benign, n_values=range(1, 7)))
+    monkeypatch.setattr(notes_module, "similarity", _reference_similarity)
+    monkeypatch.setattr(notes_module, "match_count", _reference_match_count)
+    reference = (sweep_threshold(pool, labeled, taus), sweep_window(notes_docs, benign, n_values=range(1, 7)))
+    assert fast == reference
+
+
+# sha256 over repr((score, matched)) of every text of _simulator_texts()
+# against the gene_pool fixture, computed with the per-token tokenizer and
+# the pool-walking similarity they replaced.
+_SIMILARITY_GOLDEN = "e91c72b47d1343ce115074693fe19f8e7d429e44ff30baf0308ba135f026f6e9"
+
+
+def test_similarity_matches_golden_digest(gene_pool):
+    digest = hashlib.sha256()
+    for text in _simulator_texts():
+        verdict = similarity(tokenize(text), gene_pool)
+        digest.update(repr((verdict.score, verdict.matched)).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == _SIMILARITY_GOLDEN
+
+
+def _pool_json(n=2, fragments=(["a", "b"],)) -> str:
+    return json.dumps({"n": n, "top_k": None, "source_count": 1, "fragments": [{"words": w, "f": 0.5} for w in fragments]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _pool_json(n=0, fragments=([],)),
+        _pool_json(n=-1, fragments=([],)),
+        _pool_json(fragments=()),
+        _pool_json(fragments=(["a", "b"], ["a"])),
+        _pool_json(fragments=(["a", "b", "c"],)),
+        _pool_json(fragments=(["a", 2],)),
+        _pool_json(fragments=("ab",)),
+    ],
+    ids=["n0", "n_negative", "no_fragments", "short_fragment", "long_fragment", "non_string_word", "string_not_list"],
+)
+def test_pool_from_json_rejects_malformed(text):
+    with pytest.raises(ValueError):
+        GenePool.from_json(text)

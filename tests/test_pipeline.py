@@ -198,6 +198,28 @@ def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
     assert result.metrics.triggers == 0
 
 
+@pytest.mark.parametrize("tail", ["\u00e9", "\u20ac", "\U0001f512"], ids=["2-byte", "3-byte", "4-byte"])
+def test_note_cut_inside_a_character_is_scored(tmp_path, trained_forest, gene_pool, tail):
+    note_path = "C:/Users/bob/Documents/HOW_TO_RECOVER_FILES.txt"
+    note = make_note_corpus(1, seed=31)[0]
+    events = [FileEvent(1_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt")]
+    trace = tmp_path / "note.jsonl"
+    trace.write_text(serialize_events(events), encoding="utf-8")
+    config = pipeline.PipelineConfig(max_note_bytes=len(note.encode("utf-8")) + 1)
+    provider = MappingContentProvider({note_path: note + tail})
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    assert result.metrics.triggers == 1
+    # an invalid byte before the cut still makes the content unscorable
+    provider = MappingContentProvider({note_path: b"\xff" + note.encode("utf-8")})
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    assert result.metrics.triggers == 0
+    # content under the limit that ends in a partial character was not cut
+    provider = MappingContentProvider({note_path: (note + tail).encode("utf-8")[:-1]})
+    config = pipeline.PipelineConfig(max_note_bytes=len(note.encode("utf-8")) + 8)
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    assert result.metrics.triggers == 0
+
+
 def test_funnel_and_metrics_consistency_on_mixed_trace(tmp_path, trained_forest, gene_pool):
     decoys = _decoy_in_first_dir(seed=70)
     results = [
@@ -370,6 +392,20 @@ def test_run_live_idle_quiet(tmp_path, trained_forest, gene_pool):
 def test_run_live_unavailable_dir(trained_forest, gene_pool):
     with pytest.raises(WatchUnavailable):
         run_live(["/does/not/exist"], DecoyRegistry(), gene_pool, trained_forest, duration_s=0.1)
+
+
+def test_run_live_reads_notes_up_to_max_note_bytes(tmp_path, trained_forest, gene_pool, monkeypatch):
+    sizes = []
+
+    class RecordingProvider(pipeline.FilesystemContentProvider):
+        def __init__(self, max_bytes=65536):
+            sizes.append(max_bytes)
+            super().__init__(max_bytes)
+
+    monkeypatch.setattr(pipeline, "FilesystemContentProvider", RecordingProvider)
+    config = pipeline.PipelineConfig(max_note_bytes=1234)
+    run_live([str(tmp_path)], DecoyRegistry(), gene_pool, trained_forest, config, duration_s=0.1)
+    assert sizes == [1234]
 
 
 def test_directory_watcher_event_kinds(tmp_path):
