@@ -23,7 +23,7 @@ from .events import parse_event_log, window_events
 from .features import FEATURE_NAMES, N_EXPERT_FEATURES
 from .gbdt import BoostParams, BoostedForest, fit
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
-from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, similarity, tokenize
+from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, decode_note, similarity, tokenize
 from .pipeline import (
     MappingContentProvider,
     PipelineConfig,
@@ -33,6 +33,14 @@ from .pipeline import (
     run_replay,
 )
 from .simulator import Corpus, build_corpus, generate, spec_from_json, spec_from_kind, write_scenario
+
+
+def _load(loader, path):
+    """Load an input file; a malformed one stops the command with a one-line error."""
+    try:
+        return loader(path)
+    except ValueError as exc:  # CorruptModel and JSONDecodeError among them
+        raise click.ClickException(f"{path}: {exc}") from exc
 
 
 @click.group()
@@ -133,8 +141,14 @@ def note() -> None:
 @click.option("--file", "file_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--tau", default=DEFAULT_TAU_SIM, show_default=True, type=float)
 def note_score(pool_path, file_path, tau) -> None:
-    pool = GenePool.load(pool_path)
-    verdict = similarity(tokenize(Path(file_path).read_text(encoding="utf-8")), pool, tau=tau)
+    """Score the first max_note_bytes bytes of FILE, as replay scores note content."""
+    pool = _load(GenePool.load, pool_path)
+    limit = PipelineConfig().max_note_bytes
+    with open(file_path, "rb") as fp:
+        text = decode_note(fp.read(limit), limit)
+    if text is None:
+        raise click.ClickException(f"{file_path}: not scored, the content is not UTF-8")
+    verdict = similarity(tokenize(text), pool, tau=tau)
     click.echo(json.dumps({
         "file": file_path,
         "score": round(verdict.score, 6),
@@ -213,7 +227,7 @@ def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
 def predict(model_path, features_path) -> None:
     """Score one extracted feature vector."""
-    forest = BoostedForest.load(model_path)
+    forest = _load(BoostedForest.load, model_path)
     payload = json.loads(Path(features_path).read_text(encoding="utf-8"))
     prob = forest.predict_row(np.asarray(payload["vector"], dtype=np.float64))
     click.echo(json.dumps({"probability": round(prob, 6), "ransomware": prob >= 0.5}))
@@ -274,8 +288,8 @@ def corpus(ransom, benign, seed, dims, include_zipper, out_dir) -> None:
 def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_path, metrics_path) -> None:
     """Replay a trace through the funnel, writing alerts and metrics."""
     registry = DecoyRegistry.load(registry_path)
-    pool = GenePool.load(pool_path)
-    forest = BoostedForest.load(model_path)
+    pool = _load(GenePool.load, pool_path)
+    forest = _load(BoostedForest.load, model_path)
     provider = MappingContentProvider.from_json_file(notes_path) if notes_path else None
     config = PipelineConfig(tau_sim=tau)
     result = run_replay(log_path, registry, pool, forest, config, provider)
@@ -297,8 +311,8 @@ def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_
 def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> None:
     """Watch directories and the decoys' directories live; print alerts as they fire."""
     registry = DecoyRegistry.load(registry_path)
-    pool = GenePool.load(pool_path)
-    forest = BoostedForest.load(model_path)
+    pool = _load(GenePool.load, pool_path)
+    forest = _load(BoostedForest.load, model_path)
     config = PipelineConfig(tau_sim=tau)
     try:
         result = run_live(

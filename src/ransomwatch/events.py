@@ -10,7 +10,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Callable, Iterable, Iterator, Optional, Union
 
 try:
     from orjson import loads as _fast_loads
@@ -100,10 +100,6 @@ class FileEvent:
     file_name: str
     file_type: str
     old_file_name: Optional[str] = None
-
-    def type_consistent(self) -> bool:
-        """True when file_type matches the extension parsed from file_name."""
-        return self.file_type == extension_of(self.file_name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,12 +199,6 @@ class ParseResult:
     events: list[FileEvent]
     issues: list[ParseIssue] = field(default_factory=list)
 
-    def __iter__(self) -> Iterator[FileEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 _OP_BY_TOKEN = {op.value: op for op in Operation}
 
@@ -276,29 +266,24 @@ def parse_event_line(line: str, line_no: int, issues: list[ParseIssue]) -> Optio
     return None
 
 
-def parse_event_log(stream: Union[str, bytes, IO]) -> ParseResult:
-    """Parse a JSON-Lines event log into events plus a list of issues.
+def iter_events(
+    lines: Iterable[str],
+    issues: list[ParseIssue],
+    parse: Callable[[str, int, list[ParseIssue]], Optional[FileEvent]] = parse_event_line,
+) -> Iterator[FileEvent]:
+    """Yield the events of JSON-Lines text in order, appending issues to ``issues``.
 
-    Accepts a text/bytes blob or a file-like object. Malformed lines and
-    unknown operations are reported with their 1-based line numbers and
-    skipped; non-monotonic per-pid timestamps are reported as warnings but
-    the events are kept.
-
-    A blob is split into the lines that open() reads from the same text, at
-    "\n", "\r\n" or "\r". str.splitlines() would also break inside a JSON
-    string at U+0085, U+2028 or U+2029, which serialize_event writes raw.
+    Blank lines are skipped. Malformed lines and unknown operations are
+    reported with their 1-based line numbers and skipped; a timestamp below
+    the pid's previous one is reported as NonMonotonicTime and the event is
+    kept. ``parse`` parses one stripped line.
     """
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    lines: Iterable[str] = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
-    events: list[FileEvent] = []
-    issues: list[ParseIssue] = []
     last_time_by_pid: dict[int, int] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        ev = parse_event_line(line, line_no, issues)
+        ev = parse(line, line_no, issues)
         if ev is None:
             continue
         prev = last_time_by_pid.get(ev.pid)
@@ -307,8 +292,24 @@ def parse_event_log(stream: Union[str, bytes, IO]) -> ParseResult:
                 ParseIssue(ParseIssueKind.NON_MONOTONIC_TIME, line_no, f"pid={ev.pid} {ev.time} < {prev}")
             )
         last_time_by_pid[ev.pid] = ev.time
-        events.append(ev)
-    return ParseResult(events, issues)
+        yield ev
+
+
+def parse_event_log(stream: Union[str, bytes, IO]) -> ParseResult:
+    """Parse a JSON-Lines event log into events plus a list of issues.
+
+    Accepts a text/bytes blob or a file-like object; see iter_events for
+    what is reported.
+
+    A blob is split into the lines that open() reads from the same text, at
+    "\n", "\r\n" or "\r". str.splitlines() would also break inside a JSON
+    string at U+0085, U+2028 or U+2029, which serialize_event writes raw.
+    """
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    lines: Iterable[str] = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
+    issues: list[ParseIssue] = []
+    return ParseResult(list(iter_events(lines, issues)), issues)
 
 
 def serialize_event(ev: FileEvent) -> str:

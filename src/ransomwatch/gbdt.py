@@ -38,7 +38,7 @@ class WidthMismatch(ValueError):
 
 
 class CorruptModel(ValueError):
-    """Model file failed magic, version, or checksum validation."""
+    """Model file failed magic, version, checksum or node-table validation."""
 
 
 def split_sse_direct(values: np.ndarray, response: np.ndarray, threshold: float) -> float:
@@ -132,11 +132,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
-
 
 @dataclass(frozen=True, slots=True)
 class TreeParams:
@@ -189,7 +184,18 @@ def grow_tree(
     return build(np.arange(X.shape[0]), 0)
 
 
-def _flatten(tree: TreeNode) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+# A tree as parallel arrays (features, values, lefts, rights), root at slot 0.
+# A leaf has feature -1 and its weight as value; an internal node has its
+# threshold as value and the slots of its children in lefts and rights.
+FlatTree = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+# One node of the model file, packed as struct "<BHdhh": leaf flag, feature,
+# value, left, right. A leaf is written with feature 0 and children -1.
+_NODE = np.dtype([("leaf", "u1"), ("feature", "<u2"), ("value", "<f8"), ("left", "<i2"), ("right", "<i2")])
+_HEADER = struct.Struct("<HHQH4d")
+
+
+def _flatten(tree: TreeNode) -> FlatTree:
     features: list[int] = []
     values: list[float] = []
     lefts: list[int] = []
@@ -215,7 +221,7 @@ def _flatten(tree: TreeNode) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     )
 
 
-def _apply_flat(flat, X: np.ndarray) -> np.ndarray:
+def _apply_flat(flat: FlatTree, X: np.ndarray) -> np.ndarray:
     features, values, lefts, rights = flat
     pos = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
@@ -234,6 +240,24 @@ def _apply_flat(flat, X: np.ndarray) -> np.ndarray:
 def apply_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
     """Leaf weights reached by each row."""
     return _apply_flat(_flatten(tree), X)
+
+
+def _unpack_tree(table: np.ndarray, n_features: int) -> FlatTree:
+    """The flat tree of one node table; CorruptModel unless it is a tree.
+
+    Each internal node must name a feature below n_features and two children
+    later in the table, as the preorder layout of _flatten places them, so
+    every walk from the root ends at a leaf.
+    """
+    leaf = table["leaf"] == 1
+    features = table["feature"].astype(np.int32)
+    features[leaf] = -1
+    lefts, rights = table["left"].astype(np.int32), table["right"].astype(np.int32)
+    slots, n = np.arange(len(table)), len(table)
+    bad = ~leaf & ((features >= n_features) | (lefts <= slots) | (rights <= slots) | (lefts >= n) | (rights >= n))
+    if bad.any():
+        raise CorruptModel(f"node {int(bad.argmax())} has a feature or child index out of range")
+    return features, table["value"].copy(), lefts, rights
 
 
 def _sigmoid(z):
@@ -264,7 +288,7 @@ class BoostedForest:
     inference time match the training layout.
     """
 
-    trees: tuple[TreeNode, ...]
+    trees: tuple[FlatTree, ...]
     eta: float
     gamma: float
     lambda_: float
@@ -275,13 +299,9 @@ class BoostedForest:
     training_loss: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
-    def _flat_trees(self):
-        return [_flatten(t) for t in self.trees]
-
-    @cached_property
     def _list_trees(self):
-        """``_flat_trees`` as Python lists, which predict_row indexes faster than arrays."""
-        return [tuple(a.tolist() for a in flat) for flat in self._flat_trees]
+        """``trees`` as Python lists, which predict_row indexes faster than arrays."""
+        return [tuple(a.tolist() for a in flat) for flat in self.trees]
 
     def _check_width(self, width: int) -> None:
         if width != self.n_features:
@@ -291,7 +311,7 @@ class BoostedForest:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         self._check_width(X.shape[1])
         z = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for flat in self._flat_trees:
+        for flat in self.trees:
             z += self.eta * _apply_flat(flat, X)
         return z
 
@@ -318,11 +338,9 @@ class BoostedForest:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += MODEL_MAGIC
+        out = bytearray(MODEL_MAGIC)
         out += struct.pack("<B", MODEL_VERSION)
-        out += struct.pack(
-            "<HHQH4d",
+        out += _HEADER.pack(
             self.n_features,
             self.dims,
             self.hash_seed,
@@ -332,25 +350,18 @@ class BoostedForest:
             self.gamma,
             self.lambda_,
         )
-        for flat in (_flatten(t) for t in self.trees):
-            features, values, lefts, rights = flat
-            out += struct.pack("<H", len(features))
-            for i in range(len(features)):
-                kind = 1 if features[i] < 0 else 0
-                out += struct.pack(
-                    "<BHdhh",
-                    kind,
-                    max(int(features[i]), 0),
-                    float(values[i]),
-                    int(lefts[i]),
-                    int(rights[i]),
-                )
+        for features, values, lefts, rights in self.trees:
+            if len(features) > 1 << 15:
+                raise ValueError(f"a tree of {len(features)} nodes does not fit the model format")
+            table = np.rec.fromarrays((features < 0, np.maximum(features, 0), values, lefts, rights), dtype=_NODE)
+            out += struct.pack("<H", len(table))
+            out += table.tobytes()
         out += hashlib.sha256(bytes(out)).digest()
         return bytes(out)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BoostedForest":
-        if len(blob) < 4 + 1 + 32:
+        if len(blob) < 4 + 1 + _HEADER.size + 32:
             raise CorruptModel("model file truncated")
         body, digest = blob[:-32], blob[-32:]
         if body[:4] != MODEL_MAGIC:
@@ -360,28 +371,15 @@ class BoostedForest:
             raise CorruptModel(f"unsupported model version {version}; this build reads version {MODEL_VERSION}")
         if hashlib.sha256(body).digest() != digest:
             raise CorruptModel("checksum mismatch; file corrupt or truncated")
-        offset = 5
-        n_features, dims, hash_seed, n_trees, eta, base, gamma, lambda_ = struct.unpack_from(
-            "<HHQH4d", body, offset
-        )
-        offset += struct.calcsize("<HHQH4d")
+        offset = 5 + _HEADER.size
+        n_features, dims, hash_seed, n_trees, eta, base, gamma, lambda_ = _HEADER.unpack_from(body, 5)
         trees = []
-        node_size = struct.calcsize("<BHdhh")
         for _ in range(n_trees):
-            (n_nodes,) = struct.unpack_from("<H", body, offset)
-            offset += 2
-            rows = []
-            for _ in range(n_nodes):
-                rows.append(struct.unpack_from("<BHdhh", body, offset))
-                offset += node_size
-
-            def rebuild(slot: int) -> TreeNode:
-                kind, feature, value, left, right = rows[slot]
-                if kind == 1:
-                    return TreeNode(weight=value)
-                return TreeNode(feature=feature, threshold=value, left=rebuild(left), right=rebuild(right))
-
-            trees.append(rebuild(0))
+            n_nodes = int.from_bytes(body[offset : offset + 2], "little")
+            start, offset = offset + 2, offset + 2 + n_nodes * _NODE.itemsize
+            if n_nodes == 0 or offset > len(body):
+                raise CorruptModel("tree data empty or truncated")
+            trees.append(_unpack_tree(np.frombuffer(body, _NODE, n_nodes, start), n_features))
         if offset != len(body):
             raise CorruptModel("trailing bytes after tree data")
         return cls(tuple(trees), eta, gamma, lambda_, base, n_features, dims, hash_seed)
@@ -416,15 +414,15 @@ def fit(
     base = math.log(pos / (1.0 - pos))
     tree_params = TreeParams(params.max_depth, params.min_leaf, params.gamma, params.lambda_)
     margin = np.full(X.shape[0], base, dtype=np.float64)
-    trees: list[TreeNode] = []
+    trees: list[FlatTree] = []
     losses: list[float] = []
     for _ in range(params.n_trees):
         prob = _sigmoid(margin)
         grad = prob - y
         hess = np.maximum(prob * (1.0 - prob), 1e-16)
-        tree = grow_tree(X, grad, hess, tree_params)
+        tree = _flatten(grow_tree(X, grad, hess, tree_params))
         trees.append(tree)
-        margin += params.eta * apply_tree(tree, X)
+        margin += params.eta * _apply_flat(tree, X)
         losses.append(log_loss(y, _sigmoid(margin)))
     return BoostedForest(
         trees=tuple(trees),

@@ -117,9 +117,6 @@ class BehaviorGraph:
     param_nodes: frozenset[str]
     edges: dict[tuple[str, str], int]
 
-    def edge_count(self) -> int:
-        return sum(self.edges.values())
-
 
 def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     """The (extension, depth, name-pattern) parameter labels of one event."""
@@ -176,9 +173,6 @@ def build_graph(window: ProcessWindow, labels: Optional[list[tuple[str, str, str
 class PatternEmbedding:
     dims: int
     values: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 def _edge_hash(op: str, param: str, seed: int) -> int:

@@ -5,6 +5,7 @@ flagged when the summed scores of its matching fragments cross a threshold.
 """
 from __future__ import annotations
 
+import codecs
 import json
 import unicodedata
 from dataclasses import dataclass
@@ -69,6 +70,19 @@ def tokenize(text: str) -> TokenizedNote:
         if tok:
             words.append(tok)
     return TokenizedNote(tuple(words))
+
+
+def decode_note(blob: bytes, limit: int) -> Optional[str]:
+    """The text of a note's first ``limit`` bytes; None unless they are UTF-8.
+
+    A blob of ``limit`` bytes or more may have been cut there, so a partial
+    last character is dropped; an invalid byte anywhere else, or a partial
+    character ending a shorter blob, makes the note unscorable.
+    """
+    try:
+        return codecs.getincrementaldecoder("utf-8")().decode(blob[:limit], final=len(blob) < limit)
+    except UnicodeDecodeError:
+        return None
 
 
 def ngrams(note: TokenizedNote, n: int) -> list[Fragment]:

@@ -8,7 +8,6 @@ that never trips a monitoring point is never deeply analyzed.
 """
 from __future__ import annotations
 
-import codecs
 import hashlib
 import json
 import logging
@@ -30,19 +29,19 @@ from .events import (
     Level,
     Operation,
     ParseIssue,
-    ParseIssueKind,
     ProcessWindow,
     Response,
     ThreatLevel,
     Trigger,
     TriggerKind,
     extension_of,
+    iter_events,
     parse_event_line,
 )
 from .features import extract_features
 from .gbdt import BoostedForest
 from .graph import build_graph, encode, name_pattern_class
-from .notes import DEFAULT_TAU_SIM, GenePool, similarity, tokenize
+from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -143,35 +142,29 @@ class RunMetrics:
     def alerts_by_level(self) -> dict[str, int]:
         return {"low": self.alerts_low, "high": self.alerts_high}
 
-    @staticmethod
-    def _percentile(values: Sequence[int], q: float) -> Optional[int]:
-        if not values:
-            return None
-        ordered = sorted(values)
-        rank = max(1, math.ceil(q * len(ordered)))  # nearest-rank
-        return ordered[min(rank, len(ordered)) - 1]
 
-    def to_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "triggers": self.triggers,
-            "windows_opened": self.windows_opened,
-            "classifier_calls": self.classifier_calls,
-            "alerts_by_level": self.alerts_by_level,
-            "decision_latency_p50_us": self._percentile(self.decision_latencies_us, 0.50),
-            "decision_latency_p99_us": self._percentile(self.decision_latencies_us, 0.99),
-            "decision_latencies_us": list(self.decision_latencies_us),
-            "dropped_events": self.dropped_events,
-            "events_per_second": round(self.events_per_second, 1),
-            "wall_seconds": round(self.wall_seconds, 4),
-        }
+def _percentile(values: Sequence[int], q: float) -> Optional[int]:
+    if not values:
+        return None
+    ordered = sorted(values)
+    rank = max(1, math.ceil(q * len(ordered)))  # nearest-rank
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 def metrics_report(metrics: RunMetrics) -> dict:
     """The report fields promised by the engine interface."""
-    report = metrics.to_dict()
-    report.pop("decision_latencies_us")
-    return report
+    return {
+        "events": metrics.events,
+        "triggers": metrics.triggers,
+        "windows_opened": metrics.windows_opened,
+        "classifier_calls": metrics.classifier_calls,
+        "alerts_by_level": metrics.alerts_by_level,
+        "decision_latency_p50_us": _percentile(metrics.decision_latencies_us, 0.50),
+        "decision_latency_p99_us": _percentile(metrics.decision_latencies_us, 0.99),
+        "dropped_events": metrics.dropped_events,
+        "events_per_second": round(metrics.events_per_second, 1),
+        "wall_seconds": round(metrics.wall_seconds, 4),
+    }
 
 
 @dataclass
@@ -247,12 +240,8 @@ class Engine:
         if not blob:  # an empty note may be filled by a later Write
             return None
         self._scored_paths.add(ev.file_name)
-        try:
-            # A blob that may have been cut at max_note_bytes loses only a
-            # partial last character; invalid bytes elsewhere still raise.
-            limit = self.config.max_note_bytes
-            text = codecs.getincrementaldecoder("utf-8")().decode(blob[:limit], final=len(blob) < limit)
-        except UnicodeDecodeError:
+        text = decode_note(blob, self.config.max_note_bytes)
+        if text is None:
             return None
         verdict = similarity(tokenize(text), self.pool, tau=self.config.tau_sim)
         if not verdict.is_note:
@@ -411,27 +400,11 @@ def run_replay(
     """
     engine = Engine(registry, pool, forest, config, content_provider)
     issues: list[ParseIssue] = []
-    last_time_by_pid: dict[int, int] = {}
     process = engine.process
     started = time_mod.perf_counter()
     with open(log_path, "r", encoding="utf-8") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            ev = parse_event_line(line, line_no, issues)
-            if ev is None:
-                continue
-            prev = last_time_by_pid.get(ev.pid)
-            if prev is not None and ev.time < prev:
-                issues.append(
-                    ParseIssue(
-                        kind=ParseIssueKind.NON_MONOTONIC_TIME,
-                        line_no=line_no,
-                        detail=f"pid={ev.pid} {ev.time} < {prev}",
-                    )
-                )
-            last_time_by_pid[ev.pid] = ev.time
+        # parse_event_line is looked up here, so a patched module global is used
+        for ev in iter_events(fp, issues, parse_event_line):
             process(ev)
     engine.finish()
     engine.metrics.wall_seconds = time_mod.perf_counter() - started

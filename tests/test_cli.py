@@ -145,3 +145,83 @@ def test_watch_unavailable_message(tmp_path, runner, trained_forest, gene_pool):
         "--duration", "0.2",
     ])
     assert result.exit_code == 0  # watchable dir, idle run
+
+
+@pytest.fixture()
+def artifacts(tmp_path, trained_forest, gene_pool):
+    """A valid model, pool, registry, trace and feature vector, plus malformed copies."""
+    from ransomwatch.decoys import DecoyRegistry
+
+    paths = {name: tmp_path / name for name in ("model.bin", "pool.json", "decoys.json", "trace.jsonl", "fv.json")}
+    trained_forest.save(paths["model.bin"])
+    gene_pool.save(paths["pool.json"])
+    DecoyRegistry().save(paths["decoys.json"])
+    paths["trace.jsonl"].write_text("", encoding="utf-8")
+    paths["fv.json"].write_text(json.dumps({"vector": [0.0] * trained_forest.n_features}), encoding="utf-8")
+    blob = bytearray(paths["model.bin"].read_bytes())
+    blob[60] ^= 0xFF
+    paths["corrupt.bin"] = tmp_path / "corrupt.bin"
+    paths["corrupt.bin"].write_bytes(bytes(blob))
+    pool = json.loads(paths["pool.json"].read_text(encoding="utf-8"))
+    for name, text in (
+        ("n0.json", json.dumps({**pool, "n": 0})),
+        ("empty.json", json.dumps({**pool, "fragments": []})),
+        ("text.json", "not json"),
+    ):
+        paths[name] = tmp_path / name
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+def _one_line_error(runner, args, expected):
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    (line,) = result.output.strip().splitlines()
+    assert line.startswith("Error: ") and expected in line
+
+
+@pytest.mark.parametrize("bad_pool", ["n0.json", "empty.json", "text.json"])
+def test_run_reports_malformed_pool_in_one_line(runner, artifacts, bad_pool):
+    out = artifacts["trace.jsonl"].parent
+    _one_line_error(runner, [
+        "run", "--log", str(artifacts["trace.jsonl"]), "--pool", str(artifacts[bad_pool]),
+        "--model", str(artifacts["model.bin"]), "--decoys", str(artifacts["decoys.json"]),
+        "--out", str(out / "alerts.jsonl"), "--metrics", str(out / "metrics.json"),
+    ], bad_pool)
+
+
+def test_watch_reports_corrupt_model_in_one_line(runner, artifacts):
+    _one_line_error(runner, [
+        "watch", "--dirs", str(artifacts["trace.jsonl"].parent), "--pool", str(artifacts["pool.json"]),
+        "--model", str(artifacts["corrupt.bin"]), "--decoys", str(artifacts["decoys.json"]),
+        "--duration", "0.1",
+    ], "checksum mismatch")
+
+
+def test_predict_reports_corrupt_model_in_one_line(runner, artifacts):
+    _one_line_error(runner, [
+        "predict", "--model", str(artifacts["corrupt.bin"]), "--features", str(artifacts["fv.json"]),
+    ], "corrupt.bin")
+
+
+def test_note_score_reports_malformed_pool_and_content_in_one_line(runner, artifacts, tmp_path):
+    note = tmp_path / "note.txt"
+    note.write_text(make_note_corpus(1, seed=31)[0], encoding="utf-8")
+    _one_line_error(runner, ["note", "score", "--pool", str(artifacts["text.json"]), "--file", str(note)], "text.json")
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe" + "your files are encrypted".encode("utf-16-le"))
+    _one_line_error(runner, ["note", "score", "--pool", str(artifacts["pool.json"]), "--file", str(utf16)], "not scored")
+
+
+def test_note_score_reads_only_max_note_bytes(runner, artifacts, tmp_path):
+    from ransomwatch.pipeline import PipelineConfig
+
+    note = make_note_corpus(1, seed=31)[0]
+    args = ["note", "score", "--pool", str(artifacts["pool.json"]), "--file"]
+    path = tmp_path / "note.txt"
+    path.write_text(note, encoding="utf-8")
+    assert json.loads(_invoke(runner, args + [str(path)]).output)["is_note"] is True
+    # the same note past the limit is not read, as replay would not read it
+    path.write_text(" " * PipelineConfig().max_note_bytes + note, encoding="utf-8")
+    assert json.loads(_invoke(runner, args + [str(path)]).output)["score"] == 0.0

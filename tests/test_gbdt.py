@@ -1,7 +1,9 @@
 """Boosted trees: split identities, stump oracle, growth rules, serialization."""
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -206,9 +208,8 @@ def test_predict_empty_forest_is_base_score():
 
 
 def test_predict_single_constant_tree():
-    from ransomwatch.gbdt import TreeNode
-
-    forest = BoostedForest((TreeNode(weight=2.0),), 0.1, 0.0, 1.0, 0.5, 2)
+    leaf = (np.array([-1], np.int32), np.array([2.0]), np.array([-1], np.int32), np.array([-1], np.int32))
+    forest = BoostedForest((leaf,), 0.1, 0.0, 1.0, 0.5, 2)
     expected = 1.0 / (1.0 + math.exp(-(0.5 + 0.1 * 2.0)))
     assert forest.predict_row([0.0, 0.0]) == pytest.approx(expected)
 
@@ -222,7 +223,7 @@ def test_batch_predict_equals_per_row(trained_forest, heldout_corpus):
 def test_predict_row_equals_batch_exactly(trained_forest):
     rng = np.random.default_rng(5)
     thresholds = {}
-    for features, values, _, _ in trained_forest._flat_trees:
+    for features, values, _, _ in trained_forest.trees:
         for feature, value in zip(features.tolist(), values.tolist()):
             if feature >= 0:
                 thresholds.setdefault(feature, []).append(value)
@@ -264,8 +265,6 @@ def test_truncated_model_rejected(tmp_path, trained_forest):
 
 
 def test_version_bump_rejected_with_clear_message(trained_forest):
-    import hashlib
-
     blob = bytearray(trained_forest.to_bytes()[:-32])
     blob[4] = 2  # version byte
     blob += hashlib.sha256(bytes(blob)).digest()
@@ -281,3 +280,42 @@ def test_wrong_magic_rejected(trained_forest):
 
 def test_default_model_size_under_64kib(trained_forest):
     assert len(trained_forest.to_bytes()) <= 64 * 1024
+
+
+def test_model_bytes_unchanged(trained_forest):
+    # The fixture's model file; any change to training or to the file format moves it.
+    digest = "4ef27f0232cabc4a38cc4d824787a86525a9ccda8144dbeb9356512ca1bc0f9f"
+    assert hashlib.sha256(trained_forest.to_bytes()).hexdigest() == digest
+
+
+def test_loaded_trees_equal_fitted_trees(trained_forest):
+    blob = trained_forest.to_bytes()
+    loaded = BoostedForest.from_bytes(blob)
+    assert loaded.to_bytes() == blob
+    assert len(loaded.trees) == len(trained_forest.trees)
+    for got, want in zip(loaded.trees, trained_forest.trees):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+
+
+_ROOT = 4 + 1 + struct.calcsize("<HHQH4d") + 2  # offset of the first tree's first node
+
+
+@pytest.mark.parametrize("case", ["truncated", "empty tree", "child out of range", "child is self", "feature out of range"])
+def test_malformed_node_table_rejected(trained_forest, case):
+    body = bytearray(trained_forest.to_bytes()[:-32])
+    (n_nodes,) = struct.unpack_from("<H", body, _ROOT - 2)
+    assert body[_ROOT] == 0 and n_nodes > 1  # the root is an internal node
+    if case == "truncated":
+        del body[-7:]
+    elif case == "empty tree":
+        struct.pack_into("<H", body, _ROOT - 2, 0)
+    elif case == "child out of range":
+        struct.pack_into("<h", body, _ROOT + 11, n_nodes)
+    elif case == "child is self":
+        struct.pack_into("<h", body, _ROOT + 11, 0)
+    else:
+        struct.pack_into("<H", body, _ROOT + 1, trained_forest.n_features)
+    body += hashlib.sha256(bytes(body)).digest()  # re-sealed: the checksum holds
+    with pytest.raises(CorruptModel):
+        BoostedForest.from_bytes(bytes(body))

@@ -178,7 +178,7 @@ def test_encode_rejects_bad_dims():
 def test_norm_capped_at_sqrt_dims():
     edges = {("Create", f"ext:{i}"): 10_000 for i in range(500)}
     emb = encode(BehaviorGraph(frozenset(), frozenset(), edges), 16)
-    assert emb.norm() <= math.sqrt(16) + 1e-9
+    assert np.linalg.norm(emb.values) <= math.sqrt(16) + 1e-9
 
 
 def test_embedding_nearest_neighbor_beats_chance():

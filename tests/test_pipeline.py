@@ -8,7 +8,9 @@ import pytest
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry, DecoySpec, WatchUnavailable, deploy
-from ransomwatch.events import FileEvent, Level, Operation, ParseIssueKind, Response, TriggerKind, serialize_events
+from ransomwatch.events import (
+    FileEvent, Level, Operation, ParseIssueKind, Response, TriggerKind, parse_event_log, serialize_events,
+)
 from ransomwatch.features import Mode
 from ransomwatch.notes import similarity, tokenize
 from ransomwatch.pipeline import (
@@ -184,6 +186,51 @@ def test_event_before_trigger_time_stays_out_of_window(tmp_path, trained_forest,
     assert result.metrics.windows_opened == 1
     assert result.metrics.classifier_calls >= 2
     assert len(result.alerts) == 1
+
+
+def _noisy_trace(tmp_path):
+    """Blank lines, CRLF endings, bad JSON, an unknown operation, a pid going back in time."""
+    def line(time, pid, op="Write"):
+        return (f'{{"time":{time},"pid":{pid},"pid_name":"x.exe","operation":"{op}",'
+                f'"file_name":"C:/u/f{time}.txt","file_type":"txt"}}')
+    text = "\r\n".join([
+        line(8, 1), "", "   ", line(10, 2), "{not json", line(20, 1, "Explode"),
+        line(5, 1), "\t", line(30, 2), '["a list"]', line(25, 2), "",
+    ]) + "\r\n"
+    trace = tmp_path / "noisy.jsonl"
+    trace.write_bytes(text.encode("utf-8"))
+    return trace
+
+
+def test_replay_and_parse_event_log_agree_on_noisy_trace(tmp_path, trained_forest, gene_pool):
+    trace = _noisy_trace(tmp_path)
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    parsed = parse_event_log(trace.read_bytes())
+    issues = [(i.kind, i.line_no, i.detail) for i in parsed.issues]
+    assert [(i.kind, i.line_no, i.detail) for i in result.issues] == issues
+    assert result.metrics.events == len(parsed.events) == 5
+    assert [(kind, line_no) for kind, line_no, _ in issues] == [
+        (ParseIssueKind.MALFORMED_LINE, 5),
+        (ParseIssueKind.UNKNOWN_OPERATION, 6),
+        (ParseIssueKind.NON_MONOTONIC_TIME, 7),
+        (ParseIssueKind.MALFORMED_LINE, 10),
+        (ParseIssueKind.NON_MONOTONIC_TIME, 11),
+    ]
+
+
+def test_replay_parses_through_the_module_global(tmp_path, trained_forest, gene_pool, monkeypatch):
+    trace = _noisy_trace(tmp_path)
+    calls = []
+    original = pipeline.parse_event_line
+
+    def counting(line, line_no, issues):
+        calls.append(line_no)
+        return original(line, line_no, issues)
+
+    monkeypatch.setattr(pipeline, "parse_event_line", counting)
+    run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    non_empty = [n for n, raw in enumerate(trace.read_text(encoding="utf-8").splitlines(), 1) if raw.strip()]
+    assert calls == non_empty == [1, 4, 5, 6, 7, 9, 10, 11]
 
 
 def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
