@@ -42,14 +42,7 @@ from .notes import (
     sweep_window,
     tokenize,
 )
-from .features import (
-    EncryptionMode,
-    FeatureVector,
-    Mode,
-    classify_mode,
-    extract_features,
-    feature_report,
-)
+from .features import FeatureVector, Mode, extract_features
 from .graph import BehaviorGraph, PatternEmbedding, build_graph, encode
 from .gbdt import BoostedForest, BoostParams, TreeNode, TreeParams, best_split, fit, grow_tree
 from .pipeline import Engine, PipelineConfig, ReplayResult, metrics_report, run_live, run_replay

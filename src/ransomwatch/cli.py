@@ -70,7 +70,7 @@ def decoy() -> None:
 @click.option("--seed", default=0, show_default=True, type=int)
 def decoy_deploy(directory, count, kinds, style, auto, early_dirs, registry_path, seed) -> None:
     """Write decoys into DIRECTORY and record them in the registry."""
-    registry = DecoyRegistry.load(registry_path) if Path(registry_path).exists() else DecoyRegistry()
+    registry = _load(DecoyRegistry.load, registry_path) if Path(registry_path).exists() else DecoyRegistry()
     spec = DecoySpec(directory, count, tuple(DecoyKind(k) for k in kinds), NameStyle(style))
     early = (list(early_dirs) or default_early_dirs()) if auto else []
     try:
@@ -86,7 +86,7 @@ def decoy_deploy(directory, count, kinds, style, auto, early_dirs, registry_path
 @decoy.command("list")
 @click.option("--registry", "registry_path", default="decoys.json", show_default=True)
 def decoy_list(registry_path) -> None:
-    registry = DecoyRegistry.load(registry_path)
+    registry = _load(DecoyRegistry.load, registry_path)
     for path, entry in sorted(registry.entries().items()):
         click.echo(f"{path}\t{entry.kind.value}\t{entry.content_digest[:12]}")
 
@@ -95,7 +95,7 @@ def decoy_list(registry_path) -> None:
 @click.option("--registry", "registry_path", default="decoys.json", show_default=True)
 def decoy_verify(registry_path) -> None:
     """Check that every registered decoy still matches its digest."""
-    registry = DecoyRegistry.load(registry_path)
+    registry = _load(DecoyRegistry.load, registry_path)
     problems = registry.verify()
     if not problems:
         click.echo(f"ok: {len(registry)} decoys intact")
@@ -287,10 +287,10 @@ def corpus(ransom, benign, seed, dims, include_zipper, out_dir) -> None:
 @click.option("--metrics", "metrics_path", required=True, type=click.Path(dir_okay=False))
 def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_path, metrics_path) -> None:
     """Replay a trace through the funnel, writing alerts and metrics."""
-    registry = DecoyRegistry.load(registry_path)
+    registry = _load(DecoyRegistry.load, registry_path)
     pool = _load(GenePool.load, pool_path)
     forest = _load(BoostedForest.load, model_path)
-    provider = MappingContentProvider.from_json_file(notes_path) if notes_path else None
+    provider = _load(MappingContentProvider.from_json_file, notes_path) if notes_path else None
     config = PipelineConfig(tau_sim=tau)
     result = run_replay(log_path, registry, pool, forest, config, provider)
     result.save_alerts(alerts_path)
@@ -310,7 +310,7 @@ def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_
 @click.option("--duration", default=None, type=float, help="Stop after this many seconds (default: run until interrupted).")
 def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> None:
     """Watch directories and the decoys' directories live; print alerts as they fire."""
-    registry = DecoyRegistry.load(registry_path)
+    registry = _load(DecoyRegistry.load, registry_path)
     pool = _load(GenePool.load, pool_path)
     forest = _load(BoostedForest.load, model_path)
     config = PipelineConfig(tau_sim=tau)

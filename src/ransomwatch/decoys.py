@@ -256,10 +256,18 @@ class DecoyRegistry:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DecoyRegistry":
+        """Load a saved registry. Raises ValueError unless the file holds a JSON
+        object mapping each path to an object with content_digest, deployed_at
+        and a known kind."""
         registry = cls()
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        for p, entry in payload.items():
-            registry.register(p, entry["content_digest"], DecoyKind(entry["kind"]), entry["deployed_at"])
+        try:
+            for p, entry in payload.items():
+                registry.register(p, entry["content_digest"], DecoyKind(entry["kind"]), entry["deployed_at"])
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(
+                "decoy registry must map each path to an object with content_digest, deployed_at and kind"
+            ) from exc
         return registry
 
     def verify(self) -> dict[str, str]:

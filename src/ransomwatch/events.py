@@ -17,8 +17,6 @@ try:
 except ImportError:  # optional extra "fast": results are the same without it
     _fast_loads = None
 
-US_PER_SECOND = 1_000_000
-
 
 class Operation(str, Enum):
     """File operation kinds carried by an event record."""
@@ -36,9 +34,6 @@ class Operation(str, Enum):
 MUTATING_OPS = frozenset(
     (Operation.WRITE, Operation.DELETE, Operation.RENAME, Operation.OVERWRITE, Operation.SMASH)
 )
-
-# Operations that remove the path they name from the file system.
-REMOVING_OPS = frozenset((Operation.DELETE, Operation.SMASH))
 
 
 class TriggerKind(str, Enum):

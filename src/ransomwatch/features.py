@@ -1,4 +1,4 @@
-"""Expert behavioral features of a process window and encryption-mode typing.
+"""Expert behavioral features of a process window.
 
 The exported vector has exactly 12 dimensions in a fixed order (the order is
 part of the model contract): three operation counts, a four-way one-hot over
@@ -6,12 +6,8 @@ the shape of the extension-set change, and five fusion/ratio features.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -33,13 +29,6 @@ FEATURE_NAMES = (
 )
 
 N_EXPERT_FEATURES = len(FEATURE_NAMES)
-
-DEFAULT_MIN_MODE_FILES = 5
-UNIFORM_SUFFIX_SHARE = 0.80
-
-
-class DegenerateLabels(ValueError):
-    """Report needs at least one vector per class."""
 
 
 class TypeChange(Enum):
@@ -89,9 +78,6 @@ class FeatureVector:
             ],
             dtype=np.float64,
         )
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.as_array().tolist()))
 
 
 def _old_extension(ev) -> str:
@@ -206,6 +192,8 @@ def extract_features(window: ProcessWindow) -> FeatureVector:
 
 
 class Mode(str, Enum):
+    """The six encryption modes a simulated ransomware run can follow."""
+
     M1 = "M1"
     M2 = "M2"
     M3 = "M3"
@@ -213,163 +201,3 @@ class Mode(str, Enum):
     M5 = "M5"
     M6 = "M6"
     NONE = "None"
-
-
-class IoFamily(str, Enum):
-    OVERWRITE = "Overwrite"
-    CREATE_DELETE = "CreateDelete"
-    CREATE_SMASH = "CreateSmash"
-    NONE = "None"
-
-
-class SuffixStyle(str, Enum):
-    UNIFORM = "Uniform"
-    RANDOM = "Random"
-    NONE = "None"
-
-
-_MODE_TABLE = {
-    (IoFamily.OVERWRITE, SuffixStyle.UNIFORM): Mode.M1,
-    (IoFamily.OVERWRITE, SuffixStyle.RANDOM): Mode.M2,
-    (IoFamily.CREATE_DELETE, SuffixStyle.UNIFORM): Mode.M3,
-    (IoFamily.CREATE_DELETE, SuffixStyle.RANDOM): Mode.M4,
-    (IoFamily.CREATE_SMASH, SuffixStyle.UNIFORM): Mode.M5,
-    (IoFamily.CREATE_SMASH, SuffixStyle.RANDOM): Mode.M6,
-}
-
-
-@dataclass(frozen=True, slots=True)
-class EncryptionMode:
-    mode: Mode
-    io_family: IoFamily
-    suffix_style: SuffixStyle
-    transformed: int = 0
-
-
-def _strip_last_ext(path: str) -> Optional[str]:
-    dot = path.rfind(".")
-    sep = max(path.rfind("/"), path.rfind("\\"))
-    if dot <= sep + 1:
-        return None
-    return path[:dot]
-
-
-def classify_mode(window: ProcessWindow, min_files: int = DEFAULT_MIN_MODE_FILES) -> EncryptionMode:
-    """Type the window's encryption pattern against the six known modes.
-
-    The I/O family is the dominant transformation pattern: plain overwrites,
-    create+delete pairs, or create+smash pairs, where pairing matches a
-    created file whose name minus its final extension equals a removed path
-    (order-free). The suffix style is Uniform when at least 80% of the
-    transformed files share one new extension. Fewer than ``min_files``
-    transformed files yields mode None.
-    """
-    overwritten: set[str] = set()
-    created: dict[str, str] = {}
-    deleted: set[str] = set()
-    smashed: set[str] = set()
-    renames: list[tuple[Optional[str], str, str]] = []
-
-    for ev in window.events:
-        op = ev.operation
-        if op is Operation.OVERWRITE:
-            overwritten.add(ev.file_name)
-        elif op is Operation.CREATE:
-            created[ev.file_name] = ev.file_type
-        elif op is Operation.DELETE:
-            deleted.add(ev.file_name)
-        elif op is Operation.SMASH:
-            smashed.add(ev.file_name)
-        elif op is Operation.RENAME:
-            renames.append((ev.old_file_name, ev.file_name, ev.file_type))
-
-    cd_exts: list[str] = []
-    cs_exts: list[str] = []
-    for path, ext in created.items():
-        original = _strip_last_ext(path)
-        if original is None:
-            continue
-        if original in deleted:
-            cd_exts.append(ext)
-        if original in smashed:
-            cs_exts.append(ext)
-
-    ow_exts = [new_ext for old, _new, new_ext in renames if old in overwritten]
-    n_ow = len(ow_exts) if ow_exts else 0
-    families = [
-        (len(cd_exts), IoFamily.CREATE_DELETE, cd_exts),
-        (len(cs_exts), IoFamily.CREATE_SMASH, cs_exts),
-        (n_ow, IoFamily.OVERWRITE, ow_exts),
-    ]
-    count, family, new_exts = max(families, key=lambda item: item[0])
-    if count < min_files:
-        return EncryptionMode(Mode.NONE, IoFamily.NONE, SuffixStyle.NONE, count)
-
-    shares: dict[str, int] = {}
-    for ext in new_exts:
-        shares[ext] = shares.get(ext, 0) + 1
-    top_share = max(shares.values()) / len(new_exts)
-    style = SuffixStyle.UNIFORM if top_share >= UNIFORM_SUFFIX_SHARE else SuffixStyle.RANDOM
-    return EncryptionMode(_MODE_TABLE[(family, style)], family, style, count)
-
-
-@dataclass(frozen=True)
-class FeatureReport:
-    """Class-conditional histograms for every exported feature."""
-
-    bin_edges: dict[str, np.ndarray]
-    benign_counts: dict[str, np.ndarray]
-    ransom_counts: dict[str, np.ndarray]
-
-    def to_csv(self, path: Optional[Union[str, Path]] = None) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["feature", "bin_lo", "bin_hi", "benign_count", "ransom_count"])
-        for name in FEATURE_NAMES:
-            edges = self.bin_edges[name]
-            benign = self.benign_counts[name]
-            ransom = self.ransom_counts[name]
-            for i in range(len(benign)):
-                writer.writerow([name, repr(float(edges[i])), repr(float(edges[i + 1])), int(benign[i]), int(ransom[i])])
-        text = buf.getvalue()
-        if path is not None:
-            Path(path).write_text(text, encoding="utf-8")
-        return text
-
-    def separation(self) -> dict[str, float]:
-        """1 - histogram overlap per feature; 0 means identical distributions."""
-        scores = {}
-        for name in FEATURE_NAMES:
-            b = self.benign_counts[name].astype(np.float64)
-            r = self.ransom_counts[name].astype(np.float64)
-            b_sum, r_sum = b.sum(), r.sum()
-            if b_sum == 0 or r_sum == 0:
-                scores[name] = 0.0
-                continue
-            scores[name] = 1.0 - float(np.minimum(b / b_sum, r / r_sum).sum())
-        return scores
-
-
-def feature_report(
-    vectors: Sequence[FeatureVector], labels: Sequence[int], bins: int = 16
-) -> FeatureReport:
-    """Histogram every feature per class; labels are 0 benign, 1 ransomware."""
-    if len(vectors) != len(labels):
-        raise ValueError("vectors and labels must align")
-    labels_arr = np.asarray(labels)
-    if len(set(labels_arr.tolist())) < 2:
-        raise DegenerateLabels("need at least one vector per class")
-    matrix = np.stack([vec.as_array() for vec in vectors])
-    edges_by_name: dict[str, np.ndarray] = {}
-    benign: dict[str, np.ndarray] = {}
-    ransom: dict[str, np.ndarray] = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        col = matrix[:, j]
-        lo, hi = float(col.min()), float(col.max())
-        if lo == hi:
-            hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-        benign[name], _ = np.histogram(col[labels_arr == 0], bins=edges)
-        ransom[name], _ = np.histogram(col[labels_arr == 1], bins=edges)
-        edges_by_name[name] = edges
-    return FeatureReport(edges_by_name, benign, ransom)

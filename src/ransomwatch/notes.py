@@ -133,21 +133,26 @@ class GenePool:
         """Load a pool. Raises ValueError unless n >= 1 and the pool holds at
         least one fragment, each a list of exactly n strings."""
         payload = json.loads(text)
-        n = int(payload["n"])
-        if n < 1:
-            raise ValueError(f"gene pool n must be at least 1, got {n}")
-        items = payload["fragments"]
-        word_lists = [item["words"] for item in items]
-        if not word_lists:
-            raise ValueError("gene pool has no fragments")
-        if (
-            set(map(type, word_lists)) != {list}
-            or set(map(len, word_lists)) != {n}
-            or set(map(type, chain.from_iterable(word_lists))) != {str}
-        ):
-            raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
-        fragments = {tuple(words): float(item["f"]) for words, item in zip(word_lists, items)}
-        return cls(n, payload["top_k"], fragments, int(payload["source_count"]))
+        try:
+            n = int(payload["n"])
+            if n < 1:
+                raise ValueError(f"gene pool n must be at least 1, got {n}")
+            items = payload["fragments"]
+            word_lists = [item["words"] for item in items]
+            if not word_lists:
+                raise ValueError("gene pool has no fragments")
+            if (
+                set(map(type, word_lists)) != {list}
+                or set(map(len, word_lists)) != {n}
+                or set(map(type, chain.from_iterable(word_lists))) != {str}
+            ):
+                raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
+            fragments = {tuple(words): float(item["f"]) for words, item in zip(word_lists, items)}
+            return cls(n, payload["top_k"], fragments, int(payload["source_count"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                "gene pool must be an object with n, top_k, source_count and fragments of {words, f}"
+            ) from exc
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

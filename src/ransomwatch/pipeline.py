@@ -91,7 +91,12 @@ class MappingContentProvider:
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "MappingContentProvider":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Load a notes map. Raises ValueError unless the file holds a JSON
+        object whose values are all strings."""
+        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
+        if type(mapping) is not dict or not set(map(type, mapping.values())) <= {str}:
+            raise ValueError("notes map must be a JSON object mapping each path to its text")
+        return cls(mapping)
 
 
 class FilesystemContentProvider:
@@ -318,20 +323,27 @@ class Engine:
         )
         del self._windows[pid]
 
+    def _decide(self, state: _WindowState, boundary: int, final: bool) -> bool:
+        """Classify the window at ``boundary``; return True once it is closed.
+
+        High closes it at once. Otherwise the slide is counted, and the window
+        closes Low after its last slide, or at once when ``final`` is set.
+        """
+        prob = self._classify(state, boundary)
+        if prob >= self.config.decision_threshold:
+            self._emit_high(state, boundary, prob)
+            return True
+        state.slides_done += 1
+        if final or state.slides_done >= self.config.n_slides:
+            self._emit_low(state)
+            return True
+        return False
+
     def _advance(self, state: _WindowState, now: int) -> None:
-        cfg = self.config
-        while True:
-            boundary = state.trigger.time + (state.slides_done + 1) * cfg.slide_us
-            if now < boundary:
-                return
-            prob = self._classify(state, boundary)
-            if prob >= cfg.decision_threshold:
-                self._emit_high(state, boundary, prob)
-                return
-            state.slides_done += 1
-            if state.slides_done >= cfg.n_slides:
-                self._emit_low(state)
-                return
+        slide_us = self.config.slide_us
+        boundary = state.trigger.time + (state.slides_done + 1) * slide_us
+        while now >= boundary and not self._decide(state, boundary, False):
+            boundary += slide_us
 
     def _open_window(self, trigger: Trigger, pid_name: str) -> None:
         self.metrics.windows_opened += 1
@@ -369,17 +381,10 @@ class Engine:
                 self._advance(state, now)
 
     def finish(self) -> None:
-        """Flush every open window at end of stream."""
-        for pid in list(self._windows):
-            state = self._windows.get(pid)
-            if state is None:
-                continue
-            boundary = state.trigger.time + (state.slides_done + 1) * self.config.slide_us
-            prob = self._classify(state, boundary)
-            if prob >= self.config.decision_threshold:
-                self._emit_high(state, boundary, prob)
-            else:
-                self._emit_low(state)
+        """Decide every open window once, at its next slide boundary, at end of stream."""
+        slide_us = self.config.slide_us
+        for state in list(self._windows.values()):
+            self._decide(state, state.trigger.time + (state.slides_done + 1) * slide_us, True)
 
     def result(self, issues: Optional[list[ParseIssue]] = None) -> ReplayResult:
         return ReplayResult(self.alerts, self.metrics, issues or [], dict(self.threat_by_pid))

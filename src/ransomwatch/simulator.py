@@ -16,12 +16,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .events import FileEvent, Operation, ProcessWindow, TriggerKind, extension_of, serialize_events
+from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
 from .features import Mode
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
-from .pipeline import featurize
-
-US = 1_000_000
+from .pipeline import US, PipelineConfig, featurize
 
 
 class BadSpec(ValueError):
@@ -551,9 +549,6 @@ _CORPUS_PROFILES = (
     BenignProfile.EDITOR,
 )
 
-SLIDE_US = 1 * US
-WINDOW_TOTAL_US = 3 * US
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -583,7 +578,7 @@ class Corpus:
 
 
 def scenario_windows(result: ScenarioResult, min_events: int = 3) -> list[ProcessWindow]:
-    """Slide-aligned prefix windows (1 s, 2 s, 3 s) per anchor point.
+    """The funnel's slide-aligned prefix windows (1 s, 2 s, 3 s) per anchor point.
 
     Anchors mirror how the funnel opens windows: one at the first event and,
     for longer traces, one mid-trace (a monitoring point can fire anywhere in
@@ -598,18 +593,16 @@ def scenario_windows(result: ScenarioResult, min_events: int = 3) -> list[Proces
         mid = result.events[int(len(result.events) * 0.45)].time
         if mid > anchors[0]:
             anchors.append(mid)
+    cfg = PipelineConfig()
     windows = []
     for t0 in anchors:
         last_count = -1
-        for k in range(1, WINDOW_TOTAL_US // SLIDE_US + 1):
-            end = t0 + k * SLIDE_US
-            selected = tuple(ev for ev in result.events if ev.pid == pid and t0 <= ev.time < end)
-            if len(selected) < min_events or len(selected) == last_count:
+        for k in range(1, cfg.n_slides + 1):
+            window = window_events(result.events, pid, t0, k * cfg.slide_us)
+            if len(window.events) < min_events or len(window.events) == last_count:
                 continue
-            last_count = len(selected)
-            windows.append(
-                ProcessWindow(pid, result.ground_truth["pid_name"], t0, end, selected, TriggerKind.MANUAL)
-            )
+            last_count = len(window.events)
+            windows.append(window)
     return windows
 
 

@@ -167,6 +167,11 @@ def artifacts(tmp_path, trained_forest, gene_pool):
         ("n0.json", json.dumps({**pool, "n": 0})),
         ("empty.json", json.dumps({**pool, "fragments": []})),
         ("text.json", "not json"),
+        ("words.json", json.dumps({**pool, "fragments": [f["words"] for f in pool["fragments"]]})),
+        ("nofrags.json", json.dumps({k: v for k, v in pool.items() if k != "fragments"})),
+        ("list_decoys.json", "[]"),
+        ("number_notes.json", json.dumps({"C:/x.txt": 5})),
+        ("list_notes.json", json.dumps(["a"])),
     ):
         paths[name] = tmp_path / name
         paths[name].write_text(text, encoding="utf-8")
@@ -181,14 +186,37 @@ def _one_line_error(runner, args, expected):
     assert line.startswith("Error: ") and expected in line
 
 
-@pytest.mark.parametrize("bad_pool", ["n0.json", "empty.json", "text.json"])
-def test_run_reports_malformed_pool_in_one_line(runner, artifacts, bad_pool):
+def _run_args(artifacts, pool="pool.json", decoys="decoys.json"):
     out = artifacts["trace.jsonl"].parent
-    _one_line_error(runner, [
-        "run", "--log", str(artifacts["trace.jsonl"]), "--pool", str(artifacts[bad_pool]),
-        "--model", str(artifacts["model.bin"]), "--decoys", str(artifacts["decoys.json"]),
+    return [
+        "run", "--log", str(artifacts["trace.jsonl"]), "--pool", str(artifacts[pool]),
+        "--model", str(artifacts["model.bin"]), "--decoys", str(artifacts[decoys]),
         "--out", str(out / "alerts.jsonl"), "--metrics", str(out / "metrics.json"),
-    ], bad_pool)
+    ]
+
+
+@pytest.mark.parametrize("bad_pool", ["n0.json", "empty.json", "text.json", "words.json", "nofrags.json"])
+def test_run_reports_malformed_pool_in_one_line(runner, artifacts, bad_pool):
+    _one_line_error(runner, _run_args(artifacts, pool=bad_pool), bad_pool)
+
+
+@pytest.mark.parametrize("bad_notes", ["number_notes.json", "list_notes.json"])
+def test_run_reports_malformed_notes_map_in_one_line(runner, artifacts, bad_notes):
+    _one_line_error(runner, _run_args(artifacts) + ["--notes", str(artifacts[bad_notes])], bad_notes)
+
+
+@pytest.mark.parametrize("command", ["run", "watch", "list", "verify", "deploy"])
+def test_commands_report_malformed_registry_in_one_line(runner, artifacts, command):
+    bad = str(artifacts["list_decoys.json"])
+    args = {
+        "run": _run_args(artifacts, decoys="list_decoys.json"),
+        "watch": ["watch", "--dirs", str(artifacts["trace.jsonl"].parent), "--pool", str(artifacts["pool.json"]),
+                  "--model", str(artifacts["model.bin"]), "--decoys", bad, "--duration", "0.1"],
+        "list": ["decoy", "list", "--registry", bad],
+        "verify": ["decoy", "verify", "--registry", bad],
+        "deploy": ["decoy", "deploy", "--dir", str(artifacts["trace.jsonl"].parent), "--registry", bad],
+    }[command]
+    _one_line_error(runner, args, "list_decoys.json")
 
 
 def test_watch_reports_corrupt_model_in_one_line(runner, artifacts):

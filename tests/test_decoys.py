@@ -190,6 +190,20 @@ def test_registry_persistence_and_verify(tmp_path):
     assert list(problems) == [paths[0]] and problems[paths[0]] == "digest mismatch"
 
 
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[]",
+    '{"C:/d.docx": "Document"}',
+    '{"C:/d.docx": {"kind": "Document"}}',
+    '{"C:/d.docx": {"content_digest": "d", "deployed_at": "", "kind": "Folder"}}',
+], ids=["not-json", "not-an-object", "entry-not-an-object", "missing-key", "unknown-kind"])
+def test_registry_load_rejects_malformed_file(tmp_path, text):
+    reg_file = tmp_path / "decoys.json"
+    reg_file.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError):
+        DecoyRegistry.load(reg_file)
+
+
 def _first_trigger(watcher, registry, timeout):
     """Check live events against the registry until one triggers or timeout passes.
 

@@ -1,24 +1,10 @@
-"""Expert features: recount oracle, identities, mode typing, reports."""
+"""Expert features: recount oracle, identities, sentinels and worked examples."""
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
-from ransomwatch.features import (
-    DegenerateLabels,
-    FEATURE_NAMES,
-    IoFamily,
-    Mode,
-    SuffixStyle,
-    TypeChange,
-    classify_mode,
-    extract_features,
-    feature_report,
-)
-from ransomwatch.simulator import RansomwareSpec, ScenarioSpec, TreeSpec, generate
-from ransomwatch.events import window_events
+from ransomwatch.features import FEATURE_NAMES, TypeChange, extract_features
 
 
 def _ev(op, path, time=0, pid=4, old=None):
@@ -197,107 +183,3 @@ def test_rtype_sentinels():
     # deletes but no creates: rtype_change falls back to deleted-type count
     events = [_ev(Operation.DELETE, "C:/u/a.txt"), _ev(Operation.DELETE, "C:/u/b.pdf", time=1)]
     assert extract_features(_window(events)).rtype_change == 2.0
-
-
-def _mode_window(mode, files=8, with_note=False):
-    events = []
-    t = 0
-    if with_note:
-        events.append(_ev(Operation.CREATE, "C:/u/d0/README_NOW.txt", time=t))
-        t += 1
-    for i in range(files):
-        orig = f"C:/u/d{i % 3}/file_{i}.docx"
-        ext = "locked" if mode in (Mode.M1, Mode.M3, Mode.M5) else f"r{i}nd{i}"
-        enc = f"{orig}.{ext}"
-        if mode in (Mode.M1, Mode.M2):
-            events.append(_ev(Operation.OVERWRITE, orig, time=t))
-            events.append(_ev(Operation.RENAME, enc, time=t + 1, old=orig))
-        elif mode in (Mode.M3, Mode.M4):
-            events.append(_ev(Operation.CREATE, enc, time=t))
-            events.append(_ev(Operation.DELETE, orig, time=t + 1))
-        else:
-            events.append(_ev(Operation.CREATE, enc, time=t))
-            events.append(_ev(Operation.SMASH, orig, time=t + 1))
-        t += 2
-    return _window(events)
-
-
-@pytest.mark.parametrize("mode", [Mode.M1, Mode.M2, Mode.M3, Mode.M4, Mode.M5, Mode.M6])
-def test_classify_mode_recovers_each_mode(mode):
-    em = classify_mode(_mode_window(mode, with_note=True))
-    assert em.mode is mode
-
-
-def test_classify_mode_families_and_styles():
-    em = classify_mode(_mode_window(Mode.M5))
-    assert em.io_family is IoFamily.CREATE_SMASH and em.suffix_style is SuffixStyle.UNIFORM
-    em = classify_mode(_mode_window(Mode.M4))
-    assert em.io_family is IoFamily.CREATE_DELETE and em.suffix_style is SuffixStyle.RANDOM
-
-
-def test_classify_mode_benign_editor_is_none():
-    events = []
-    for i in range(20):
-        events.append(_ev(Operation.READ, "C:/u/a.txt", time=2 * i))
-        events.append(_ev(Operation.WRITE, "C:/u/a.txt", time=2 * i + 1))
-    assert classify_mode(_window(events)).mode is Mode.NONE
-
-
-def test_classify_mode_min_files_gate():
-    assert classify_mode(_mode_window(Mode.M3, files=4)).mode is Mode.NONE
-    assert classify_mode(_mode_window(Mode.M3, files=5)).mode is Mode.M3
-
-
-def test_classify_mode_order_invariant():
-    rng = random.Random(42)
-    for mode in (Mode.M1, Mode.M2, Mode.M4, Mode.M6):
-        window = _mode_window(mode, files=10)
-        events = list(window.events)
-        rng.shuffle(events)
-        events = [
-            FileEvent(i, e.pid, e.pid_name, e.operation, e.file_name, e.file_type, e.old_file_name)
-            for i, e in enumerate(events)
-        ]
-        assert classify_mode(_window(events)).mode is mode
-
-
-def test_classify_mode_on_simulator_traces():
-    for mode in (Mode.M1, Mode.M6):
-        spec = ScenarioSpec(
-            kind=RansomwareSpec(mode=mode, files_per_second=100),
-            seed=9, tree=TreeSpec(depth=2, fanout=2, files=30),
-        )
-        result = generate(spec)
-        window = window_events(result.events, result.ground_truth["pid"], 0, 10**10)
-        assert classify_mode(window).mode is mode
-
-
-def test_feature_report_csv_and_separation():
-    rng = random.Random(1)
-    vectors, labels = [], []
-    for i in range(40):
-        label = i % 2
-        files = 30 if label else 2
-        window = _mode_window(Mode.M3, files=files) if label else _window(
-            [_ev(Operation.WRITE, "C:/u/a.docx", time=j) for j in range(files)]
-        )
-        vectors.append(extract_features(window))
-        labels.append(label)
-    report = feature_report(vectors, labels, bins=8)
-    text = report.to_csv()
-    header, *rows = text.strip().splitlines()
-    assert header == "feature,bin_lo,bin_hi,benign_count,ransom_count"
-    assert {row.split(",")[0] for row in rows} == set(FEATURE_NAMES)
-    assert report.separation()["n_delete"] > 0.9
-
-
-def test_feature_report_rejects_single_class():
-    vec = extract_features(_window([]))
-    with pytest.raises(DegenerateLabels):
-        feature_report([vec, vec], [1, 1])
-
-
-def test_feature_report_identical_vectors_zero_separation():
-    vec = extract_features(_window([_ev(Operation.WRITE, "C:/u/a.txt")]))
-    report = feature_report([vec, vec, vec, vec], [0, 1, 0, 1])
-    assert all(score == 0.0 for score in report.separation().values())

@@ -150,6 +150,21 @@ def test_pool_serialization_deterministic_and_round_trips(note_corpus):
     assert GenePool.from_json(a.to_json()).fragments == a.fragments
 
 
+_POOL = {"n": 2, "top_k": 1, "source_count": 1, "fragments": [{"words": ["your", "files"], "f": 1.0}]}
+
+
+@pytest.mark.parametrize("payload", [
+    {**_POOL, "fragments": [["your", "files"]]},  # fragments as plain word lists
+    {k: v for k, v in _POOL.items() if k != "fragments"},
+    {k: v for k, v in _POOL.items() if k != "n"},
+    [_POOL],
+], ids=["word-lists", "no-fragments", "no-n", "not-an-object"])
+def test_pool_from_json_rejects_malformed_payloads(payload):
+    assert GenePool.from_json(json.dumps(_POOL)).fragments == {("your", "files"): 1.0}
+    with pytest.raises(ValueError, match="gene pool"):
+        GenePool.from_json(json.dumps(payload))
+
+
 def test_similarity_self_is_one():
     note = tokenize("your files are encrypted send bitcoin to recover them")
     pool = build_pool([note], n=3, top_k=None)

@@ -1,8 +1,11 @@
 """MDR funnel: triggers, windows, escalation, metrics, live watching."""
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -231,6 +234,16 @@ def test_replay_parses_through_the_module_global(tmp_path, trained_forest, gene_
     run_replay(trace, _registry_for([]), gene_pool, trained_forest)
     non_empty = [n for n, raw in enumerate(trace.read_text(encoding="utf-8").splitlines(), 1) if raw.strip()]
     assert calls == non_empty == [1, 4, 5, 6, 7, 9, 10, 11]
+
+
+@pytest.mark.parametrize("mapping", [{"C:/x.txt": 5}, ["a"]], ids=["number-value", "list"])
+def test_notes_map_must_map_paths_to_text(tmp_path, mapping):
+    path = tmp_path / "notes.json"
+    path.write_text(json.dumps({"C:/x.txt": "text"}), encoding="utf-8")
+    assert MappingContentProvider.from_json_file(path).get("C:/x.txt") == b"text"
+    path.write_text(json.dumps(mapping), encoding="utf-8")
+    with pytest.raises(ValueError, match="notes map"):
+        MappingContentProvider.from_json_file(path)
 
 
 def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
@@ -502,7 +515,8 @@ def test_featurize_layers_called_once_per_classification(tmp_path, trained_fores
     assert calls == dict.fromkeys(names, result.metrics.classifier_calls)
 
 
-def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
+def _mode_mix():
+    """One run of each mode M1-M6 and an office decoy-toucher, overlapping in time."""
     results, decoys = [], []
     for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
         decoy = _decoy_in_first_dir(seed=90 + i)
@@ -515,6 +529,11 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
     results.append(generate(ScenarioSpec(
         kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
         seed=99, tree=TREE, decoy_paths=decoy, start_us=200_000)))
+    return results, decoys
+
+
+def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
+    results, decoys = _mode_mix()
     events, notes = merge_results(results)
     real = pipeline.featurize
     slides_by_window = {}
@@ -545,3 +564,34 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
     assert len(slides_by_window) == len(results)
     assert sum(slides_by_window.values()) == engine.metrics.classifier_calls
     assert max(slides_by_window.values()) >= 2  # a kept list was extended, not only filled
+
+
+# sha256 over the replay of the _mode_mix() trace plus three noisy lines:
+# alert bytes, parse issues and the metrics report without its timings. The
+# out-of-order line is a late decoy touch, so finish() closes one window Low
+# before its last slide, besides the windows it closes High.
+_REPLAY_GOLDEN = "cfb68625f2593cd50101adb524d3cd52ec459fd0fed2b77052c57cb706253e9a"
+
+
+def test_replay_matches_golden_digest(tmp_path, trained_forest, gene_pool):
+    results, decoys = _mode_mix()
+    events, notes = merge_results(results)
+    last = events[-1]
+    assert last.pid == results[-1].ground_truth["pid"]  # the office decoy-toucher
+    text = serialize_events(events) + "{not json\n" + serialize_events([
+        replace(last, operation=Operation.WRITE),
+        replace(last, time=last.time - 1, operation=Operation.WRITE, file_name=decoys[-1], file_type="docx"),
+    ]).replace('"Write"', '"Explode"', 1)
+    trace = tmp_path / "golden.jsonl"
+    trace.write_text(text, encoding="utf-8")
+    result = run_replay(trace, _registry_for(decoys), gene_pool, trained_forest,
+                        content_provider=MappingContentProvider(notes))
+    report = metrics_report(result.metrics)
+    del report["wall_seconds"], report["events_per_second"]
+    issues = [(i.kind.value, i.line_no, i.detail) for i in result.issues]
+    assert [kind for kind, _, _ in issues] == [
+        ParseIssueKind.MALFORMED_LINE.value, ParseIssueKind.UNKNOWN_OPERATION.value,
+        ParseIssueKind.NON_MONOTONIC_TIME.value,
+    ]
+    blob = json.dumps([result.alerts_jsonl(), issues, report], sort_keys=True)
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == _REPLAY_GOLDEN
