@@ -41,6 +41,8 @@ def _load(loader, path):
         return loader(path)
     except ValueError as exc:  # CorruptModel and JSONDecodeError among them
         raise click.ClickException(f"{path}: {exc}") from exc
+    except OSError as exc:  # missing or unreadable
+        raise click.ClickException(f"{path}: {exc.strerror or exc}") from exc
 
 
 @click.group()
@@ -174,7 +176,7 @@ def features() -> None:
 @click.option("--hash-seed", default=DEFAULT_HASH_SEED, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) -> None:
-    parsed = parse_event_log(Path(log_path).read_text(encoding="utf-8"))
+    parsed = parse_event_log(Path(log_path).read_bytes())
     for issue in parsed.issues:
         click.echo(f"warning: line {issue.line_no}: {issue.kind.value} {issue.detail}", err=True)
     pid_events = [ev for ev in parsed.events if ev.pid == pid]
@@ -222,14 +224,23 @@ def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     click.echo(f"trained {trees} trees on {len(corpus.y)} windows; train acc {acc:.4f}; {size} bytes -> {out_path}")
 
 
+def _read_vector(path) -> np.ndarray:
+    """The "vector" of a feature file written by `features extract`."""
+    # integers read as floats, so one too wide for a float becomes inf, not an OverflowError
+    payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
+    vector = payload.get("vector") if type(payload) is dict else None
+    if type(vector) is not list or not all(type(v) is float for v in vector):
+        raise ValueError('expected an object whose "vector" is a list of numbers')
+    return np.asarray(vector, dtype=np.float64)
+
+
 @main.command()
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--features", "features_path", required=True, type=click.Path(exists=True, dir_okay=False))
 def predict(model_path, features_path) -> None:
     """Score one extracted feature vector."""
     forest = _load(BoostedForest.load, model_path)
-    payload = json.loads(Path(features_path).read_text(encoding="utf-8"))
-    prob = forest.predict_row(np.asarray(payload["vector"], dtype=np.float64))
+    prob = _load(lambda path: forest.predict_row(_read_vector(path)), features_path)
     click.echo(json.dumps({"probability": round(prob, 6), "ransomware": prob >= 0.5}))
 
 

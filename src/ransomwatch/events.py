@@ -250,7 +250,11 @@ def parse_event_line(line: str, line_no: int, issues: list[ParseIssue]) -> Optio
             if type(parsed) is FileEvent:
                 return parsed
     try:
+        if not line.isascii():
+            line.encode("utf-8")  # a lone surrogate: a byte that was not UTF-8, or bad input text
         parsed = _event_or_issue(json.loads(line), line_no)
+    except UnicodeEncodeError:
+        parsed = ParseIssue(ParseIssueKind.MALFORMED_LINE, line_no, "invalid UTF-8")
     except json.JSONDecodeError as exc:
         parsed = ParseIssue(ParseIssueKind.MALFORMED_LINE, line_no, f"invalid JSON: {exc.msg}")
     except (ValueError, RecursionError) as exc:  # an integer too long to convert, or nesting too deep
@@ -294,14 +298,15 @@ def parse_event_log(stream: Union[str, bytes, IO]) -> ParseResult:
     """Parse a JSON-Lines event log into events plus a list of issues.
 
     Accepts a text/bytes blob or a file-like object; see iter_events for
-    what is reported.
+    what is reported. Bytes are decoded as UTF-8 with "surrogateescape", as
+    run_replay reads a log, so a line that is not UTF-8 is a MalformedLine.
 
     A blob is split into the lines that open() reads from the same text, at
     "\n", "\r\n" or "\r". str.splitlines() would also break inside a JSON
     string at U+0085, U+2028 or U+2029, which serialize_event writes raw.
     """
     if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
+        stream = stream.decode("utf-8", "surrogateescape")
     lines: Iterable[str] = io.StringIO(stream, newline=None) if isinstance(stream, str) else stream
     issues: list[ParseIssue] = []
     return ParseResult(list(iter_events(lines, issues)), issues)

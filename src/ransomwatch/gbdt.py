@@ -115,24 +115,6 @@ def best_split(
     return BestSplit(int(feats[col]), threshold, gain)
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (weight).
-
-    Internal nodes route a row left when x[feature] <= threshold.
-    """
-
-    feature: int = -1
-    threshold: float = 0.0
-    weight: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 @dataclass(frozen=True, slots=True)
 class TreeParams:
     max_depth: int = 4
@@ -141,14 +123,23 @@ class TreeParams:
     lambda_: float = 1.0
 
 
+# A tree as parallel arrays (features, values, lefts, rights), root at slot 0.
+# A leaf has feature -1 and its weight as value; an internal node has its
+# threshold as value and the slots of its children in lefts and rights. Nodes
+# are in preorder: each node precedes its children and the left subtree
+# precedes the right one, so a left child sits in the slot after its parent.
+# Internal nodes route a row left when x[feature] <= threshold.
+FlatTree = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def grow_tree(
     X: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
     params: TreeParams = TreeParams(),
     feature_indices: Optional[Sequence[int]] = None,
-) -> TreeNode:
-    """Recursive tree generation on gradient statistics.
+) -> FlatTree:
+    """Recursive tree generation on gradient statistics, straight into a FlatTree.
 
     Stopping rules: identical responses (pure node), no usable feature or
     identical rows, depth/min-leaf limits, and split gain <= gamma. Leaf
@@ -156,63 +147,29 @@ def grow_tree(
     lambda=0 that reduces to the mean residual.
     """
     feats = tuple(range(X.shape[1])) if feature_indices is None else tuple(feature_indices)
+    nodes: list[list] = []  # [feature, value, left, right] per slot
 
-    def leaf(idx: np.ndarray) -> TreeNode:
-        g, h = float(grad[idx].sum()), float(hess[idx].sum())
-        return TreeNode(weight=-g / (h + params.lambda_))
-
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
+    def build(idx: np.ndarray, depth: int) -> None:
         response = -grad[idx]
-        if float(response.max()) == float(response.min()):
-            return leaf(idx)
-        if depth >= params.max_depth or not feats:
-            return leaf(idx)
-        try:
-            split = best_split(X[idx], response, params.min_leaf, feats)
-        except NoValidSplit:
-            return leaf(idx)
-        if split.gain <= params.gamma:
-            return leaf(idx)
+        split = None
+        if float(response.max()) != float(response.min()) and depth < params.max_depth and feats:
+            try:
+                split = best_split(X[idx], response, params.min_leaf, feats)
+            except NoValidSplit:
+                pass
+        if split is None or split.gain <= params.gamma:
+            g, h = float(grad[idx].sum()), float(hess[idx].sum())
+            nodes.append([-1, -g / (h + params.lambda_), -1, -1])
+            return
+        slot = len(nodes)
+        nodes.append([split.feature, split.threshold, slot + 1, -1])
         mask = X[idx, split.feature] <= split.threshold
-        return TreeNode(
-            feature=split.feature,
-            threshold=split.threshold,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
+        build(idx[mask], depth + 1)
+        nodes[slot][3] = len(nodes)
+        build(idx[~mask], depth + 1)
 
-    return build(np.arange(X.shape[0]), 0)
-
-
-# A tree as parallel arrays (features, values, lefts, rights), root at slot 0.
-# A leaf has feature -1 and its weight as value; an internal node has its
-# threshold as value and the slots of its children in lefts and rights.
-FlatTree = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-# One node of the model file, packed as struct "<BHdhh": leaf flag, feature,
-# value, left, right. A leaf is written with feature 0 and children -1.
-_NODE = np.dtype([("leaf", "u1"), ("feature", "<u2"), ("value", "<f8"), ("left", "<i2"), ("right", "<i2")])
-_HEADER = struct.Struct("<HHQH4d")
-
-
-def _flatten(tree: TreeNode) -> FlatTree:
-    features: list[int] = []
-    values: list[float] = []
-    lefts: list[int] = []
-    rights: list[int] = []
-
-    def visit(node: TreeNode) -> int:
-        slot = len(features)
-        features.append(-1 if node.is_leaf else node.feature)
-        values.append(node.weight if node.is_leaf else node.threshold)
-        lefts.append(-1)
-        rights.append(-1)
-        if not node.is_leaf:
-            lefts[slot] = visit(node.left)
-            rights[slot] = visit(node.right)
-        return slot
-
-    visit(tree)
+    build(np.arange(X.shape[0]), 0)
+    features, values, lefts, rights = zip(*nodes)
     return (
         np.asarray(features, dtype=np.int32),
         np.asarray(values, dtype=np.float64),
@@ -221,7 +178,8 @@ def _flatten(tree: TreeNode) -> FlatTree:
     )
 
 
-def _apply_flat(flat: FlatTree, X: np.ndarray) -> np.ndarray:
+def apply_tree(flat: FlatTree, X: np.ndarray) -> np.ndarray:
+    """Leaf weights reached by each row."""
     features, values, lefts, rights = flat
     pos = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])
@@ -237,16 +195,17 @@ def _apply_flat(flat: FlatTree, X: np.ndarray) -> np.ndarray:
     return values[pos]
 
 
-def apply_tree(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    """Leaf weights reached by each row."""
-    return _apply_flat(_flatten(tree), X)
+# One node of the model file, packed as struct "<BHdhh": leaf flag, feature,
+# value, left, right. A leaf is written with feature 0 and children -1.
+_NODE = np.dtype([("leaf", "u1"), ("feature", "<u2"), ("value", "<f8"), ("left", "<i2"), ("right", "<i2")])
+_HEADER = struct.Struct("<HHQH4d")
 
 
 def _unpack_tree(table: np.ndarray, n_features: int) -> FlatTree:
     """The flat tree of one node table; CorruptModel unless it is a tree.
 
     Each internal node must name a feature below n_features and two children
-    later in the table, as the preorder layout of _flatten places them, so
+    later in the table, as the preorder layout of grow_tree places them, so
     every walk from the root ends at a leaf.
     """
     leaf = table["leaf"] == 1
@@ -312,7 +271,7 @@ class BoostedForest:
         self._check_width(X.shape[1])
         z = np.full(X.shape[0], self.base_score, dtype=np.float64)
         for flat in self.trees:
-            z += self.eta * _apply_flat(flat, X)
+            z += self.eta * apply_tree(flat, X)
         return z
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -420,9 +379,9 @@ def fit(
         prob = _sigmoid(margin)
         grad = prob - y
         hess = np.maximum(prob * (1.0 - prob), 1e-16)
-        tree = _flatten(grow_tree(X, grad, hess, tree_params))
+        tree = grow_tree(X, grad, hess, tree_params)
         trees.append(tree)
-        margin += params.eta * _apply_flat(tree, X)
+        margin += params.eta * apply_tree(tree, X)
         losses.append(log_loss(y, _sigmoid(margin)))
     return BoostedForest(
         trees=tuple(trees),

@@ -407,7 +407,7 @@ def run_replay(
     issues: list[ParseIssue] = []
     process = engine.process
     started = time_mod.perf_counter()
-    with open(log_path, "r", encoding="utf-8") as fp:
+    with open(log_path, "r", encoding="utf-8", errors="surrogateescape") as fp:
         # parse_event_line is looked up here, so a patched module global is used
         for ev in iter_events(fp, issues, parse_event_line):
             process(ev)

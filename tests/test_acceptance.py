@@ -110,18 +110,18 @@ def test_criterion_2_oracle_equivalence():
         m = int(rng.integers(4, 25))
         X = rng.integers(0, 12, size=(m, 3)).astype(np.float64)
         y = rng.integers(0, 6, size=m).astype(np.float64)
-        tree = grow_tree(X, -y, np.ones(m), TreeParams(max_depth=1, gamma=-1.0, lambda_=0.0))
+        features, values, lefts, rights = grow_tree(X, -y, np.ones(m), TreeParams(max_depth=1, gamma=-1.0, lambda_=0.0))
         ints = [int(v) for v in y]
-        if tree.is_leaf:
+        if features[0] < 0:
             groups = [ints]
-            assert tree.weight == float(Fraction(sum(ints), m))
+            assert values[0] == float(Fraction(sum(ints), m))
         else:
-            mask = X[:, tree.feature] <= tree.threshold
+            mask = X[:, features[0]] <= values[0]
             left = [ints[i] for i in range(m) if mask[i]]
             right = [ints[i] for i in range(m) if not mask[i]]
             groups = [left, right]
-            assert tree.left.weight == float(Fraction(sum(left), len(left)))
-            assert tree.right.weight == float(Fraction(sum(right), len(right)))
+            assert values[lefts[0]] == float(Fraction(sum(left), len(left)))
+            assert values[rights[0]] == float(Fraction(sum(right), len(right)))
         assert exact_sse(groups) == oracle_best_sse(X, y)
 
     rng_py = random.Random(2002)

@@ -205,9 +205,12 @@ def test_run_reports_malformed_notes_map_in_one_line(runner, artifacts, bad_note
     _one_line_error(runner, _run_args(artifacts) + ["--notes", str(artifacts[bad_notes])], bad_notes)
 
 
-@pytest.mark.parametrize("command", ["run", "watch", "list", "verify", "deploy"])
-def test_commands_report_malformed_registry_in_one_line(runner, artifacts, command):
+@pytest.mark.parametrize("command", ["run", "watch", "list", "verify", "deploy", "list-missing", "verify-missing"])
+def test_commands_report_malformed_registry_in_one_line(runner, artifacts, command, tmp_path, monkeypatch):
     bad = str(artifacts["list_decoys.json"])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)  # where the default decoys.json does not exist
     args = {
         "run": _run_args(artifacts, decoys="list_decoys.json"),
         "watch": ["watch", "--dirs", str(artifacts["trace.jsonl"].parent), "--pool", str(artifacts["pool.json"]),
@@ -215,8 +218,11 @@ def test_commands_report_malformed_registry_in_one_line(runner, artifacts, comma
         "list": ["decoy", "list", "--registry", bad],
         "verify": ["decoy", "verify", "--registry", bad],
         "deploy": ["decoy", "deploy", "--dir", str(artifacts["trace.jsonl"].parent), "--registry", bad],
+        "list-missing": ["decoy", "list"],
+        "verify-missing": ["decoy", "verify", "--registry", "nope.json"],
     }[command]
-    _one_line_error(runner, args, "list_decoys.json")
+    expected = {"list-missing": "decoys.json: No such file", "verify-missing": "nope.json: No such file"}
+    _one_line_error(runner, args, expected.get(command, "list_decoys.json"))
 
 
 def test_watch_reports_corrupt_model_in_one_line(runner, artifacts):
@@ -231,6 +237,30 @@ def test_predict_reports_corrupt_model_in_one_line(runner, artifacts):
     _one_line_error(runner, [
         "predict", "--model", str(artifacts["corrupt.bin"]), "--features", str(artifacts["fv.json"]),
     ], "corrupt.bin")
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("not json", "bad_fv.json: Expecting value"),
+    (json.dumps({"v": 1}), 'bad_fv.json: expected an object whose "vector" is a list of numbers'),
+    (json.dumps({"vector": [1, "2"]}), 'bad_fv.json: expected an object whose "vector" is a list of numbers'),
+    (json.dumps({"vector": [1, 2]}), "features, got 2"),
+], ids=["not-json", "no-vector", "not-numbers", "wrong-width"])
+def test_predict_reports_malformed_features_in_one_line(runner, artifacts, tmp_path, text, expected):
+    features = tmp_path / "bad_fv.json"
+    features.write_text(text, encoding="utf-8")
+    _one_line_error(runner, [
+        "predict", "--model", str(artifacts["model.bin"]), "--features", str(features),
+    ], expected)
+
+
+def test_features_extract_warns_on_a_line_that_is_not_utf8(runner, tmp_path):
+    line = '{{"time":{0},"pid":1,"pid_name":"x.exe","operation":"Write","file_name":"C:/u/f{0}.txt","file_type":"txt"}}\n'
+    trace = tmp_path / "bad_byte.jsonl"
+    trace.write_bytes(b"".join(line.format(t).encode() for t in (1, 2, 3)).replace(b"/f2", b"/f\xff2"))
+    out = tmp_path / "fv.json"
+    result = _invoke(runner, ["features", "extract", "--log", str(trace), "--pid", "1", "--out", str(out)])
+    assert "warning: line 2: MalformedLine invalid UTF-8" in result.output
+    assert json.loads(out.read_text())["events"] == 2
 
 
 def test_note_score_reports_malformed_pool_and_content_in_one_line(runner, artifacts, tmp_path):

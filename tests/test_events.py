@@ -160,6 +160,7 @@ EDGE_CORPUS = [
     _field_line(operation=WIDE),
     _field_line(file_name='"C:/u/\\ud800.txt"'),  # lone surrogate, escaped
     _field_line(file_name='"C:/u/\ud800.txt"'),  # lone surrogate, raw
+    _field_line(file_name='"C:/u/\udcff.txt"'),  # a raw 0xff byte, decoded with surrogateescape
     _field_line(pid_name='"\\ud83d\\ude00"'),  # surrogate pair, escaped
     _field_line(file_name='"C:/u/caf\u00e9.txt"'),
     "\ufeff" + GOOD_LINE,

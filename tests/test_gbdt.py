@@ -80,28 +80,22 @@ def test_best_split_respects_min_leaf():
     assert 3 <= left <= 7
 
 
-def _leaf_weights(node):
-    if node.is_leaf:
-        return [node.weight]
-    return _leaf_weights(node.left) + _leaf_weights(node.right)
-
-
 def test_grow_tree_pure_labels_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.full(3, -1.0)  # all residuals equal
     hess = np.ones(3)
-    tree = grow_tree(X, grad, hess, TreeParams(lambda_=0.0))
-    assert tree.is_leaf
-    assert tree.weight == pytest.approx(1.0)  # mean residual
+    features, values, lefts, rights = grow_tree(X, grad, hess, TreeParams(lambda_=0.0))
+    assert features.tolist() == [-1]
+    assert values[0] == pytest.approx(1.0)  # mean residual
 
 
 def test_grow_tree_empty_feature_set_majority_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.array([-1.0, -1.0, 0.0])
     hess = np.ones(3)
-    tree = grow_tree(X, grad, hess, TreeParams(lambda_=0.0), feature_indices=())
-    assert tree.is_leaf
-    assert tree.weight == pytest.approx(2.0 / 3.0)
+    features, values, lefts, rights = grow_tree(X, grad, hess, TreeParams(lambda_=0.0), feature_indices=())
+    assert features.tolist() == [-1]
+    assert values[0] == pytest.approx(2.0 / 3.0)
 
 
 def test_grow_tree_fits_xor_at_depth_two():
@@ -111,29 +105,104 @@ def test_grow_tree_fits_xor_at_depth_two():
     # the root split of XOR has exactly zero gain, so gain pruning must be
     # disabled (gamma below zero) for the fit to proceed
     tree = grow_tree(X, -residuals, np.ones(4), TreeParams(max_depth=2, gamma=-1.0, lambda_=0.0))
-    assert not tree.is_leaf
+    features, values, lefts, rights = tree
+    assert features[0] >= 0
     predictions = apply_tree(tree, X)
     assert np.allclose(predictions, residuals)
-    assert sorted(_leaf_weights(tree)) == pytest.approx([-0.5, -0.5, 0.5, 0.5])
+    assert sorted(values[features < 0]) == pytest.approx([-0.5, -0.5, 0.5, 0.5])
 
 
 def test_grow_tree_gamma_prunes_weak_splits():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     grad = -np.array([0.0, 0.01, 0.0, 0.01])
-    tree = grow_tree(X, grad, np.ones(4), TreeParams(gamma=1.0, lambda_=0.0))
-    assert tree.is_leaf
+    features, values, lefts, rights = grow_tree(X, grad, np.ones(4), TreeParams(gamma=1.0, lambda_=0.0))
+    assert features.tolist() == [-1]
 
 
 def test_grow_tree_respects_max_depth():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(64, 3))
     grad = -rng.normal(size=64)
-    tree = grow_tree(X, grad, np.ones(64), TreeParams(max_depth=2, lambda_=0.0))
+    features, values, lefts, rights = grow_tree(X, grad, np.ones(64), TreeParams(max_depth=2, lambda_=0.0))
 
-    def depth(node):
-        return 0 if node.is_leaf else 1 + max(depth(node.left), depth(node.right))
+    def depth(slot):
+        return 0 if features[slot] < 0 else 1 + max(depth(lefts[slot]), depth(rights[slot]))
 
-    assert depth(tree) <= 2
+    assert depth(0) <= 2
+
+
+def _reference_grow(X, grad, hess, params, feature_indices):
+    """Grow a tree of nested nodes, then lay it out in preorder.
+
+    A leaf is (weight,) and an internal node (feature, threshold, left, right).
+    This is the two-step form that grow_tree writes in one pass.
+    """
+    feats = tuple(range(X.shape[1])) if feature_indices is None else tuple(feature_indices)
+
+    def leaf(idx):
+        g, h = float(grad[idx].sum()), float(hess[idx].sum())
+        return (-g / (h + params.lambda_),)
+
+    def build(idx, depth):
+        response = -grad[idx]
+        if float(response.max()) == float(response.min()):
+            return leaf(idx)
+        if depth >= params.max_depth or not feats:
+            return leaf(idx)
+        try:
+            split = best_split(X[idx], response, params.min_leaf, feats)
+        except NoValidSplit:
+            return leaf(idx)
+        if split.gain <= params.gamma:
+            return leaf(idx)
+        mask = X[idx, split.feature] <= split.threshold
+        return (split.feature, split.threshold, build(idx[mask], depth + 1), build(idx[~mask], depth + 1))
+
+    rows = []  # [feature, value, left, right] per slot
+
+    def visit(node):
+        slot = len(rows)
+        rows.append([-1, node[0], -1, -1] if len(node) == 1 else [node[0], node[1], -1, -1])
+        if len(node) == 4:
+            rows[slot][2] = visit(node[2])
+            rows[slot][3] = visit(node[3])
+        return slot
+
+    visit(build(np.arange(X.shape[0]), 0))
+    columns = list(zip(*rows))
+    return tuple(np.asarray(c, dtype=t) for c, t in zip(columns, (np.int32, np.float64, np.int32, np.int32)))
+
+
+def test_grow_tree_matches_node_grower_and_round_trips():
+    rng = np.random.default_rng(808)
+    shapes = set()
+    for _ in range(200):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        X = rng.integers(0, 4, size=(m, n)).astype(np.float64)  # few values, so ties
+        X[:, rng.random(n) < 0.5] = rng.normal(size=(m, 1)).round(2)
+        X[:, rng.random(n) < 0.25] = 1.5  # constant columns
+        # few distinct gradients, so pure nodes and zero-gain splits occur
+        grad = rng.integers(-1, 2, size=m).astype(np.float64) if rng.random() < 0.5 else rng.normal(size=m)
+        hess = np.ones(m) if rng.random() < 0.5 else rng.uniform(0.05, 1.0, size=m)
+        params = TreeParams(
+            max_depth=int(rng.integers(0, 5)),
+            min_leaf=int(rng.integers(1, 6)),
+            gamma=float(rng.choice([-1.0, 0.0, 0.5])),
+            lambda_=float(rng.choice([0.0, 1.0])),
+        )
+        subset = tuple(int(j) for j in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        feature_indices = (None, subset, ())[int(rng.integers(0, 3))]
+        got = grow_tree(X, grad, hess, params, feature_indices)
+        want = _reference_grow(X, grad, hess, params, feature_indices)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+        shapes.add(len(got[0]))
+        forest = BoostedForest((got,), 0.1, params.gamma, params.lambda_, base_score=0.0, n_features=n)
+        for a, b in zip(BoostedForest.from_bytes(forest.to_bytes()).trees[0], got):
+            assert a.dtype == b.dtype
+            assert a.tolist() == b.tolist()
+    assert 1 in shapes and max(shapes) >= 7  # single leaves and trees of depth 3 or more both occur
 
 
 def test_depth_one_tree_equals_brute_force_stump():

@@ -221,6 +221,18 @@ def test_replay_and_parse_event_log_agree_on_noisy_trace(tmp_path, trained_fores
     ]
 
 
+def test_replay_reports_a_line_that_is_not_utf8_and_goes_on(tmp_path, trained_forest, gene_pool):
+    line = '{{"time":{0},"pid":1,"pid_name":"x.exe","operation":"Write","file_name":"C:/u/f{0}.txt","file_type":"txt"}}\n'
+    trace = tmp_path / "bad_byte.jsonl"
+    trace.write_bytes(b"".join(line.format(t).encode() for t in (1, 2, 3)).replace(b"/f2", b"/f\xff2"))
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    parsed = parse_event_log(trace.read_bytes())
+    assert result.metrics.events == len(parsed.events) == 2
+    assert [(i.kind, i.line_no, i.detail) for i in result.issues] == [
+        (i.kind, i.line_no, i.detail) for i in parsed.issues
+    ] == [(ParseIssueKind.MALFORMED_LINE, 2, "invalid UTF-8")]
+
+
 def test_replay_parses_through_the_module_global(tmp_path, trained_forest, gene_pool, monkeypatch):
     trace = _noisy_trace(tmp_path)
     calls = []
