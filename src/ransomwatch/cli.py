@@ -41,8 +41,8 @@ def _load(loader, path):
         return loader(path)
     except ValueError as exc:  # CorruptModel and JSONDecodeError among them
         raise click.ClickException(f"{path}: {exc}") from exc
-    except OSError as exc:  # missing or unreadable
-        raise click.ClickException(f"{path}: {exc.strerror or exc}") from exc
+    except OSError as exc:  # missing or unreadable; a directory input names the file inside it
+        raise click.ClickException(f"{exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 @click.group()
@@ -215,7 +215,7 @@ def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) 
 @click.option("--lambda", "lambda_", default=1.0, show_default=True, type=float)
 def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     """Train the boosted-forest classifier on a window corpus directory."""
-    corpus = Corpus.load(corpus_dir)
+    corpus = _load(Corpus.load, corpus_dir)
     params = BoostParams(n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
     forest = fit(corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed)
     forest.save(out_path)
@@ -259,7 +259,7 @@ def predict(model_path, features_path) -> None:
 def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_dir) -> None:
     """Generate one labeled scenario: trace.jsonl, ground_truth.json, notes.json."""
     if spec_path is not None:
-        spec = spec_from_json(Path(spec_path).read_text(encoding="utf-8"))
+        spec = _load(lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")), spec_path)
     elif kind is not None:
         spec = spec_from_kind(kind, seed=seed, files=files, fps=fps,
                               note_every_k_dirs=note_every, avoid_decoys=avoid_decoys)

@@ -80,7 +80,7 @@ def dirname_of(path: str) -> str:
     return path[:cut]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FileEvent:
     """One file-system operation record.
 
@@ -95,6 +95,34 @@ class FileEvent:
     file_name: str
     file_type: str
     old_file_name: Optional[str] = None
+
+    def __init__(
+        self,
+        time: int,
+        pid: int,
+        pid_name: str,
+        operation: Operation,
+        file_name: str,
+        file_type: str,
+        old_file_name: Optional[str] = None,
+    ) -> None:
+        _set_time(self, time)
+        _set_pid(self, pid)
+        _set_pid_name(self, pid_name)
+        _set_operation(self, operation)
+        _set_file_name(self, file_name)
+        _set_file_type(self, file_type)
+        _set_old_file_name(self, old_file_name)
+
+
+# Every parsed line builds one FileEvent. The frozen dataclass __init__ sets
+# each field through object.__setattr__, which costs more than decoding the
+# line; storing through the slot descriptors bound here halves that, and the
+# class stays frozen to everyone else. Unpacking __slots__ fails at import if
+# a field is added without a setter.
+(
+    _set_time, _set_pid, _set_pid_name, _set_operation, _set_file_name, _set_file_type, _set_old_file_name
+) = (FileEvent.__dict__[name].__set__ for name in FileEvent.__slots__)
 
 
 @dataclass(frozen=True, slots=True)

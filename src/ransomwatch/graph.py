@@ -7,6 +7,7 @@ and width are part of the model contract and travel inside model files.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -175,6 +176,9 @@ class PatternEmbedding:
     values: np.ndarray
 
 
+# The label vocabulary bounds the edges of real windows to 7 ops times 70
+# parameter labels, 490 per seed; the cap bounds arbitrary graphs.
+@functools.lru_cache(maxsize=4096)
 def _edge_hash(op: str, param: str, seed: int) -> int:
     key = seed.to_bytes(8, "little", signed=False)
     digest = hashlib.blake2b(f"{op}|{param}".encode("utf-8"), digest_size=8, key=key).digest()

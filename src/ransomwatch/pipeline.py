@@ -231,10 +231,8 @@ class Engine:
     # -- monitors ------------------------------------------------------------
 
     def _note_trigger(self, ev: FileEvent) -> Optional[Trigger]:
+        """Score a Create or Write for ransom-note content; ``process`` checks the op."""
         if self.pool is None:
-            return None
-        op = ev.operation
-        if op is not Operation.CREATE and op is not Operation.WRITE:
             return None
         if ev.file_type not in self._text_exts:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
@@ -345,10 +343,11 @@ class Engine:
         while now >= boundary and not self._decide(state, boundary, False):
             boundary += slide_us
 
-    def _open_window(self, trigger: Trigger, pid_name: str) -> None:
+    def _open_window(self, trigger: Trigger, pid_name: str) -> _WindowState:
         self.metrics.windows_opened += 1
         self._escalate(trigger.pid, Level.LOW)
-        self._windows[trigger.pid] = _WindowState(trigger, pid_name)
+        state = self._windows[trigger.pid] = _WindowState(trigger, pid_name)
+        return state
 
     # -- ingestion -------------------------------------------------------------
 
@@ -362,14 +361,16 @@ class Engine:
             self._advance(state, ev.time)
             if pid in self._terminated:
                 return
+            state = self._windows.get(pid)  # None if the window just closed Low
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
-            trigger = self._note_trigger(ev)
+            op = ev.operation
+            if op is Operation.CREATE or op is Operation.WRITE:
+                trigger = self._note_trigger(ev)
         if trigger is not None:
             self.metrics.triggers += 1
-            if pid not in self._windows:
-                self._open_window(trigger, ev.pid_name)
-        state = self._windows.get(pid)
+            if state is None:
+                state = self._open_window(trigger, ev.pid_name)
         if state is not None and 0 <= ev.time - state.trigger.time < self.config.window_total_us:
             state.events.append(ev)
 

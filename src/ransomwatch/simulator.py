@@ -732,24 +732,35 @@ def spec_from_kind(
 
 
 def spec_from_json(text: str) -> ScenarioSpec:
-    """Parse a scenario spec from its JSON form (see README for the schema)."""
+    """Parse a scenario spec from its JSON form (see README for the schema).
+
+    Raises ValueError (BadSpec or JSONDecodeError) for text that is not a JSON
+    object with a string ``kind``, or whose fields have the wrong types.
+    """
     obj = json.loads(text)
+    if type(obj) is not dict or type(obj.get("kind")) is not str:
+        raise BadSpec('a spec must be a JSON object with a string "kind"')
     tree_obj = obj.get("tree", {})
-    tree = TreeSpec(
-        depth=int(tree_obj.get("depth", 3)),
-        fanout=int(tree_obj.get("fanout", 3)),
-        files=int(tree_obj.get("files", obj.get("files", 120))),
-        extensions=tuple(tree_obj.get("extensions", DEFAULT_EXTENSIONS)),
-        root=tree_obj.get("root", DEFAULT_ROOT),
-    )
-    return spec_from_kind(
-        obj["kind"],
-        seed=int(obj.get("seed", 0)),
-        files=tree.files,
-        fps=float(obj.get("fps", 60.0)),
-        note_every_k_dirs=int(obj.get("note_every_k_dirs", 1)),
-        avoid_decoys=bool(obj.get("avoid_decoys", False)),
-        touch_decoy=bool(obj.get("touch_decoy", False)),
-        tree=tree,
-        decoy_paths=obj.get("decoy_paths", ()),
-    )
+    if type(tree_obj) is not dict:
+        raise BadSpec('"tree" must be a JSON object')
+    try:  # int(), float() and tuple() of a value of the wrong JSON type
+        tree = TreeSpec(
+            depth=int(tree_obj.get("depth", 3)),
+            fanout=int(tree_obj.get("fanout", 3)),
+            files=int(tree_obj.get("files", obj.get("files", 120))),
+            extensions=tuple(tree_obj.get("extensions", DEFAULT_EXTENSIONS)),
+            root=tree_obj.get("root", DEFAULT_ROOT),
+        )
+        return spec_from_kind(
+            obj["kind"],
+            seed=int(obj.get("seed", 0)),
+            files=tree.files,
+            fps=float(obj.get("fps", 60.0)),
+            note_every_k_dirs=int(obj.get("note_every_k_dirs", 1)),
+            avoid_decoys=bool(obj.get("avoid_decoys", False)),
+            touch_decoy=bool(obj.get("touch_decoy", False)),
+            tree=tree,
+            decoy_paths=obj.get("decoy_paths", ()),
+        )
+    except TypeError as exc:
+        raise BadSpec(f"a spec field has the wrong type: {exc}") from exc

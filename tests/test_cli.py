@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -112,6 +113,31 @@ def test_simulate_from_json_spec(tmp_path, runner):
     _invoke(runner, ["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
     truth = json.loads((tmp_path / "out" / "ground_truth.json").read_text())
     assert truth["profile"] == "office"
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("not json", "Expecting value"),
+    ('["office"]', 'string "kind"'),
+    ('{"seed": 3, "files": 40}', 'string "kind"'),
+    ('{"kind": "office", "tree": 5}', '"tree" must be'),
+    ('{"kind": "office", "files": [40]}', "wrong type"),
+    ('{"kind": "office", "decoy_paths": 5}', "wrong type"),
+])
+def test_simulate_reports_malformed_spec_in_one_line(tmp_path, runner, text, expected):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(text)
+    _one_line_error(runner, ["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")], expected)
+
+
+@pytest.mark.parametrize("present", [(), ("corpus.npz",)])
+def test_train_reports_missing_corpus_files_in_one_line(tmp_path, runner, present):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    if present:
+        np.savez(corpus_dir / "corpus.npz", X=np.zeros((2, 3)), y=np.zeros(2))
+    missing = "meta.json" if present else "corpus.npz"
+    _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin")],
+                    f"{missing}: No such file")
 
 
 def test_decoy_verify_fails_on_tamper(tmp_path, runner):

@@ -1,11 +1,16 @@
 """Event model: parsing, serialization round-trips, windowing."""
 from __future__ import annotations
 
+import copy
+import dataclasses
+import inspect
 import json
+import pickle
 import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -353,3 +358,71 @@ def test_process_window_validates_members():
         ProcessWindow(4, "a.exe", 0, 1_000, (_mk(10, pid=9),))
     with pytest.raises(ValueError):
         ProcessWindow(4, "a.exe", 1_000, 1_000, ())
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedInitEvent:
+    """FileEvent as declared with the dataclass-generated __init__: the reference."""
+
+    time: int
+    pid: int
+    pid_name: str
+    operation: Operation
+    file_name: str
+    file_type: str
+    old_file_name: Optional[str] = None
+
+
+_FIELD_NAMES = ("time", "pid", "pid_name", "operation", "file_name", "file_type", "old_file_name")
+_CONTRACT_ARGS = [
+    (0, 4, "a.exe", Operation.CREATE, "C:/u/x.txt", "txt"),
+    (7, 1, "b.exe", Operation.RENAME, "C:/u/y.locked", "locked", "C:/u/y.docx"),
+    (-3, 2**70, "", Operation.READ, "", "", None),
+]
+
+
+def test_file_event_is_a_frozen_slotted_dataclass():
+    ev = FileEvent(*_CONTRACT_ARGS[0])
+    assert dataclasses.is_dataclass(ev) and not hasattr(ev, "__dict__")
+    assert FileEvent.__slots__ == _FIELD_NAMES
+    assert tuple(f.name for f in dataclasses.fields(FileEvent)) == _FIELD_NAMES
+    for name in _FIELD_NAMES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, name)
+
+
+def test_file_event_signature_lists_the_fields_in_order():
+    params = inspect.signature(FileEvent).parameters
+    assert tuple(params) == _FIELD_NAMES
+    assert [p.name for p in params.values() if p.default is not inspect.Parameter.empty] == ["old_file_name"]
+    assert params["old_file_name"].default is None
+
+
+@pytest.mark.parametrize("args", _CONTRACT_ARGS)
+def test_file_event_matches_the_generated_init(args):
+    ev, ref = FileEvent(*args), _GeneratedInitEvent(*args)
+    for name in _FIELD_NAMES:  # every slot is set, to the value given
+        assert getattr(ev, name) is getattr(ref, name)
+    assert hash(ev) == hash(ref) == hash(tuple(getattr(ref, name) for name in _FIELD_NAMES))
+    assert repr(ev) == repr(ref).replace(_GeneratedInitEvent.__qualname__, FileEvent.__qualname__, 1)
+    assert ev == FileEvent(*args) and hash(ev) == hash(FileEvent(*args))
+    assert ev != ref and ev != dataclasses.astuple(ev)
+    assert FileEvent(**dict(zip(_FIELD_NAMES, args))) == ev
+
+
+def test_file_event_repr_default_replace_and_round_trips():
+    ev = FileEvent(5, 4, "a.exe", Operation.WRITE, "C:/u/x.txt", "txt")
+    assert ev.old_file_name is None
+    assert repr(ev) == (
+        "FileEvent(time=5, pid=4, pid_name='a.exe', operation=<Operation.WRITE: 'Write'>, "
+        "file_name='C:/u/x.txt', file_type='txt', old_file_name=None)"
+    )
+    assert ev != FileEvent(5, 4, "a.exe", Operation.WRITE, "C:/u/x.txt", "txt", "C:/u/x.txt")
+    moved = dataclasses.replace(ev, pid=9, old_file_name="C:/u/w.txt")
+    assert type(moved) is FileEvent
+    assert (moved.pid, moved.old_file_name, moved.time, moved.file_name) == (9, "C:/u/w.txt", 5, "C:/u/x.txt")
+    assert dataclasses.replace(moved, pid=4, old_file_name=None) == ev
+    for clone in (pickle.loads(pickle.dumps(moved)), copy.copy(moved), copy.deepcopy(moved)):
+        assert type(clone) is FileEvent and clone == moved and hash(clone) == hash(moved)

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from ransomwatch import graph as graph_mod
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
 from ransomwatch.graph import (
     BadDim,
@@ -165,6 +166,22 @@ def test_one_edge_difference_touches_at_most_two_buckets():
     a = encode(BehaviorGraph(frozenset(), frozenset(), edges), 64)
     b = encode(BehaviorGraph(frozenset(), frozenset(), bigger), 64)
     assert int((a.values != b.values).sum()) <= 2
+
+
+def test_memoized_edge_hash_gives_bit_identical_embeddings(monkeypatch):
+    rng = random.Random(17)
+    ops = [op.value for op in Operation]
+    params = list(graph_mod._EXT_LABELS.values()) + list(graph_mod._DEPTH_LABELS)
+    params += list(graph_mod._NAME_LABELS.values()) + ["ext:#rare", "ext:", "name:\u00e9t\u00e9", "x|y", "\u6587"]
+    graphs = []
+    for _ in range(200):
+        edges = {(rng.choice(ops), rng.choice(params) if rng.random() < 0.8 else f"ext:q{rng.randrange(10**6)}"):
+                 rng.randrange(1, 1000) for _ in range(rng.randrange(0, 60))}
+        graphs.append((BehaviorGraph(frozenset(), frozenset(), edges), rng.choice((8, 64, 256)), rng.randrange(2**64)))
+    cached = [encode(*args).values.tobytes() for args in graphs + graphs]  # the second pass hits the memo
+    assert graph_mod._edge_hash.cache_info().currsize <= graph_mod._edge_hash.cache_info().maxsize == 4096
+    monkeypatch.setattr(graph_mod, "_edge_hash", graph_mod._edge_hash.__wrapped__)
+    assert cached == [encode(*args).values.tobytes() for args in graphs + graphs]
 
 
 def test_encode_rejects_bad_dims():

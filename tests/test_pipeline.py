@@ -175,6 +175,46 @@ def test_empty_note_at_create_is_scored_when_written(tmp_path, trained_forest, g
     assert alert.threat.source is TriggerKind.RANSOM_NOTE
 
 
+class _CountingContent:
+    """A ContentProvider that counts its get calls; every path holds benign text."""
+
+    def __init__(self):
+        self.gets = []
+
+    def get(self, path):
+        self.gets.append(path)
+        return b"meeting notes for thursday"
+
+
+def test_only_creates_and_writes_ask_for_note_content(trained_forest, gene_pool):
+    content = _CountingContent()
+    engine = pipeline.Engine(_registry_for([]), gene_pool, trained_forest, content_provider=content)
+    path = "C:/Users/bob/Documents/minutes.txt"
+    for t, op in enumerate((Operation.READ, Operation.DELETE, Operation.RENAME, Operation.OVERWRITE, Operation.SMASH)):
+        engine.process(FileEvent(t, 7, "editor.exe", op, path, "txt", path if op is Operation.RENAME else None))
+    assert content.gets == []
+    engine.process(FileEvent(10, 7, "editor.exe", Operation.CREATE, path, "txt"))
+    engine.process(FileEvent(11, 7, "editor.exe", Operation.WRITE, path, "txt"))
+    assert content.gets == [path]  # scored once, at the first non-empty Create
+    assert engine.metrics.triggers == 0 and engine.metrics.events == 7
+
+
+def test_event_that_closes_its_window_low_can_open_the_next(trained_forest, gene_pool):
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    config = pipeline.PipelineConfig(decision_threshold=1.01)  # every slide decides Low
+    engine = pipeline.Engine(_registry_for([decoy]), gene_pool, trained_forest, config)
+    engine.process(FileEvent(0, 7, "x.exe", Operation.WRITE, decoy, "docx"))
+    # past the last slide: this event closes the first window, then touches the decoy again
+    engine.process(FileEvent(3_500_000, 7, "x.exe", Operation.WRITE, decoy, "docx"))
+    assert engine.metrics.windows_opened == 2 and engine.metrics.triggers == 2
+    assert engine.metrics.classifier_calls == config.n_slides
+    (alert,) = engine.alerts
+    assert alert.threat.level is Level.LOW and alert.created_at == config.window_total_us
+    engine.finish()
+    assert [a.threat.level for a in engine.alerts] == [Level.LOW, Level.LOW]
+    assert engine.alerts[1].created_at == 3_500_000 + config.window_total_us
+
+
 def test_event_before_trigger_time_stays_out_of_window(tmp_path, trained_forest, gene_pool):
     decoy = "C:/Users/alice/Documents/family_budget.docx"
     events = [
