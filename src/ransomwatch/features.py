@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .events import Operation, ProcessWindow, basename_of, dirname_of, extension_of
+from .events import Operation, ProcessWindow, extension_of
 
 FEATURE_NAMES = (
     "n_create",
@@ -84,6 +84,14 @@ def _old_extension(ev) -> str:
     return extension_of(ev.old_file_name) if ev.old_file_name else ""
 
 
+# Unpacked into locals by extract_features: a class attribute read such as
+# Operation.CREATE costs several times a local read, once per window event.
+_OPS = (
+    Operation.CREATE, Operation.DELETE, Operation.SMASH,
+    Operation.RENAME, Operation.WRITE, Operation.OVERWRITE,
+)
+
+
 def extract_features(window: ProcessWindow) -> FeatureVector:
     """Compute the 12-dimensional expert vector from a window's events.
 
@@ -108,35 +116,39 @@ def extract_features(window: ProcessWindow) -> FeatureVector:
     create_types: set[str] = set()
     created_name_counts: dict[str, int] = {}
     created_name_dirs: dict[str, set[str]] = {}
+    CREATE, DELETE, SMASH, RENAME, WRITE, OVERWRITE = _OPS
 
     for ev in window.events:
         op = ev.operation
-        if op is Operation.CREATE or op is Operation.DELETE:
+        if op is CREATE or op is DELETE:
             past_first_create_delete = True
         elif not past_first_create_delete:
-            before_types.add(_old_extension(ev) if op is Operation.RENAME else ev.file_type)
+            before_types.add(_old_extension(ev) if op is RENAME else ev.file_type)
 
-        if op is Operation.CREATE:
+        if op is CREATE:
             n_create += 1
+            path = ev.file_name
             create_types.add(ev.file_type)
-            exists[ev.file_name] = ev.file_type
-            removed.discard(ev.file_name)
-            name = basename_of(ev.file_name)
+            exists[path] = ev.file_type
+            removed.discard(path)
+            # basename_of and dirname_of from one split
+            cut = max(path.rfind("/"), path.rfind("\\"))
+            name = path[cut + 1 :]
             created_name_counts[name] = created_name_counts.get(name, 0) + 1
-            created_name_dirs.setdefault(name, set()).add(dirname_of(ev.file_name))
-        elif op is Operation.DELETE or op is Operation.SMASH:
+            created_name_dirs.setdefault(name, set()).add(path[:cut] if cut > 0 else "")
+        elif op is DELETE or op is SMASH:
             n_delete += 1
             del_types.add(ev.file_type)
             exists.pop(ev.file_name, None)
             removed.add(ev.file_name)
-        elif op is Operation.RENAME:
+        elif op is RENAME:
             n_renamed += 1
             if ev.old_file_name:
                 exists.pop(ev.old_file_name, None)
                 removed.add(ev.old_file_name)
             exists[ev.file_name] = ev.file_type
             removed.discard(ev.file_name)
-        elif op is Operation.WRITE or op is Operation.OVERWRITE:
+        elif op is WRITE or op is OVERWRITE:
             # a write implies the path exists afterwards, even post-removal
             exists[ev.file_name] = ev.file_type
             removed.discard(ev.file_name)

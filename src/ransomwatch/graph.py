@@ -65,10 +65,13 @@ def name_pattern_class(file_name: str) -> str:
     (tests/test_labels.py). Folding those two onto "i" and "s" keeps the
     length and every other character, so the two searches agree.
     """
-    stem = basename_of(file_name)
-    dot = stem.rfind(".")
-    if dot > 0:
-        stem = stem[:dot]
+    return _base_class(basename_of(file_name))
+
+
+def _base_class(base: str) -> str:
+    """name_pattern_class of a path whose basename is ``base``."""
+    dot = base.rfind(".")
+    stem = base[:dot] if dot > 0 else base
     low = stem.lower()
     if _NOTE_NAME_RE.search(low if low.isascii() else low.translate(_CASE_FOLD)):
         return "note"
@@ -121,13 +124,9 @@ class BehaviorGraph:
 
 def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     """The (extension, depth, name-pattern) parameter labels of one event."""
-    return _label(file_name, file_type, _DEPTH_LABELS[path_depth_bucket(file_name)])
-
-
-def _label(file_name: str, file_type: str, depth_label: str) -> tuple[str, str, str]:
     triple = (
         _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL),
-        depth_label,
+        _DEPTH_LABELS[path_depth_bucket(file_name)],
         _NAME_LABELS[name_pattern_class(file_name)],
     )
     return _TRIPLES.setdefault(triple, triple)
@@ -150,11 +149,19 @@ def build_graph(window: ProcessWindow, labels: Optional[list[tuple[str, str, str
         raise ValueError(f"{len(labels)} labels for a window of {len(events)} events")
     depth_by_dir: dict[str, str] = {}
     for ev in events[len(labels):]:
-        directory = dirname_of(ev.file_name)
+        # event_params, with dirname_of and basename_of from one split
+        path = ev.file_name
+        cut = max(path.rfind("/"), path.rfind("\\"))
+        directory = path[:cut] if cut > 0 else ""
         depth = depth_by_dir.get(directory)
         if depth is None:
             depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
-        labels.append(_label(ev.file_name, ev.file_type, depth))
+        triple = (
+            _EXT_LABELS.get(ev.file_type, RARE_EXTENSION_LABEL),
+            depth,
+            _NAME_LABELS[_base_class(path[cut + 1 :])],
+        )
+        labels.append(_TRIPLES.setdefault(triple, triple))
     # Counting (op, triple) pairs first inserts each edge when its first
     # event is reached, as counting edge by edge would, so the edges keep
     # the order that encode sums them in.

@@ -3,8 +3,23 @@ from __future__ import annotations
 
 import random
 
-from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
-from ransomwatch.features import FEATURE_NAMES, TypeChange, extract_features
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ransomwatch import pipeline
+from ransomwatch.decoys import DecoyKind, DecoyRegistry
+from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
+from ransomwatch.features import FEATURE_NAMES, FeatureVector, Mode, TypeChange, extract_features
+from ransomwatch.simulator import (
+    BenignProfile,
+    BenignSpec,
+    RansomwareSpec,
+    ScenarioSpec,
+    TreeSpec,
+    generate,
+    merge_results,
+    tree_layout,
+)
 
 
 def _ev(op, path, time=0, pid=4, old=None):
@@ -183,3 +198,167 @@ def test_rtype_sentinels():
     # deletes but no creates: rtype_change falls back to deleted-type count
     events = [_ev(Operation.DELETE, "C:/u/a.txt"), _ev(Operation.DELETE, "C:/u/b.pdf", time=1)]
     assert extract_features(_window(events)).rtype_change == 2.0
+
+
+# --- exactness oracle: the same loop, with no local aliases and no shared split
+
+def _extract_features_before(window):
+    """extract_features written with Operation.X reads and basename_of/dirname_of calls."""
+    n_create = n_delete = n_renamed = 0
+    before_types = set()
+    past_first_create_delete = False
+    exists = {}
+    removed = set()
+    del_types = set()
+    create_types = set()
+    created_name_counts = {}
+    created_name_dirs = {}
+
+    for ev in window.events:
+        op = ev.operation
+        if op is Operation.CREATE or op is Operation.DELETE:
+            past_first_create_delete = True
+        elif not past_first_create_delete:
+            before_types.add(
+                (extension_of(ev.old_file_name) if ev.old_file_name else "")
+                if op is Operation.RENAME else ev.file_type
+            )
+
+        if op is Operation.CREATE:
+            n_create += 1
+            create_types.add(ev.file_type)
+            exists[ev.file_name] = ev.file_type
+            removed.discard(ev.file_name)
+            name = basename_of(ev.file_name)
+            created_name_counts[name] = created_name_counts.get(name, 0) + 1
+            created_name_dirs.setdefault(name, set()).add(dirname_of(ev.file_name))
+        elif op is Operation.DELETE or op is Operation.SMASH:
+            n_delete += 1
+            del_types.add(ev.file_type)
+            exists.pop(ev.file_name, None)
+            removed.add(ev.file_name)
+        elif op is Operation.RENAME:
+            n_renamed += 1
+            if ev.old_file_name:
+                exists.pop(ev.old_file_name, None)
+                removed.add(ev.old_file_name)
+            exists[ev.file_name] = ev.file_type
+            removed.discard(ev.file_name)
+        elif op is Operation.WRITE or op is Operation.OVERWRITE:
+            exists[ev.file_name] = ev.file_type
+            removed.discard(ev.file_name)
+        else:
+            if ev.file_name not in removed and ev.file_name not in exists:
+                exists[ev.file_name] = ev.file_type
+
+    after_types = set(exists.values())
+    ntype_before = len(before_types)
+    ntype_after = len(after_types)
+    ntype_change = ntype_after - ntype_before
+    if ntype_change > 0:
+        shape = TypeChange.GROWN
+    elif ntype_change < 0:
+        shape = TypeChange.SHRUNK
+    elif before_types != after_types:
+        shape = TypeChange.CHURN
+    else:
+        shape = TypeChange.UNCHANGED
+    rtype = ntype_after / ntype_before if ntype_before > 0 else 0.0
+    n_del_types = len(del_types)
+    n_create_types = len(create_types)
+    rtype_change = n_del_types / n_create_types if n_create_types > 0 else float(n_del_types)
+    if created_name_counts:
+        max_n_file = max(created_name_counts.values())
+        n_folder = max(
+            len(created_name_dirs[name])
+            for name, count in created_name_counts.items()
+            if count == max_n_file
+        )
+    else:
+        max_n_file = 0
+        n_folder = 0
+    r_file = max_n_file / n_folder if n_folder > 0 else 0.0
+    return FeatureVector(
+        n_create=n_create, n_delete=n_delete, n_renamed=n_renamed,
+        ntype_before=ntype_before, ntype_after=ntype_after, ntype_change=ntype_change,
+        type_change=shape, rtype=rtype, rtype_change=rtype_change,
+        max_n_file=max_n_file, n_folder=n_folder, r_file=r_file,
+    )
+
+
+def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, gene_pool, monkeypatch):
+    tree = TreeSpec(depth=2, fanout=2, files=60)
+    results, decoys = [], []
+    for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
+        decoy = f"{tree_layout(tree, 120 + i).dirs[0]}/family_budget.docx"
+        decoys.append(decoy)
+        results.append(generate(ScenarioSpec(
+            kind=RansomwareSpec(mode=mode, files_per_second=50 + 40 * i),
+            seed=120 + i, tree=tree, decoy_paths=(decoy,), start_us=100_000 * i)))
+    decoy = f"{tree_layout(tree, 129).dirs[0]}/family_budget.docx"
+    decoys.append(decoy)
+    results.append(generate(ScenarioSpec(
+        kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
+        seed=129, tree=tree, decoy_paths=(decoy,), start_us=250_000)))
+    registry = DecoyRegistry()
+    for path in decoys:
+        registry.register(path, "digest", DecoyKind.DOCUMENT)
+    windows = []
+
+    def checked(window):
+        vec = extract_features(window)
+        assert vec == _extract_features_before(window)
+        windows.append(window)
+        return vec
+
+    monkeypatch.setattr(pipeline, "extract_features", checked)
+    events, notes = merge_results(results)
+    engine = pipeline.Engine(registry, gene_pool, trained_forest,
+                             content_provider=pipeline.MappingContentProvider(notes))
+    for ev in events:
+        engine.process(ev)
+    engine.finish()
+    assert len(windows) == engine.metrics.classifier_calls
+    assert engine.metrics.windows_opened == len(results)
+    assert {window.pid for window in windows} == {r.ground_truth["pid"] for r in results}
+    vectors = [extract_features(window) for window in windows]
+    # creates, renames and a note spread across folders all reached the check
+    assert any(v.n_create for v in vectors) and any(v.n_renamed for v in vectors)
+    assert any(v.max_n_file > 1 for v in vectors)
+
+
+# Paths on which the one split must agree with basename_of and dirname_of:
+# no separator (cut == -1), a separator first (cut == 0), mixed separators,
+# an empty basename and a bare drive. "x.txt" and "/x.txt" share a folder.
+_SPLIT_PATHS = ["x.txt", "/x.txt", "/x", "\\x", "a/b\\c.docx", "dir/", "C:", "C:/u/x.txt", "D:\\v\\x.txt", "a/b/x"]
+
+
+@st.composite
+def _feature_events(draw):
+    ops = draw(st.lists(st.sampled_from(list(Operation)), max_size=40))
+    events = []
+    for time, op in enumerate(ops):
+        path = draw(st.sampled_from(_SPLIT_PATHS))
+        old = draw(st.one_of(st.none(), st.sampled_from(_SPLIT_PATHS))) if op is Operation.RENAME else None
+        events.append(_ev(op, path, time=time, old=old))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(_feature_events())
+def test_extract_features_matches_the_reference_on_split_edge_paths(events):
+    window = _window(events)
+    assert extract_features(window) == _extract_features_before(window)
+
+
+def test_extract_features_matches_the_reference_on_every_pair_of_split_edge_events():
+    singles = [
+        (op, path, old)
+        for op in Operation
+        for path in _SPLIT_PATHS
+        for old in ((None, *_SPLIT_PATHS) if op is Operation.RENAME else (None,))
+    ]
+    for first in singles:
+        for second in singles:
+            window = _window([_ev(first[0], first[1], 0, old=first[2]), _ev(second[0], second[1], 1, old=second[2])])
+            assert extract_features(window) == _extract_features_before(window), (first, second)

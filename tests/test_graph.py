@@ -87,8 +87,12 @@ def test_kept_labels_give_the_graph_and_edge_order_from_scratch():
     paths = ["C:/u/a.txt", "C:/u/deep/dir/b.docx", "D:\\x\\HOW_TO_PAY.txt", "C:/u/8f2c9a1db4.bin", "x.k3xq7"]
     ops = list(Operation)
     events = [_ev(rng.choice(ops), rng.choice(paths), time=i) for i in range(400)]
+    # build_graph splits each path once: no separator, a separator first,
+    # mixed separators, an empty basename and a bare drive
+    split_paths = ["x.txt", "/x", "\\x", "a/b\\c.docx", "dir/", "C:", "/readme.md", "\\8f2c9a1db4e7"]
+    events += [_ev(rng.choice(ops), path, time=400 + i) for i, path in enumerate(split_paths * 2)]
     labels = []
-    for end in (0, 1, 2, 50, 51, 200, 400, 400):  # the window grows, the list is kept
+    for end in (0, 1, 2, 50, 51, 200, 400, 400, 403, 416):  # the window grows, the list is kept
         window = _window(events[:end])
         kept = build_graph(window, labels)
         assert labels == [event_params(ev.file_name, ev.file_type) for ev in window.events]
