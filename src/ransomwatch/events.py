@@ -17,6 +17,8 @@ try:
 except ImportError:  # optional extra "fast": results are the same without it
     _fast_loads = None
 
+_set_class = object.__dict__["__class__"].__set__  # what `obj.__class__ = cls` calls, bound once
+
 
 class Operation(str, Enum):
     """File operation kinds carried by an event record."""
@@ -106,23 +108,24 @@ class FileEvent:
         file_type: str,
         old_file_name: Optional[str] = None,
     ) -> None:
-        _set_time(self, time)
-        _set_pid(self, pid)
-        _set_pid_name(self, pid_name)
-        _set_operation(self, operation)
-        _set_file_name(self, file_name)
-        _set_file_type(self, file_type)
-        _set_old_file_name(self, old_file_name)
+        # Every parsed line builds one, and plain slot stores need a class without the frozen
+        # __setattr__: a layout twin, left before anyone sees it (subclasses add no slots or dict).
+        cls = type(self)
+        _set_class(self, _OpenFileEvent)
+        self.time = time
+        self.pid = pid
+        self.pid_name = pid_name
+        self.operation = operation
+        self.file_name = file_name
+        self.file_type = file_type
+        self.old_file_name = old_file_name
+        self.__class__ = cls
 
 
-# Every parsed line builds one FileEvent. The frozen dataclass __init__ sets
-# each field through object.__setattr__, which costs more than decoding the
-# line; storing through the slot descriptors bound here halves that, and the
-# class stays frozen to everyone else. Unpacking __slots__ fails at import if
-# a field is added without a setter.
-(
-    _set_time, _set_pid, _set_pid_name, _set_operation, _set_file_name, _set_file_type, _set_old_file_name
-) = (FileEvent.__dict__[name].__set__ for name in FileEvent.__slots__)
+class _OpenFileEvent(FileEvent):  # FileEvent without the frozen guard, for its __init__ only
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
 
 @dataclass(frozen=True, slots=True)

@@ -182,7 +182,6 @@ class _WindowState:
     events: list[FileEvent] = field(default_factory=list)
     labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
     slides_done: int = 0
-    last_row_digest: str = ""
 
 
 @dataclass
@@ -265,7 +264,7 @@ class Engine:
         if (level is Level.HIGH) or (level is Level.LOW and current is Level.NONE):
             self.threat_by_pid[pid] = level
 
-    def _classify(self, state: _WindowState, boundary: int) -> float:
+    def _classify(self, state: _WindowState, boundary: int) -> tuple[float, np.ndarray]:
         trigger = state.trigger
         window = ProcessWindow(
             trigger.pid,
@@ -277,11 +276,9 @@ class Engine:
         )
         row = featurize(window, self.forest.dims, self.forest.hash_seed, state.labels)
         self.metrics.classifier_calls += 1
-        prob = self.forest.predict_row(row)
-        state.last_row_digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
-        return prob
+        return self.forest.predict_row(row), row
 
-    def _emit_high(self, state: _WindowState, boundary: int, prob: float) -> None:
+    def _emit_high(self, state: _WindowState, boundary: int, prob: float, row: np.ndarray) -> None:
         trigger = state.trigger
         pid = trigger.pid
         self._escalate(pid, Level.HIGH)
@@ -299,7 +296,7 @@ class Engine:
                     trigger.detail,
                     f"trigger_time_us={trigger.time}",
                     f"classifier_p={prob:.4f}",
-                    f"feature_digest={state.last_row_digest}",
+                    f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}",
                 ),
                 response_taken=self.config.response,
             )
@@ -330,9 +327,9 @@ class Engine:
         High closes it at once. Otherwise the slide is counted, and the window
         closes Low after its last slide, or at once when ``final`` is set.
         """
-        prob = self._classify(state, boundary)
+        prob, row = self._classify(state, boundary)
         if prob >= self.config.decision_threshold:
-            self._emit_high(state, boundary, prob)
+            self._emit_high(state, boundary, prob, row)
             return True
         state.slides_done += 1
         if final or state.slides_done >= self.config.n_slides:

@@ -28,6 +28,9 @@ from ransomwatch.events import (
     serialize_events,
     window_events,
 )
+from ransomwatch.features import Mode
+from ransomwatch.pipeline import DirectoryWatcher
+from ransomwatch.simulator import RansomwareSpec, ScenarioSpec, TreeSpec, generate
 
 GOOD_LINE = (
     '{"time":0,"pid":4,"pid_name":"a.exe","operation":"Create",'
@@ -426,3 +429,88 @@ def test_file_event_repr_default_replace_and_round_trips():
     assert dataclasses.replace(moved, pid=4, old_file_name=None) == ev
     for clone in (pickle.loads(pickle.dumps(moved)), copy.copy(moved), copy.deepcopy(moved)):
         assert type(clone) is FileEvent and clone == moved and hash(clone) == hash(moved)
+
+
+# Any hashable value: the constructor stores what it is given and checks nothing.
+_any_field = st.one_of(
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.none(),
+    st.text(max_size=8),
+    st.sampled_from(list(Operation)),
+    st.builds(object),
+    st.tuples(st.integers(), st.text(max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_any_field, min_size=7, max_size=7), st.integers(min_value=0, max_value=7), st.booleans())
+def test_file_event_stores_arbitrary_values_like_the_generated_init(values, n_positional, omit_old):
+    names = _FIELD_NAMES[:-1] if omit_old else _FIELD_NAMES
+    n_positional = min(n_positional, len(names))
+    args = values[:n_positional]
+    kwargs = {name: values[i] for i, name in enumerate(names) if i >= n_positional}
+    ev, ref = FileEvent(*args, **kwargs), _GeneratedInitEvent(*args, **kwargs)
+    assert type(ev) is FileEvent
+    expected = values[:6] + [None if omit_old else values[6]]
+    for name, value in zip(_FIELD_NAMES, expected):
+        assert getattr(ev, name) is value and getattr(ref, name) is value
+    twin = FileEvent(*args, **kwargs)
+    assert ev == twin and hash(ev) == hash(twin) == hash(ref) and repr(ev) == repr(twin)
+    assert repr(ev) == repr(ref).replace(_GeneratedInitEvent.__qualname__, FileEvent.__qualname__, 1)
+    for name in _FIELD_NAMES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, name)
+
+
+def _library_events(monkeypatch, tmp_path):
+    """Yield (source, event) for every path by which the library hands out events."""
+    lines = GOOD_LINE + "\n" + _field_line(operation='"Rename"', old_file_name='"C:/u/y.txt"')
+    if events_mod._fast_loads is not None:
+        yield from (("orjson", ev) for ev in parse_event_log(lines).events)
+    with monkeypatch.context() as patch:
+        patch.setattr(events_mod, "_fast_loads", None)
+        yield from (("json", ev) for ev in parse_event_log(lines).events)
+    spec = ScenarioSpec(RansomwareSpec(mode=Mode.M1, files_per_second=80.0), seed=3, tree=TreeSpec(2, 2, 20))
+    yield from (("simulator", ev) for ev in generate(spec).events)
+    watcher = DirectoryWatcher([tmp_path])
+    for op in (Operation.CREATE, Operation.WRITE, Operation.DELETE):
+        watcher._emit(op, str(tmp_path / "a.txt"), 5)
+        yield "watcher", watcher.events.get_nowait()
+    ev = FileEvent(5, 4, "a.exe", Operation.WRITE, "C:/u/x.txt", "txt")
+    yield "replace", dataclasses.replace(ev, old_file_name="C:/u/w.txt")
+    for clone in (pickle.loads(pickle.dumps(ev)), copy.copy(ev), copy.deepcopy(ev)):
+        yield "clone", clone
+
+
+def test_no_event_handed_out_is_of_the_open_class(monkeypatch, tmp_path):
+    seen = {}
+    for source, ev in _library_events(monkeypatch, tmp_path):
+        assert type(ev) is FileEvent, source
+        seen[source] = seen.get(source, 0) + 1
+    sources = {"json", "simulator", "watcher", "replace", "clone"}
+    assert set(seen) == sources | ({"orjson"} if events_mod._fast_loads is not None else set())
+    assert seen["simulator"] > 20 and seen["json"] == 2
+
+
+def test_open_twin_is_layout_compatible_and_subclasses_keep_their_class():
+    open_cls = events_mod._OpenFileEvent
+    assert open_cls.__slots__ == () and open_cls.__bases__ == (FileEvent,)
+    assert open_cls.__basicsize__ == FileEvent.__basicsize__
+    assert open_cls.__itemsize__ == FileEvent.__itemsize__ == 0
+
+    class Tagged(FileEvent):
+        __slots__ = ()
+
+    ev = Tagged(*_CONTRACT_ARGS[1])
+    assert type(ev) is Tagged and ev == Tagged(*_CONTRACT_ARGS[1])
+    assert tuple(getattr(ev, name) for name in _FIELD_NAMES) == _CONTRACT_ARGS[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.pid = 0
+
+    class Loose(FileEvent):  # gains a __dict__, so its layout is not the twin's
+        pass
+
+    with pytest.raises(TypeError, match="layout"):
+        Loose(*_CONTRACT_ARGS[1])
