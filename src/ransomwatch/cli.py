@@ -21,7 +21,7 @@ from .decoys import (
 )
 from .events import parse_event_log, window_events
 from .features import FEATURE_NAMES, N_EXPERT_FEATURES
-from .gbdt import BoostParams, BoostedForest, fit
+from .gbdt import BoostParams, BoostedForest, WidthMismatch, fit
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
 from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, decode_note, similarity, tokenize
 from .pipeline import (
@@ -172,10 +172,8 @@ def features() -> None:
 @click.option("--pid", required=True, type=int)
 @click.option("--start", default=None, type=int, help="Window start in microseconds (default: pid's first event).")
 @click.option("--dt", "delta_us", default=None, type=int, help="Window length in microseconds (default: whole trace).")
-@click.option("--dims", default=DEFAULT_EMBEDDING_DIMS, show_default=True, type=int)
-@click.option("--hash-seed", default=DEFAULT_HASH_SEED, type=int)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) -> None:
+def features_extract(log_path, pid, start, delta_us, out_path) -> None:
     parsed = parse_event_log(Path(log_path).read_bytes())
     for issue in parsed.issues:
         click.echo(f"warning: line {issue.line_no}: {issue.kind.value} {issue.detail}", err=True)
@@ -187,14 +185,14 @@ def features_extract(log_path, pid, start, delta_us, dims, hash_seed, out_path) 
     if delta_us is None:
         delta_us = max(1, pid_events[-1].time - start + 1)
     window = window_events(parsed.events, pid, start, delta_us)
-    row = featurize(window, dims, hash_seed)
+    row = featurize(window, DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED)
     payload = {
         "pid": pid,
         "window_start_us": start,
         "window_end_us": start + delta_us,
         "events": len(window.events),
-        "dims": dims,
-        "hash_seed": hash_seed,
+        "dims": DEFAULT_EMBEDDING_DIMS,
+        "hash_seed": DEFAULT_HASH_SEED,
         "expert": dict(zip(FEATURE_NAMES, row[:N_EXPERT_FEATURES].tolist())),
         "embedding": row[N_EXPERT_FEATURES:].tolist(),
         "vector": row.tolist(),
@@ -274,12 +272,11 @@ def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_di
 @click.option("--ransom", default=240, show_default=True, type=int, help="Ransomware windows.")
 @click.option("--benign", default=260, show_default=True, type=int, help="Benign windows.")
 @click.option("--seed", default=7, show_default=True, type=int)
-@click.option("--dims", default=DEFAULT_EMBEDDING_DIMS, show_default=True, type=int)
 @click.option("--include-zipper", is_flag=True, help="Add the zip-like stress profile to the benign mix.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def corpus(ransom, benign, seed, dims, include_zipper, out_dir) -> None:
+def corpus(ransom, benign, seed, include_zipper, out_dir) -> None:
     """Build a labeled window corpus ready for `train`."""
-    built = build_corpus(ransom, benign, seed, dims=dims, include_zipper=include_zipper)
+    built = build_corpus(ransom, benign, seed, include_zipper=include_zipper)
     built.save(out_dir)
     click.echo(f"corpus: {built.X.shape[0]} windows x {built.X.shape[1]} features -> {out_dir}")
 
@@ -303,7 +300,10 @@ def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_
     forest = _load(BoostedForest.load, model_path)
     provider = _load(MappingContentProvider.from_json_file, notes_path) if notes_path else None
     config = PipelineConfig(tau_sim=tau)
-    result = run_replay(log_path, registry, pool, forest, config, provider)
+    try:
+        result = run_replay(log_path, registry, pool, forest, config, provider)
+    except WidthMismatch as exc:  # raised before the first event is read
+        raise click.ClickException(f"{model_path}: {exc}") from exc
     result.save_alerts(alerts_path)
     result.save_metrics(metrics_path)
     for issue in result.issues:
@@ -333,6 +333,8 @@ def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> No
         )
     except WatchUnavailable as exc:
         raise click.ClickException(f"{exc}; live watching unavailable, use `run` for trace replay") from exc
+    except WidthMismatch as exc:  # raised before the watcher starts
+        raise click.ClickException(f"{model_path}: {exc}") from exc
     click.echo(json.dumps(metrics_report(result.metrics)))
 
 

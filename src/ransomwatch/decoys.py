@@ -15,11 +15,10 @@ import os
 import random
 import threading
 import time as time_mod
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Container, Iterator, Optional, Sequence, Union
+from typing import Container, Optional, Sequence, Union
 
 from .events import FileEvent, MUTATING_OPS, Trigger, TriggerKind
 
@@ -207,21 +206,18 @@ class DecoyRegistry:
     """Single source of truth for "is this path a decoy".
 
     One writer (deploy) and many concurrent readers are fine: lookups touch a
-    dict that is only mutated under the registry lock. While suppressed (the
-    deployment window), lookups report no matches so the deployer's own
-    writes cannot self-trigger.
+    dict that is only mutated under the registry lock.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, DecoyEntry] = {}
         self._lock = threading.Lock()
-        self._suppressed = False
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, path: str) -> bool:
-        return not self._suppressed and path in self._entries
+        return path in self._entries
 
     def entries(self) -> dict[str, DecoyEntry]:
         with self._lock:
@@ -238,14 +234,6 @@ class DecoyRegistry:
     def remove(self, path: str) -> None:
         with self._lock:
             self._entries.pop(path, None)
-
-    @contextmanager
-    def suppress(self) -> Iterator[None]:
-        self._suppressed = True
-        try:
-            yield
-        finally:
-            self._suppressed = False
 
     def save(self, path: Union[str, Path]) -> None:
         payload = {
@@ -307,43 +295,42 @@ def deploy(
     """
     targets = [str(d) for d in early_dirs] + [spec.directory]
     written: list[tuple[str, GeneratedDecoy, DecoyKind]] = []
-    with registry.suppress():
-        try:
-            for i in range(spec.count):
-                directory = Path(targets[i % len(targets)])
-                kind = spec.kinds[i % len(spec.kinds)]
-                known = registry.entries()
-                own = {Path(w[0]).name for w in written if Path(w[0]).parent == directory}
-                neighbors = sorted(
-                    p.name
-                    for p in directory.iterdir()
-                    if p.is_file() and str(p) not in known and p.name not in own
-                ) if directory.is_dir() else []
-                decoy = generate_decoy(kind, spec.name_style, neighbors, seed=seed * 1009 + i, avoid=own)
-                path = directory / decoy.file_name
-                try:
-                    path.write_bytes(decoy.content)
-                except OSError as exc:
-                    raise IoFailure(str(path), exc) from exc
-                written.append((str(path), decoy, kind))
-        except IoFailure:
-            for path_str, _, _ in written:
-                try:
-                    os.unlink(path_str)
-                except OSError:  # pragma: no cover - best-effort rollback
-                    pass
-            raise
-        deployed_at = time_mod.strftime("%Y-%m-%dT%H:%M:%SZ", time_mod.gmtime())
-        for path_str, decoy, kind in written:
-            registry.register(path_str, _digest(decoy.content), kind, deployed_at)
+    try:
+        for i in range(spec.count):
+            directory = Path(targets[i % len(targets)])
+            kind = spec.kinds[i % len(spec.kinds)]
+            known = registry.entries()
+            own = {Path(w[0]).name for w in written if Path(w[0]).parent == directory}
+            neighbors = sorted(
+                p.name
+                for p in directory.iterdir()
+                if p.is_file() and str(p) not in known and p.name not in own
+            ) if directory.is_dir() else []
+            decoy = generate_decoy(kind, spec.name_style, neighbors, seed=seed * 1009 + i, avoid=own)
+            path = directory / decoy.file_name
+            try:
+                path.write_bytes(decoy.content)
+            except OSError as exc:
+                raise IoFailure(str(path), exc) from exc
+            written.append((str(path), decoy, kind))
+    except IoFailure:
+        for path_str, _, _ in written:
+            try:
+                os.unlink(path_str)
+            except OSError:  # pragma: no cover - best-effort rollback
+                pass
+        raise
+    deployed_at = time_mod.strftime("%Y-%m-%dT%H:%M:%SZ", time_mod.gmtime())
+    for path_str, decoy, kind in written:
+        registry.register(path_str, _digest(decoy.content), kind, deployed_at)
     return [w[0] for w in written]
 
 
 def check_event(event: FileEvent, decoys: Container[str]) -> Optional[Trigger]:
     """DecoyTouch when a mutating operation hits a registered path.
 
-    ``decoys`` is a DecoyRegistry (which honours deployment suppression) or
-    any set of decoy paths. Renames match on either side; reads never trigger.
+    ``decoys`` is a DecoyRegistry or any set of decoy paths. Renames match on
+    either side; reads never trigger.
     """
     if event.operation not in MUTATING_OPS:
         return None

@@ -95,6 +95,9 @@ _OPS = (
 def extract_features(window: ProcessWindow) -> FeatureVector:
     """Compute the 12-dimensional expert vector from a window's events.
 
+    Only ``window.events`` is read, and only during the call, so the engine
+    can pass the open window it keeps.
+
     Extension-set tracking uses only window-touched files, replayed through
     an in-window shadow of the operations:
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, BadDim, check_dims
 
 MODEL_MAGIC = b"RWF1"
 MODEL_VERSION = 1
@@ -38,7 +38,7 @@ class WidthMismatch(ValueError):
 
 
 class CorruptModel(ValueError):
-    """Model file failed magic, version, checksum or node-table validation."""
+    """Model file failed magic, version, checksum, embedding-width or node-table validation."""
 
 
 def split_sse_direct(values: np.ndarray, response: np.ndarray, threshold: float) -> float:
@@ -332,6 +332,10 @@ class BoostedForest:
             raise CorruptModel("checksum mismatch; file corrupt or truncated")
         offset = 5 + _HEADER.size
         n_features, dims, hash_seed, n_trees, eta, base, gamma, lambda_ = _HEADER.unpack_from(body, 5)
+        try:
+            check_dims(dims)
+        except BadDim as exc:
+            raise CorruptModel(str(exc)) from exc
         trees = []
         for _ in range(n_trees):
             n_nodes = int.from_bytes(body[offset : offset + 2], "little")

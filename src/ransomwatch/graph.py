@@ -2,8 +2,9 @@
 
 Every event connects its operation node to three parameter nodes: the file
 extension, a path-depth bucket, and a filename-pattern class. The graph is
-folded into a fixed-width vector with signed feature hashing; the hash seed
-and width are part of the model contract and travel inside model files.
+kept as its edge counts and folded into a fixed-width vector with signed
+feature hashing; the hash seed and width are part of the model contract and
+travel inside model files.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import hashlib
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
 
@@ -27,6 +27,12 @@ MAX_DEPTH_BUCKET = 7
 
 class BadDim(ValueError):
     """Embedding width must be a power of two, at least 8."""
+
+
+def check_dims(dims: int) -> None:
+    """Raise BadDim unless ``dims`` is a valid embedding width."""
+    if dims < 8 or dims & (dims - 1) != 0:
+        raise BadDim(f"dims must be a power of two >= 8, got {dims}")
 
 
 # Searched case-sensitively on a lowered, folded stem; see name_pattern_class.
@@ -108,20 +114,6 @@ _TRIPLES: dict[tuple[str, str, str], tuple[str, str, str]] = {}
 _op_value = attrgetter("operation._value_")  # ev.operation.value without the enum property
 
 
-@dataclass(frozen=True)
-class BehaviorGraph:
-    """Bipartite graph: operation labels on one side, parameter labels on the other.
-
-    ``edges`` maps (op, param) to its co-occurrence count. Construction via
-    ``build_graph`` is the only path that creates edges, so an op-op or
-    param-param edge cannot be expressed.
-    """
-
-    op_nodes: frozenset[str]
-    param_nodes: frozenset[str]
-    edges: dict[tuple[str, str], int]
-
-
 def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     """The (extension, depth, name-pattern) parameter labels of one event."""
     triple = (
@@ -132,15 +124,22 @@ def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     return _TRIPLES.setdefault(triple, triple)
 
 
-def build_graph(window: ProcessWindow, labels: Optional[list[tuple[str, str, str]]] = None) -> BehaviorGraph:
-    """One op node per distinct operation, three parameter edges per event.
+def build_graph(
+    window: ProcessWindow, labels: Optional[list[tuple[str, str, str]]] = None
+) -> dict[tuple[str, str], int]:
+    """The window's behavior graph as its edge counts, ``{(op, param): count}``.
+
+    The graph is bipartite: every event joins its operation label to three
+    parameter labels, and no edge joins two labels of one side. Only
+    ``window.events`` is read, and only during the call, so the engine can
+    pass the open window it keeps.
 
     ``labels``, when given, holds the ``event_params`` triples of a prefix of
     ``window.events``, in order. The triples of the events past that prefix
     are appended to it, so a caller that keeps the list for a window that
     only grows labels each event once. Edges are counted over all events in
-    event order either way, so the graph, and the order of its edges, do not
-    depend on the list.
+    event order either way, so the counts, and the order of their keys, do
+    not depend on the list.
     """
     events = window.events
     if labels is None:
@@ -165,22 +164,12 @@ def build_graph(window: ProcessWindow, labels: Optional[list[tuple[str, str, str
     # Counting (op, triple) pairs first inserts each edge when its first
     # event is reached, as counting edge by edge would, so the edges keep
     # the order that encode sums them in.
-    ops: set[str] = set()
-    params: set[str] = set()
     edges: dict[tuple[str, str], int] = {}
     for (op, triple), count in Counter(zip(map(_op_value, events), labels)).items():
-        ops.add(op)
         for param in triple:
-            params.add(param)
             key = (op, param)
             edges[key] = edges.get(key, 0) + count
-    return BehaviorGraph(frozenset(ops), frozenset(params), edges)
-
-
-@dataclass(frozen=True)
-class PatternEmbedding:
-    dims: int
-    values: np.ndarray
+    return edges
 
 
 # The label vocabulary bounds the edges of real windows to 7 ops times 70
@@ -192,17 +181,19 @@ def _edge_hash(op: str, param: str, seed: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-def encode(graph: BehaviorGraph, dims: int = DEFAULT_EMBEDDING_DIMS, seed: int = DEFAULT_HASH_SEED) -> PatternEmbedding:
-    """Fold the edge multiset into ``dims`` buckets with signed hashing.
+def encode(
+    edges: dict[tuple[str, str], int], dims: int = DEFAULT_EMBEDDING_DIMS, seed: int = DEFAULT_HASH_SEED
+) -> np.ndarray:
+    """Fold edge counts, as ``build_graph`` returns them, into a float64 array
+    of ``dims`` buckets with signed hashing.
 
     Each edge lands in one bucket with sign taken from an independent hash
     bit and magnitude log1p(count); the result is scaled down if its L2 norm
     exceeds sqrt(dims). Deterministic across runs and platforms.
     """
-    if dims < 8 or dims & (dims - 1) != 0:
-        raise BadDim(f"dims must be a power of two >= 8, got {dims}")
+    check_dims(dims)
     values = np.zeros(dims, dtype=np.float64)
-    for (op, param), count in graph.edges.items():
+    for (op, param), count in edges.items():
         h = _edge_hash(op, param, seed)
         bucket = h & (dims - 1)
         sign = 1.0 if (h >> 63) & 1 else -1.0
@@ -211,4 +202,4 @@ def encode(graph: BehaviorGraph, dims: int = DEFAULT_EMBEDDING_DIMS, seed: int =
     norm = float(np.linalg.norm(values))
     if norm > limit:
         values *= limit / norm
-    return PatternEmbedding(dims, values)
+    return values

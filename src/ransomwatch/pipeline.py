@@ -38,8 +38,8 @@ from .events import (
     iter_events,
     parse_event_line,
 )
-from .features import extract_features
-from .gbdt import BoostedForest
+from .features import N_EXPERT_FEATURES, extract_features
+from .gbdt import BoostedForest, WidthMismatch
 from .graph import build_graph, encode, name_pattern_class
 from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
 
@@ -55,17 +55,22 @@ _WRITE = Operation.WRITE
 
 
 def featurize(
-    window: ProcessWindow, dims: int, hash_seed: int, labels: Optional[list[tuple[str, str, str]]] = None
+    window: Union[ProcessWindow, _WindowState],
+    dims: int,
+    hash_seed: int,
+    labels: Optional[list[tuple[str, str, str]]] = None,
 ) -> np.ndarray:
     """The classifier row: expert features, then the hashed graph embedding.
 
     Training, serving and the CLI all build rows here, so the model scores
-    exactly the row layout it was trained on. ``labels`` is passed to
-    ``build_graph``: the graph labels of a prefix of the window's events,
-    extended in place to all of them.
+    exactly the row layout it was trained on. Only ``window.events`` is read,
+    and only during the call: the engine passes the open window it keeps,
+    whose events it has already bounded to the trigger's pid and span.
+    ``labels`` is passed to ``build_graph``: the graph labels of a prefix of
+    the window's events, extended in place to all of them.
     """
     expert = extract_features(window).as_array()
-    embedding = encode(build_graph(window, labels), dims, hash_seed).values
+    embedding = encode(build_graph(window, labels), dims, hash_seed)
     return np.concatenate([expert, embedding])
 
 
@@ -123,7 +128,6 @@ class PipelineConfig:
     decision_threshold: float = 0.5
     tau_sim: float = DEFAULT_TAU_SIM
     max_note_bytes: int = 65536
-    response: Response = Response.TERMINATE_SIMULATED
 
     @property
     def n_slides(self) -> int:
@@ -206,7 +210,8 @@ class Engine:
 
     Single ingestion sequence; per-pid window state lives in a keyed map with
     one writer (this engine). Alert emission is serialized through the
-    result list.
+    result list. Raises WidthMismatch for a forest that does not score the
+    rows ``featurize`` builds with its embedding width.
     """
 
     def __init__(
@@ -217,6 +222,11 @@ class Engine:
         config: PipelineConfig = PipelineConfig(),
         content_provider: Optional[ContentProvider] = None,
     ) -> None:
+        width = N_EXPERT_FEATURES + forest.dims
+        if forest.n_features != width:
+            raise WidthMismatch(
+                f"model scores {forest.n_features} features, not the {width} of its {forest.dims}-bucket rows"
+            )
         self.config = config
         self.pool = pool
         self.forest = forest
@@ -264,20 +274,6 @@ class Engine:
         if (level is Level.HIGH) or (level is Level.LOW and current is Level.NONE):
             self.threat_by_pid[pid] = level
 
-    def _classify(self, state: _WindowState, boundary: int) -> tuple[float, np.ndarray]:
-        trigger = state.trigger
-        window = ProcessWindow(
-            trigger.pid,
-            state.pid_name,
-            trigger.time,
-            boundary,
-            tuple(state.events),
-            trigger.kind,
-        )
-        row = featurize(window, self.forest.dims, self.forest.hash_seed, state.labels)
-        self.metrics.classifier_calls += 1
-        return self.forest.predict_row(row), row
-
     def _emit_high(self, state: _WindowState, boundary: int, prob: float, row: np.ndarray) -> None:
         trigger = state.trigger
         pid = trigger.pid
@@ -298,7 +294,7 @@ class Engine:
                     f"classifier_p={prob:.4f}",
                     f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}",
                 ),
-                response_taken=self.config.response,
+                response_taken=Response.TERMINATE_SIMULATED,
             )
         )
         del self._windows[pid]
@@ -327,7 +323,9 @@ class Engine:
         High closes it at once. Otherwise the slide is counted, and the window
         closes Low after its last slide, or at once when ``final`` is set.
         """
-        prob, row = self._classify(state, boundary)
+        row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
+        self.metrics.classifier_calls += 1
+        prob = self.forest.predict_row(row)
         if prob >= self.config.decision_threshold:
             self._emit_high(state, boundary, prob, row)
             return True
@@ -514,8 +512,8 @@ def run_live(
     watched = [str(d) for d in dirs]
     decoy_dirs = {os.path.dirname(path) for path in registry.paths()}
     watched += sorted(d for d in decoy_dirs if d not in watched and os.path.isdir(d))
-    watcher = DirectoryWatcher(watched, poll_interval=poll_interval)
     engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider(config.max_note_bytes))
+    watcher = DirectoryWatcher(watched, poll_interval=poll_interval)
     stop = stop or threading.Event()
     started = time_mod.perf_counter()
     watcher.start()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,10 @@ def artifacts(tmp_path, trained_forest, gene_pool):
     blob[60] ^= 0xFF
     paths["corrupt.bin"] = tmp_path / "corrupt.bin"
     paths["corrupt.bin"].write_bytes(bytes(blob))
+    # well-formed files whose header says dims=12, or one feature more than the rows have
+    for name, changes in (("dims12.bin", {"dims": 12}), ("wide.bin", {"n_features": trained_forest.n_features + 1})):
+        paths[name] = tmp_path / name
+        replace(trained_forest, **changes).save(paths[name])
     pool = json.loads(paths["pool.json"].read_text(encoding="utf-8"))
     for name, text in (
         ("n0.json", json.dumps({**pool, "n": 0})),
@@ -212,12 +217,19 @@ def _one_line_error(runner, args, expected):
     assert line.startswith("Error: ") and expected in line
 
 
-def _run_args(artifacts, pool="pool.json", decoys="decoys.json"):
+def _run_args(artifacts, pool="pool.json", decoys="decoys.json", model="model.bin"):
     out = artifacts["trace.jsonl"].parent
     return [
         "run", "--log", str(artifacts["trace.jsonl"]), "--pool", str(artifacts[pool]),
-        "--model", str(artifacts["model.bin"]), "--decoys", str(artifacts[decoys]),
+        "--model", str(artifacts[model]), "--decoys", str(artifacts[decoys]),
         "--out", str(out / "alerts.jsonl"), "--metrics", str(out / "metrics.json"),
+    ]
+
+
+def _watch_args(artifacts, model="model.bin"):
+    return [
+        "watch", "--dirs", str(artifacts["trace.jsonl"].parent), "--pool", str(artifacts["pool.json"]),
+        "--model", str(artifacts[model]), "--decoys", str(artifacts["decoys.json"]), "--duration", "0.1",
     ]
 
 
@@ -252,11 +264,24 @@ def test_commands_report_malformed_registry_in_one_line(runner, artifacts, comma
 
 
 def test_watch_reports_corrupt_model_in_one_line(runner, artifacts):
-    _one_line_error(runner, [
-        "watch", "--dirs", str(artifacts["trace.jsonl"].parent), "--pool", str(artifacts["pool.json"]),
-        "--model", str(artifacts["corrupt.bin"]), "--decoys", str(artifacts["decoys.json"]),
-        "--duration", "0.1",
-    ], "checksum mismatch")
+    _one_line_error(runner, _watch_args(artifacts, "corrupt.bin"), "checksum mismatch")
+
+
+@pytest.mark.parametrize("command", ["run", "watch", "predict"])
+def test_commands_reject_a_model_with_an_invalid_embedding_width_in_one_line(runner, artifacts, command):
+    args = {
+        "run": _run_args(artifacts, model="dims12.bin"),
+        "watch": _watch_args(artifacts, "dims12.bin"),
+        "predict": ["predict", "--model", str(artifacts["dims12.bin"]), "--features", str(artifacts["fv.json"])],
+    }[command]
+    _one_line_error(runner, args, "dims12.bin: dims must be a power of two >= 8, got 12")
+
+
+@pytest.mark.parametrize("command", ["run", "watch"])
+def test_run_and_watch_refuse_a_model_wider_than_its_rows_in_one_line(runner, artifacts, command):
+    # the trace is empty: the engine refuses the model before it reads an event
+    args = _run_args(artifacts, model="wide.bin") if command == "run" else _watch_args(artifacts, "wide.bin")
+    _one_line_error(runner, args, "wide.bin: model scores 77 features, not the 76 of its 64-bucket rows")
 
 
 def test_predict_reports_corrupt_model_in_one_line(runner, artifacts):

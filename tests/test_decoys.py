@@ -131,14 +131,6 @@ def test_check_event_rules():
         assert check_event(_ev(op, "C:/u/decoy.docx"), registry) is not None
 
 
-def test_check_event_suppressed_during_deploy():
-    registry = DecoyRegistry()
-    registry.register("C:/u/decoy.docx", "d", DecoyKind.DOCUMENT)
-    with registry.suppress():
-        assert check_event(_ev(Operation.WRITE, "C:/u/decoy.docx"), registry) is None
-    assert check_event(_ev(Operation.WRITE, "C:/u/decoy.docx"), registry) is not None
-
-
 def test_trigger_completeness_one_per_qualifying_event():
     registry = DecoyRegistry()
     registry.register("C:/u/decoy.docx", "d", DecoyKind.DOCUMENT)

@@ -12,7 +12,6 @@ from ransomwatch import graph as graph_mod
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
 from ransomwatch.graph import (
     BadDim,
-    BehaviorGraph,
     build_graph,
     encode,
     event_params,
@@ -43,19 +42,15 @@ def _ev(op, path, time=0, pid=4, old=None):
 
 
 def test_single_event_graph_shape():
-    graph = build_graph(_window([_ev(Operation.CREATE, "C:/a/b/c/x.txt")]))
-    assert graph.op_nodes == {"Create"}
-    assert len(graph.param_nodes) == 3
-    assert len(graph.edges) == 3
-    assert all(op == "Create" for op, _ in graph.edges)
-    assert graph.param_nodes == {"ext:txt", "depth:3", "name:word"}
+    edges = build_graph(_window([_ev(Operation.CREATE, "C:/a/b/c/x.txt")]))
+    assert edges == {("Create", "ext:txt"): 1, ("Create", "depth:3"): 1, ("Create", "name:word"): 1}
 
 
 def test_empty_window_graph_and_embedding():
-    graph = build_graph(_window([]))
-    assert not graph.op_nodes and not graph.param_nodes and not graph.edges
-    emb = encode(graph, 16)
-    assert emb.values.tolist() == [0.0] * 16
+    edges = build_graph(_window([]))
+    assert edges == {}
+    emb = encode(edges, 16)
+    assert emb.dtype == np.float64 and emb.tolist() == [0.0] * 16
 
 
 def test_edges_match_brute_force_enumeration():
@@ -63,14 +58,13 @@ def test_edges_match_brute_force_enumeration():
     paths = ["C:/u/a.txt", "C:/u/deep/dir/b.docx", "D:/x/HOW_TO_PAY.txt", "C:/u/8f2c9a1db4.bin"]
     ops = list(Operation)
     events = [_ev(rng.choice(ops), rng.choice(paths), time=i) for i in range(300)]
-    graph = build_graph(_window(events))
+    edges = build_graph(_window(events))
     brute = Counter()
     for ev in events:
         for param in event_params(ev.file_name, ev.file_type):
             brute[(ev.operation.value, param)] += 1
-    assert graph.edges == dict(brute)
-    assert graph.op_nodes == {ev.operation.value for ev in events}
-    assert graph.param_nodes == {p for _, p in brute}
+    assert edges == dict(brute)
+    assert {op for op, _ in edges} == {ev.operation.value for ev in events}
 
 
 def _edges_event_by_event(events):
@@ -98,8 +92,8 @@ def test_kept_labels_give_the_graph_and_edge_order_from_scratch():
         assert labels == [event_params(ev.file_name, ev.file_type) for ev in window.events]
         fresh = build_graph(window)
         assert kept == fresh
-        assert list(kept.edges.items()) == list(_edges_event_by_event(window.events).items())
-        assert np.array_equal(encode(kept, 64).values, encode(fresh, 64).values)
+        assert list(kept.items()) == list(_edges_event_by_event(window.events).items())
+        assert np.array_equal(encode(kept, 64), encode(fresh, 64))
 
 
 def test_labels_longer_than_window_rejected():
@@ -111,10 +105,13 @@ def test_labels_longer_than_window_rejected():
 
 
 def test_bipartite_by_construction():
-    graph = build_graph(_window([_ev(Operation.WRITE, "C:/a/x.txt")]))
-    for op, param in graph.edges:
-        assert op in graph.op_nodes and param in graph.param_nodes
-    assert graph.op_nodes.isdisjoint(graph.param_nodes)
+    events = [_ev(op, "C:/a/x.txt", time=i) for i, op in enumerate(Operation)]
+    edges = build_graph(_window(events))
+    ops = {op for op, _ in edges}
+    params = {param for _, param in edges}
+    assert ops == {op.value for op in Operation}
+    assert all(param.startswith(("ext:", "depth:", "name:")) for param in params)
+    assert ops.isdisjoint(params)
 
 
 @pytest.mark.parametrize(
@@ -156,20 +153,18 @@ def test_rare_extension_collapses():
 
 def test_encode_deterministic_and_order_invariant():
     edges = {("Create", "ext:txt"): 3, ("Write", "depth:2"): 1, ("Delete", "name:word"): 7}
-    g1 = BehaviorGraph(frozenset(), frozenset(), dict(edges))
-    g2 = BehaviorGraph(frozenset(), frozenset(), dict(reversed(list(edges.items()))))
-    e1, e2 = encode(g1, 64), encode(g2, 64)
-    assert np.array_equal(e1.values, e2.values)
-    assert np.array_equal(e1.values, encode(g1, 64).values)
+    reordered = dict(reversed(list(edges.items())))
+    e1, e2 = encode(edges, 64), encode(reordered, 64)
+    assert np.array_equal(e1, e2)
+    assert np.array_equal(e1, encode(edges, 64))
 
 
 def test_one_edge_difference_touches_at_most_two_buckets():
     edges = {("Create", "ext:txt"): 2, ("Write", "depth:1"): 5}
     bigger = dict(edges)
     bigger[("Smash", "ext:#rare")] = 1
-    a = encode(BehaviorGraph(frozenset(), frozenset(), edges), 64)
-    b = encode(BehaviorGraph(frozenset(), frozenset(), bigger), 64)
-    assert int((a.values != b.values).sum()) <= 2
+    a, b = encode(edges, 64), encode(bigger, 64)
+    assert int((a != b).sum()) <= 2
 
 
 def test_memoized_edge_hash_gives_bit_identical_embeddings(monkeypatch):
@@ -181,25 +176,24 @@ def test_memoized_edge_hash_gives_bit_identical_embeddings(monkeypatch):
     for _ in range(200):
         edges = {(rng.choice(ops), rng.choice(params) if rng.random() < 0.8 else f"ext:q{rng.randrange(10**6)}"):
                  rng.randrange(1, 1000) for _ in range(rng.randrange(0, 60))}
-        graphs.append((BehaviorGraph(frozenset(), frozenset(), edges), rng.choice((8, 64, 256)), rng.randrange(2**64)))
-    cached = [encode(*args).values.tobytes() for args in graphs + graphs]  # the second pass hits the memo
+        graphs.append((edges, rng.choice((8, 64, 256)), rng.randrange(2**64)))
+    cached = [encode(*args).tobytes() for args in graphs + graphs]  # the second pass hits the memo
     assert graph_mod._edge_hash.cache_info().currsize <= graph_mod._edge_hash.cache_info().maxsize == 4096
     monkeypatch.setattr(graph_mod, "_edge_hash", graph_mod._edge_hash.__wrapped__)
-    assert cached == [encode(*args).values.tobytes() for args in graphs + graphs]
+    assert cached == [encode(*args).tobytes() for args in graphs + graphs]
 
 
 def test_encode_rejects_bad_dims():
-    graph = BehaviorGraph(frozenset(), frozenset(), {})
     for dims in (0, 4, 7, 12, 100):
         with pytest.raises(BadDim):
-            encode(graph, dims)
-    encode(graph, 8)  # smallest legal width
+            encode({}, dims)
+    encode({}, 8)  # smallest legal width
 
 
 def test_norm_capped_at_sqrt_dims():
     edges = {("Create", f"ext:{i}"): 10_000 for i in range(500)}
-    emb = encode(BehaviorGraph(frozenset(), frozenset(), edges), 16)
-    assert np.linalg.norm(emb.values) <= math.sqrt(16) + 1e-9
+    emb = encode(edges, 16)
+    assert np.linalg.norm(emb) <= math.sqrt(16) + 1e-9
 
 
 def test_embedding_nearest_neighbor_beats_chance():
@@ -218,7 +212,7 @@ def test_embedding_nearest_neighbor_beats_chance():
             for window in scenario_windows(generate(spec))[:1]:
                 windows.append(window)
                 labels.append(label)
-    vectors = np.stack([encode(build_graph(w), 64).values for w in windows])
+    vectors = np.stack([encode(build_graph(w), 64) for w in windows])
     correct = 0
     for i in range(len(windows)):
         dists = np.linalg.norm(vectors - vectors[i], axis=1)

@@ -15,7 +15,8 @@ import pytest
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry, DecoySpec, WatchUnavailable, deploy
 from ransomwatch.events import (
-    FileEvent, Level, Operation, ParseIssueKind, Response, TriggerKind, parse_event_log, serialize_events,
+    FileEvent, Level, Operation, ParseIssueKind, ProcessWindow, Response, TriggerKind, parse_event_log,
+    serialize_events,
 )
 from ransomwatch.features import Mode, extract_features
 from ransomwatch.graph import build_graph
@@ -620,33 +621,54 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
     results, decoys = _mode_mix()
     events, notes = merge_results(results)
     real = pipeline.featurize
+    real_decide = pipeline.Engine._decide
+    boundaries = []
     slides_by_window = {}
 
     labeled_by_window = {}
 
+    def decide(self, state, boundary, final):
+        boundaries.append(boundary)
+        return real_decide(self, state, boundary, final)
+
     def checked(window, dims, hash_seed, labels=None):
-        key = (window.pid, window.window_start)
-        assert labels is not None
+        # the engine scores the window it keeps, so its events are checked here
+        trigger = window.trigger
+        key = (trigger.pid, trigger.time)
+        assert window is engine._windows[trigger.pid] and labels is window.labels
+        events = tuple(window.events)
+        assert all(ev.pid == trigger.pid and trigger.time <= ev.time < boundaries[-1] for ev in events)
         assert len(labels) == labeled_by_window.get(key, 0)  # labeled at the window's earlier slides
         row = real(window, dims, hash_seed, labels)
-        assert len(labels) == len(window.events)
-        assert row.tobytes() == real(window, dims, hash_seed).tobytes()
+        assert len(labels) == len(events)
+        fresh = ProcessWindow(trigger.pid, window.pid_name, trigger.time, boundaries[-1], events, trigger.kind)
+        assert row.tobytes() == real(fresh, dims, hash_seed).tobytes()
         labeled_by_window[key] = len(labels)
         slides_by_window[key] = slides_by_window.get(key, 0) + 1
         return row
 
+    monkeypatch.setattr(pipeline.Engine, "_decide", decide)
     monkeypatch.setattr(pipeline, "featurize", checked)
     engine = pipeline.Engine(_registry_for(decoys), gene_pool, trained_forest,
                              content_provider=MappingContentProvider(notes))
+    stale = 0
     for ev in events:
+        opened = engine.metrics.windows_opened
         engine.process(ev)
+        if engine.metrics.windows_opened > opened:
+            # a line out of time order, from before the trigger, stays out of the open window
+            state = engine._windows[ev.pid]
+            engine.process(replace(ev, time=state.trigger.time - 1, operation=Operation.WRITE,
+                                   file_name="C:/stale/a.bin", file_type="bin", old_file_name=None))
+            assert len(state.events) == 1
+            stale += 1
         for state in engine._windows.values():
             assert len(state.labels) <= len(state.events)
     engine.finish()
     assert not engine._windows
-    assert engine.metrics.windows_opened == len(results)
+    assert stale == engine.metrics.windows_opened == len(results)
     assert len(slides_by_window) == len(results)
-    assert sum(slides_by_window.values()) == engine.metrics.classifier_calls
+    assert sum(slides_by_window.values()) == engine.metrics.classifier_calls == len(boundaries)
     assert max(slides_by_window.values()) >= 2  # a kept list was extended, not only filled
 
 
