@@ -45,6 +45,14 @@ def _load(loader, path):
         raise click.ClickException(f"{exc.filename or path}: {exc.strerror or exc}") from exc
 
 
+def _checked(call, *args, **kwargs):
+    """Run a library call that validates its arguments; a ValueError stops the command with a one-line error."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:  # EmptyCorpus and BadSpec among them
+        raise click.ClickException(str(exc)) from exc
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="ransomwatch")
 def main() -> None:
@@ -73,7 +81,7 @@ def decoy() -> None:
 def decoy_deploy(directory, count, kinds, style, auto, early_dirs, registry_path, seed) -> None:
     """Write decoys into DIRECTORY and record them in the registry."""
     registry = _load(DecoyRegistry.load, registry_path) if Path(registry_path).exists() else DecoyRegistry()
-    spec = DecoySpec(directory, count, tuple(DecoyKind(k) for k in kinds), NameStyle(style))
+    spec = _checked(DecoySpec, directory, count, tuple(DecoyKind(k) for k in kinds), NameStyle(style))
     early = (list(early_dirs) or default_early_dirs()) if auto else []
     try:
         paths = deploy(spec, registry, seed=seed, early_dirs=early)
@@ -128,7 +136,7 @@ def genepool_build(notes_dir, n, top_k, out_path) -> None:
                 docs.append(tokenize(path.read_text(encoding="utf-8")))
             except UnicodeDecodeError:
                 continue
-    pool = build_pool(docs, n=n, top_k=top_k)
+    pool = _checked(build_pool, docs, n=n, top_k=top_k)
     pool.save(out_path)
     click.echo(f"pool: {len(pool)} fragments from {pool.source_count} notes -> {out_path}")
 
@@ -184,7 +192,7 @@ def features_extract(log_path, pid, start, delta_us, out_path) -> None:
         start = pid_events[0].time
     if delta_us is None:
         delta_us = max(1, pid_events[-1].time - start + 1)
-    window = window_events(parsed.events, pid, start, delta_us)
+    window = _checked(window_events, parsed.events, pid, start, delta_us)
     row = featurize(window, DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED)
     payload = {
         "pid": pid,
@@ -215,7 +223,7 @@ def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     """Train the boosted-forest classifier on a window corpus directory."""
     corpus = _load(Corpus.load, corpus_dir)
     params = BoostParams(n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
-    forest = fit(corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed)
+    forest = _checked(fit, corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed)
     forest.save(out_path)
     acc = float(((forest.predict(corpus.X) >= 0.5).astype(int) == corpus.y).mean())
     size = Path(out_path).stat().st_size
@@ -259,11 +267,11 @@ def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_di
     if spec_path is not None:
         spec = _load(lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")), spec_path)
     elif kind is not None:
-        spec = spec_from_kind(kind, seed=seed, files=files, fps=fps,
-                              note_every_k_dirs=note_every, avoid_decoys=avoid_decoys)
+        spec = _checked(spec_from_kind, kind, seed=seed, files=files, fps=fps,
+                        note_every_k_dirs=note_every, avoid_decoys=avoid_decoys)
     else:
         raise click.ClickException("pass --kind or --spec")
-    result = generate(spec)
+    result = _checked(generate, spec)
     paths = write_scenario(result, out_dir)
     click.echo(f"{len(result.events)} events -> {paths['trace']}")
 
@@ -276,7 +284,7 @@ def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_di
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def corpus(ransom, benign, seed, include_zipper, out_dir) -> None:
     """Build a labeled window corpus ready for `train`."""
-    built = build_corpus(ransom, benign, seed, include_zipper=include_zipper)
+    built = _checked(build_corpus, ransom, benign, seed, include_zipper=include_zipper)
     built.save(out_dir)
     click.echo(f"corpus: {built.X.shape[0]} windows x {built.X.shape[1]} features -> {out_dir}")
 

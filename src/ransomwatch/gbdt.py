@@ -365,8 +365,10 @@ def fit(
     """Boost n_trees regression trees on logistic-loss gradient statistics.
 
     Deterministic given data and parameters. Raises SingleClass unless both
-    labels occur.
+    labels occur, and BadDim unless ``dims`` is a width that ``from_bytes``
+    loads.
     """
+    check_dims(dims)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:

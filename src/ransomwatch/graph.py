@@ -74,21 +74,43 @@ def name_pattern_class(file_name: str) -> str:
     return _base_class(basename_of(file_name))
 
 
+# The four rules below never tell one ASCII digit from another: the note and
+# words patterns hold no digit, [0-9a-f] takes every digit, and the compact
+# hash rule reads only the length, isalnum and the digit count. No non-ASCII
+# character's UTF-8 bytes fall in 0x30-0x39. So the lowered stem's UTF-8
+# bytes with every digit folded to "0" key its class exactly; real stems
+# differ mostly in their counters, and fold to a few hundred keys.
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_CLASS_BY_FOLDED_STEM: dict[bytes, str] = {}
+_CLASS_MEMO_SIZE = 4096
+
+
 def _base_class(base: str) -> str:
     """name_pattern_class of a path whose basename is ``base``."""
     dot = base.rfind(".")
     stem = base[:dot] if dot > 0 else base
     low = stem.lower()
+    # surrogatepass: a path decoded with surrogateescape may hold lone surrogates
+    key = low.encode("utf-8", "surrogatepass").translate(_DIGITS_TO_ZERO)
+    cls = _CLASS_BY_FOLDED_STEM.get(key)
+    if cls is not None:
+        return cls
     if _NOTE_NAME_RE.search(low if low.isascii() else low.translate(_CASE_FOLD)):
-        return "note"
-    if _HEX_RE.fullmatch(low):
-        return "hash"
-    compact = low.replace("-", "").replace("_", "")
-    if len(compact) >= 10 and compact.isalnum() and sum(map(str.isdigit, compact)) >= 3:
-        return "hash"
-    if _WORDS_RE.fullmatch(low):
-        return "word"
-    return "other"
+        cls = "note"
+    elif _HEX_RE.fullmatch(low):
+        cls = "hash"
+    else:
+        compact = low.replace("-", "").replace("_", "")
+        if len(compact) >= 10 and compact.isalnum() and sum(map(str.isdigit, compact)) >= 3:
+            cls = "hash"
+        elif _WORDS_RE.fullmatch(low):
+            cls = "word"
+        else:
+            cls = "other"
+    if len(_CLASS_BY_FOLDED_STEM) >= _CLASS_MEMO_SIZE:
+        _CLASS_BY_FOLDED_STEM.clear()
+    _CLASS_BY_FOLDED_STEM[key] = cls
+    return cls
 
 
 def _directory_depth(directory: str) -> int:

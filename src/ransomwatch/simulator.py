@@ -572,9 +572,10 @@ class Corpus:
     @classmethod
     def load(cls, in_dir: Union[str, Path]) -> "Corpus":
         path = Path(in_dir)
-        data = np.load(path / "corpus.npz")
+        with np.load(path / "corpus.npz") as data:
+            X, y = data["X"], data["y"]
         info = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        return cls(data["X"], data["y"], tuple(info["windows"]), int(info["dims"]), int(info["hash_seed"]))
+        return cls(X, y, tuple(info["windows"]), int(info["dims"]), int(info["hash_seed"]))
 
 
 def scenario_windows(result: ScenarioResult, min_events: int = 3) -> list[ProcessWindow]:

@@ -334,3 +334,34 @@ def test_note_score_reads_only_max_note_bytes(runner, artifacts, tmp_path):
     # the same note past the limit is not read, as replay would not read it
     path.write_text(" " * PipelineConfig().max_note_bytes + note, encoding="utf-8")
     assert json.loads(_invoke(runner, args + [str(path)]).output)["score"] == 0.0
+
+
+# Each command hands its arguments to one library call that validates them;
+# its ValueError becomes the command's one-line error.
+@pytest.mark.parametrize("args,expected", [
+    (["decoy", "deploy", "--dir", "{out}", "--count", "0", "--registry", "{out}.json"], "count must be at least 1"),
+    (["genepool", "build", "--notes", "{notes}", "--out", "{out}"], "no fragments of size 3 in 1 notes"),
+    (["genepool", "build", "--notes", "{notes}", "--n", "0", "--out", "{out}"], "n must be at least 1"),
+    (["genepool", "build", "--notes", "{notes}", "--top-k", "0", "--out", "{out}"], "top_k must be at least 1"),
+    (["features", "extract", "--log", "{trace}", "--pid", "1", "--dt", "0", "--out", "{out}"], "delta_us must be"),
+    (["features", "extract", "--log", "{trace}", "--pid", "1", "--dt", "-5", "--out", "{out}"], "delta_us must be"),
+    (["simulate", "--kind", "m1", "--files", "0", "--out", "{out}"], "one branch and one file"),
+    (["simulate", "--kind", "m1", "--fps", "0", "--out", "{out}"], "files_per_second must be positive"),
+    (["simulate", "--kind", "m9", "--out", "{out}"], "unknown scenario kind 'm9'"),
+    (["corpus", "--ransom", "0", "--benign", "0", "--out", "{out}"], "corpus needs both classes"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}"], "dims must be a power of two >= 8, got 12"),
+], ids=["decoy-count0", "genepool-empty", "genepool-n0", "genepool-top-k0", "features-dt0", "features-dt-negative",
+        "simulate-files0", "simulate-fps0", "simulate-kind", "corpus-empty", "train-dims12"])
+def test_commands_report_invalid_arguments_in_one_line(runner, tmp_path, args, expected):
+    notes = tmp_path / "notes"
+    notes.mkdir()
+    (notes / "short.txt").write_text("pay now", encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    line = '{"time":1,"pid":1,"pid_name":"x.exe","operation":"Write","file_name":"C:/u/f.txt","file_type":"txt"}\n'
+    trace.write_text(line, encoding="utf-8")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    np.savez(corpus / "corpus.npz", X=np.arange(8.0).reshape(4, 2), y=np.array([0, 1, 0, 1]))
+    (corpus / "meta.json").write_text(json.dumps({"windows": [], "dims": 12, "hash_seed": 0}), encoding="utf-8")
+    paths = {"notes": notes, "trace": trace, "corpus": corpus, "out": tmp_path / "out"}
+    _one_line_error(runner, [arg.format(**paths) for arg in args], expected)

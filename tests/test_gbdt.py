@@ -23,6 +23,7 @@ from ransomwatch.gbdt import (
     split_sse_decomposed,
     split_sse_direct,
 )
+from ransomwatch.graph import BadDim
 
 
 def test_best_split_simple():
@@ -241,6 +242,16 @@ def test_fit_rejects_single_class():
     X = np.ones((4, 2))
     with pytest.raises(SingleClass):
         fit(X, np.ones(4), BoostParams(n_trees=1))
+
+
+def test_fit_rejects_a_width_that_from_bytes_refuses():
+    X = np.arange(8, dtype=np.float64).reshape(4, 2)
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    for dims in (12, 4, 0):
+        with pytest.raises(BadDim, match=f"got {dims}"):
+            fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=dims)
+    forest = fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=16)
+    assert BoostedForest.from_bytes(forest.to_bytes()).dims == 16
 
 
 def test_training_loss_monotone(train_corpus):

@@ -11,6 +11,7 @@ import re
 import string
 
 from ransomwatch.events import basename_of, dirname_of, extension_of
+from ransomwatch import graph
 from ransomwatch.graph import _NOTE_NAME_RE, MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
 from ransomwatch.simulator import (
     BenignProfile,
@@ -127,6 +128,15 @@ ADVERSARIAL_NAMES = [
     "C:/u/\u01c5ungla.txt",  # title-case letter
     "C:/u/stra\u00dfe.txt",
     "C:/u/\ufb05tore.txt",  # ligature long s t
+    # a stem cut once more would read hash for the second name too; its stem is timeline_0000.docx
+    "C:/u/timeline_0000.docx",
+    "C:/u/timeline_0000.docx.fgxs",
+    "C:/u/report_\udcff12.txt",  # lone surrogates, as surrogateescape decodes undecodable bytes
+    "C:/u/\udcff\udcfe12345678.txt",
+    "C:/u/\ud800abc1234567",
+    "C:/u/1\u06632\u06643\u0665abcd.txt",  # ASCII and Arabic-Indic digits mixed
+    "C:/u/\u0663\u0664deadbeef12.txt",
+    "C:/u/ab\u06601.txt",
 ]
 
 
@@ -191,3 +201,42 @@ def test_label_triples_match_golden_digest():
     assert hashlib.sha256(labels.encode("utf-8")).hexdigest() == LABELS_DIGEST, (
         "graph labels changed: every saved model reads different rows"
     )
+
+
+def _memo_names() -> list[str]:
+    return [name for name, _ in _label_corpus()] + ADVERSARIAL_NAMES + _random_names(3000, seed=8)
+
+
+def test_classes_do_not_tell_ascii_digits_apart():
+    # The premise of the memo key, checked on the reference alone.
+    rng = random.Random(14)
+    checked = 0
+    for name in _memo_names():
+        if not any(c in string.digits for c in name):
+            continue
+        expected = _ref_name_pattern_class(name)
+        for _ in range(4):
+            other = "".join(rng.choice(string.digits) if c in string.digits else c for c in name)
+            assert _ref_name_pattern_class(other) == expected, (name, other)
+        checked += 1
+    assert checked > 1000
+
+
+def test_memoized_classes_equal_reference_cold_and_warm():
+    names = _memo_names()
+    expected = [_ref_name_pattern_class(name) for name in names]
+    graph._CLASS_BY_FOLDED_STEM.clear()
+    assert [name_pattern_class(name) for name in names] == expected
+    assert [name_pattern_class(name) for name in reversed(names)] == expected[::-1]
+
+
+def test_class_memo_is_bounded():
+    rng = random.Random(15)
+    stems = list(dict.fromkeys(f"{rng.getrandbits(64):016x}" for _ in range(3 * graph._CLASS_MEMO_SIZE)))
+    assert len(stems) == 3 * graph._CLASS_MEMO_SIZE
+    graph._CLASS_BY_FOLDED_STEM.clear()
+    largest = 0
+    for stem in stems:
+        assert name_pattern_class(f"C:/u/{stem}.bin") == _ref_name_pattern_class(f"C:/u/{stem}.bin")
+        largest = max(largest, len(graph._CLASS_BY_FOLDED_STEM))
+    assert largest == graph._CLASS_MEMO_SIZE == 4096

@@ -1,7 +1,9 @@
 """Simulator: determinism, mode fidelity, corpora, ground truth."""
 from __future__ import annotations
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +205,26 @@ def test_corpus_save_load_round_trip(tmp_path):
     loaded = Corpus.load(tmp_path)
     assert (loaded.X == corpus.X).all() and (loaded.y == corpus.y).all()
     assert loaded.dims == corpus.dims and loaded.hash_seed == corpus.hash_seed
+
+
+def test_corpus_load_closes_its_archive_when_meta_is_missing(tmp_path):
+    np.savez(tmp_path / "corpus.npz", X=np.zeros((2, 3)), y=np.zeros(2))
+
+    def load_keeping_the_error():
+        # The frame holds the error and the error's traceback holds the frame,
+        # so the failed load's locals are freed by the cycle collector, which
+        # may finalize an open file before the archive that would close it.
+        try:
+            Corpus.load(tmp_path)
+        except FileNotFoundError as exc:
+            error = exc
+            return str(error)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert "meta.json" in load_keeping_the_error()
+        gc.collect()  # or the warning lands on whichever later test collects
+    assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_corpus_features_independent_of_row_order():
