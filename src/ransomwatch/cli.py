@@ -221,8 +221,8 @@ def features_extract(log_path, pid, start, delta_us, out_path) -> None:
 @click.option("--lambda", "lambda_", default=1.0, show_default=True, type=float)
 def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     """Train the boosted-forest classifier on a window corpus directory."""
+    params = _checked(BoostParams, n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
     corpus = _load(Corpus.load, corpus_dir)
-    params = BoostParams(n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
     forest = _checked(fit, corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed)
     forest.save(out_path)
     acc = float(((forest.predict(corpus.X) >= 0.5).astype(int) == corpus.y).mean())

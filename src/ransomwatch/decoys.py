@@ -3,9 +3,9 @@
 Decoys are ordinary files whose paths are registered as tripwires: any
 mutating operation on a registered path is a DecoyTouch trigger
 (``check_event``, the one rule replay and live runs share). Reads never
-trigger, since search indexers and backup agents read everything. Live runs
-see decoy files through the pipeline's DirectoryWatcher, which also watches
-every registered decoy's directory.
+trigger, since search indexers and backup agents read everything. ``run_live``
+watches every registered decoy's directory besides the directories it is
+given, so live runs see decoy files wherever they were planted.
 """
 from __future__ import annotations
 
@@ -230,10 +230,6 @@ class DecoyRegistry:
     def register(self, path: str, digest: str, kind: DecoyKind, deployed_at: str = "") -> None:
         with self._lock:
             self._entries[path] = DecoyEntry(digest, deployed_at, kind)
-
-    def remove(self, path: str) -> None:
-        with self._lock:
-            self._entries.pop(path, None)
 
     def save(self, path: Union[str, Path]) -> None:
         payload = {

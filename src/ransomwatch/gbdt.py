@@ -237,6 +237,15 @@ class BoostParams:
     gamma: float = 0.0
     lambda_: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and at least 0, got {self.eta}")
+        if not self.lambda_ >= 0:
+            raise ValueError(f"lambda_ must be at least 0, got {self.lambda_}")
+
 
 @dataclass
 class BoostedForest:

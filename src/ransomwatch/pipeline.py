@@ -10,11 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import math
 import os
-import queue
-import threading
 import time as time_mod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,8 +39,6 @@ from .features import N_EXPERT_FEATURES, extract_features
 from .gbdt import BoostedForest, WidthMismatch
 from .graph import build_graph, encode, name_pattern_class
 from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
-
-logger = logging.getLogger(__name__)
 
 US = 1_000_000
 
@@ -76,13 +71,6 @@ def featurize(
 
 class ContentProvider(Protocol):
     def get(self, path: str) -> Optional[bytes]: ...
-
-
-class NullContentProvider:
-    """No content available; note scoring is effectively off."""
-
-    def get(self, path: str) -> Optional[bytes]:
-        return None
 
 
 class MappingContentProvider:
@@ -142,7 +130,6 @@ class RunMetrics:
     classifier_calls: int = 0
     alerts_low: int = 0
     alerts_high: int = 0
-    dropped_events: int = 0
     decision_latencies_us: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
 
@@ -173,7 +160,6 @@ def metrics_report(metrics: RunMetrics) -> dict:
         "alerts_by_level": metrics.alerts_by_level,
         "decision_latency_p50_us": _percentile(metrics.decision_latencies_us, 0.50),
         "decision_latency_p99_us": _percentile(metrics.decision_latencies_us, 0.99),
-        "dropped_events": metrics.dropped_events,
         "events_per_second": round(metrics.events_per_second, 1),
         "wall_seconds": round(metrics.wall_seconds, 4),
     }
@@ -230,7 +216,7 @@ class Engine:
         self.config = config
         self.pool = pool
         self.forest = forest
-        self.content = content_provider or NullContentProvider()
+        self.content = content_provider or MappingContentProvider({})
         self.metrics = RunMetrics()
         self.alerts: list[Alert] = []
         self.threat_by_pid: dict[int, Level] = {}
@@ -416,24 +402,19 @@ def run_replay(
 
 
 class DirectoryWatcher:
-    """Polling directory watcher emitting FileEvents for live runs.
+    """Polling directory scanner emitting FileEvents for live runs.
 
     User space cannot attribute file changes to a process, so every live
-    event carries pid 0. New paths become Create, metadata changes become
-    Write, vanished paths become Delete. Events land in a bounded queue;
-    overflow is counted.
+    event carries pid 0. Each ``poll`` compares a fresh scan with the one
+    before it: new paths become Create, metadata changes become Write,
+    vanished paths become Delete.
     """
 
-    def __init__(self, dirs: Sequence[Union[str, Path]], poll_interval: float = 0.05, queue_size: int = 8192):
+    def __init__(self, dirs: Sequence[Union[str, Path]]):
         self.dirs = [str(d) for d in dirs]
         missing = [d for d in self.dirs if not os.path.isdir(d)]
         if missing:
             raise WatchUnavailable(f"not watchable: {', '.join(missing)}")
-        self.poll_interval = poll_interval
-        self.events: "queue.Queue[FileEvent]" = queue.Queue(maxsize=queue_size)
-        self.dropped = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._origin = time_mod.monotonic()
         self._snapshot = self._scan()
 
@@ -453,41 +434,25 @@ class DirectoryWatcher:
     def now_us(self) -> int:
         return int((time_mod.monotonic() - self._origin) * US)
 
-    def _emit(self, op: Operation, path: str, when: int) -> None:
-        ev = FileEvent(when, 0, "live", op, path, extension_of(path))
-        try:
-            self.events.put_nowait(ev)
-        except queue.Full:
-            self.dropped += 1
-            if self.dropped == 1 or self.dropped % 1000 == 0:
-                logger.warning("live event queue full; %d events dropped so far", self.dropped)
+    def poll(self) -> list[FileEvent]:
+        """The changes since the previous scan, all stamped with this scan's time.
 
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            current = self._scan()
-            when = self.now_us()
-            for path, meta in current.items():
-                old = self._snapshot.get(path)
-                if old is None:
-                    self._emit(Operation.CREATE, path, when)
-                elif old != meta:
-                    self._emit(Operation.WRITE, path, when)
-            for path in self._snapshot:
-                if path not in current:
-                    self._emit(Operation.DELETE, path, when)
-            self._snapshot = current
-            self._stop.wait(self.poll_interval)
-
-    def start(self) -> None:
-        self._stop.clear()
-        self._thread = threading.Thread(target=self._run, name="dir-watcher", daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        Creates and writes come in scan order, then deletes in the previous
+        scan's order.
+        """
+        old, current = self._snapshot, self._scan()
+        when = self.now_us()
+        events = []
+        for path, meta in current.items():
+            before = old.get(path)
+            if before != meta:
+                op = Operation.CREATE if before is None else Operation.WRITE
+                events.append(FileEvent(when, 0, "live", op, path, extension_of(path)))
+        for path in old:
+            if path not in current:
+                events.append(FileEvent(when, 0, "live", Operation.DELETE, path, extension_of(path)))
+        self._snapshot = current
+        return events
 
 
 def run_live(
@@ -497,13 +462,16 @@ def run_live(
     forest: BoostedForest,
     config: PipelineConfig = PipelineConfig(),
     duration_s: Optional[float] = None,
-    stop: Optional[threading.Event] = None,
     content_provider: Optional[ContentProvider] = None,
     on_alert: Optional[Callable[[Alert], None]] = None,
     poll_interval: float = 0.05,
 ) -> ReplayResult:
     """Watch directories live and run the same funnel over observed events.
 
+    Runs in the caller's thread until ``duration_s`` has passed, or until
+    interrupted when it is None. Each pass polls the watcher, hands the
+    engine its events, advances open windows to the watcher's clock and
+    passes new alerts to ``on_alert``, then sleeps ``poll_interval``.
     Besides ``dirs``, the watcher covers the directory of every registered
     decoy that exists, so a decoy planted outside ``dirs`` still trips.
     Raises WatchUnavailable when the directories cannot be watched; the
@@ -513,32 +481,22 @@ def run_live(
     decoy_dirs = {os.path.dirname(path) for path in registry.paths()}
     watched += sorted(d for d in decoy_dirs if d not in watched and os.path.isdir(d))
     engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider(config.max_note_bytes))
-    watcher = DirectoryWatcher(watched, poll_interval=poll_interval)
-    stop = stop or threading.Event()
+    watcher = DirectoryWatcher(watched)
     started = time_mod.perf_counter()
-    watcher.start()
     seen_alerts = 0
-    try:
-        while not stop.is_set():
-            if duration_s is not None and time_mod.perf_counter() - started >= duration_s:
-                break
-            try:
-                ev = watcher.events.get(timeout=poll_interval)
-            except queue.Empty:
-                engine.advance_time(watcher.now_us())
-            else:
-                engine.process(ev)
-            if on_alert is not None:
-                while seen_alerts < len(engine.alerts):
-                    on_alert(engine.alerts[seen_alerts])
-                    seen_alerts += 1
-    finally:
-        watcher.stop()
-    engine.finish()
-    engine.metrics.dropped_events = watcher.dropped
+    while True:
+        for ev in watcher.poll():
+            engine.process(ev)
+        engine.advance_time(watcher.now_us())
+        done = duration_s is not None and time_mod.perf_counter() - started >= duration_s
+        if done:
+            engine.finish()
+        if on_alert is not None:
+            for alert in engine.alerts[seen_alerts:]:
+                on_alert(alert)
+        seen_alerts = len(engine.alerts)
+        if done:
+            break
+        time_mod.sleep(poll_interval)
     engine.metrics.wall_seconds = time_mod.perf_counter() - started
-    if on_alert is not None:
-        while seen_alerts < len(engine.alerts):
-            on_alert(engine.alerts[seen_alerts])
-            seen_alerts += 1
     return engine.result()

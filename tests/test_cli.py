@@ -350,8 +350,13 @@ def test_note_score_reads_only_max_note_bytes(runner, artifacts, tmp_path):
     (["simulate", "--kind", "m9", "--out", "{out}"], "unknown scenario kind 'm9'"),
     (["corpus", "--ransom", "0", "--benign", "0", "--out", "{out}"], "corpus needs both classes"),
     (["train", "--corpus", "{corpus}", "--out", "{out}"], "dims must be a power of two >= 8, got 12"),
+    # the parameters are checked before the corpus, whose dims=12 would also stop the command
+    (["train", "--corpus", "{corpus}", "--out", "{out}", "--trees", "0"], "n_trees must be at least 1, got 0"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", "--depth", "0"], "max_depth must be at least 1, got 0"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", "--eta", "-1"], "eta must be finite and at least 0, got -1.0"),
 ], ids=["decoy-count0", "genepool-empty", "genepool-n0", "genepool-top-k0", "features-dt0", "features-dt-negative",
-        "simulate-files0", "simulate-fps0", "simulate-kind", "corpus-empty", "train-dims12"])
+        "simulate-files0", "simulate-fps0", "simulate-kind", "corpus-empty", "train-dims12", "train-trees0",
+        "train-depth0", "train-eta-negative"])
 def test_commands_report_invalid_arguments_in_one_line(runner, tmp_path, args, expected):
     notes = tmp_path / "notes"
     notes.mkdir()

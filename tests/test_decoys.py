@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import os
-import queue
 import re
 import time
 
@@ -196,61 +195,50 @@ def test_registry_load_rejects_malformed_file(tmp_path, text):
         DecoyRegistry.load(reg_file)
 
 
-def _first_trigger(watcher, registry, timeout):
-    """Check live events against the registry until one triggers or timeout passes.
+def _first_trigger(watcher, registry, polls):
+    """Poll the watcher up to ``polls`` times, checking each event against the
+    registry, until one triggers.
 
     Returns the trigger (or None) and every event seen on the way.
     """
     seen = []
-    deadline = time.monotonic() + timeout
-    while (left := deadline - time.monotonic()) > 0:
-        try:
-            ev = watcher.events.get(timeout=left)
-        except queue.Empty:
-            break
-        seen.append(ev)
-        trigger = check_event(ev, registry)
-        if trigger is not None:
-            return trigger, seen
+    for _ in range(polls):
+        for ev in watcher.poll():
+            seen.append(ev)
+            trigger = check_event(ev, registry)
+            if trigger is not None:
+                return trigger, seen
     return None, seen
 
 
 def test_watch_live_write_trigger_within_budget(tmp_path):
     registry = DecoyRegistry()
     paths = deploy(DecoySpec(str(tmp_path), count=2), registry, seed=2)
-    watcher = DirectoryWatcher([tmp_path], poll_interval=0.02)
-    watcher.start()
-    try:
-        started = time.monotonic()
-        with open(paths[0], "ab") as fp:
-            fp.write(b"ENCRYPTED")
-        trigger, _ = _first_trigger(watcher, registry, timeout=2.0)
-        elapsed = time.monotonic() - started
-        assert trigger is not None
-        assert trigger.kind is TriggerKind.DECOY_TOUCH and trigger.path == paths[0]
-        assert elapsed < 0.2
-    finally:
-        watcher.stop()
+    watcher = DirectoryWatcher([tmp_path])
+    started = time.monotonic()
+    with open(paths[0], "ab") as fp:
+        fp.write(b"ENCRYPTED")
+    trigger, _ = _first_trigger(watcher, registry, polls=1)  # live mode polls every 50 ms
+    elapsed = time.monotonic() - started
+    assert trigger is not None
+    assert trigger.kind is TriggerKind.DECOY_TOUCH and trigger.path == paths[0]
+    assert elapsed < 0.2
 
 
 def test_watch_live_sibling_create_no_trigger_and_delete_triggers(tmp_path):
     registry = DecoyRegistry()
     paths = deploy(DecoySpec(str(tmp_path), count=1), registry, seed=3)
-    watcher = DirectoryWatcher([tmp_path], poll_interval=0.02)
-    watcher.start()
-    try:
-        sibling = tmp_path / "innocent_new_file.txt"
-        sibling.write_text("hello")
-        trigger, seen = _first_trigger(watcher, registry, timeout=0.3)
-        assert trigger is None
-        assert (Operation.CREATE, str(sibling)) in {(ev.operation, ev.file_name) for ev in seen}
+    watcher = DirectoryWatcher([tmp_path])
+    sibling = tmp_path / "innocent_new_file.txt"
+    sibling.write_text("hello")
+    trigger, seen = _first_trigger(watcher, registry, polls=3)
+    assert trigger is None
+    assert (Operation.CREATE, str(sibling)) in {(ev.operation, ev.file_name) for ev in seen}
 
-        os.unlink(paths[0])
-        trigger, _ = _first_trigger(watcher, registry, timeout=2.0)
-        assert trigger is not None and trigger.path == paths[0]
-        assert "delete" in trigger.detail
-    finally:
-        watcher.stop()
+    os.unlink(paths[0])
+    trigger, _ = _first_trigger(watcher, registry, polls=1)
+    assert trigger is not None and trigger.path == paths[0]
+    assert "delete" in trigger.detail
 
 
 def test_decoy_spec_validation(tmp_path):

@@ -475,9 +475,10 @@ def _library_events(monkeypatch, tmp_path):
     spec = ScenarioSpec(RansomwareSpec(mode=Mode.M1, files_per_second=80.0), seed=3, tree=TreeSpec(2, 2, 20))
     yield from (("simulator", ev) for ev in generate(spec).events)
     watcher = DirectoryWatcher([tmp_path])
-    for op in (Operation.CREATE, Operation.WRITE, Operation.DELETE):
-        watcher._emit(op, str(tmp_path / "a.txt"), 5)
-        yield "watcher", watcher.events.get_nowait()
+    path = tmp_path / "a.txt"
+    for change in (lambda: path.write_text("1"), lambda: path.write_text("22"), path.unlink):  # Create, Write, Delete
+        change()
+        yield from (("watcher", ev) for ev in watcher.poll())
     ev = FileEvent(5, 4, "a.exe", Operation.WRITE, "C:/u/x.txt", "txt")
     yield "replace", dataclasses.replace(ev, old_file_name="C:/u/w.txt")
     for clone in (pickle.loads(pickle.dumps(ev)), copy.copy(ev), copy.deepcopy(ev)):
@@ -491,7 +492,7 @@ def test_no_event_handed_out_is_of_the_open_class(monkeypatch, tmp_path):
         seen[source] = seen.get(source, 0) + 1
     sources = {"json", "simulator", "watcher", "replace", "clone"}
     assert set(seen) == sources | ({"orjson"} if events_mod._fast_loads is not None else set())
-    assert seen["simulator"] > 20 and seen["json"] == 2
+    assert seen["simulator"] > 20 and seen["json"] == 2 and seen["watcher"] == 3
 
 
 def test_open_twin_is_layout_compatible_and_subclasses_keep_their_class():

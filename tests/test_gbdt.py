@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -236,6 +237,21 @@ def test_fit_eta_zero_predicts_base_rate():
     y = (X[:, 0] >= 15).astype(np.float64)
     forest = fit(X, y, BoostParams(n_trees=5, eta=0.0))
     assert np.allclose(forest.predict(X), 0.25)
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("n_trees", 0, "n_trees must be at least 1, got 0"),
+    ("max_depth", 0, "max_depth must be at least 1, got 0"),
+    ("min_leaf", 0, "min_leaf must be at least 1, got 0"),
+    ("eta", -1.0, "eta must be finite and at least 0, got -1.0"),
+    ("eta", math.inf, "eta must be finite"),
+    ("eta", math.nan, "eta must be finite"),
+    ("lambda_", -0.5, "lambda_ must be at least 0, got -0.5"),
+    ("lambda_", math.nan, "lambda_ must be at least 0"),
+])
+def test_boost_params_reject_values_that_train_no_useful_model(field, value, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        BoostParams(**{field: value})
 
 
 def test_fit_rejects_single_class():

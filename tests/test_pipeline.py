@@ -536,26 +536,74 @@ def test_run_live_reads_notes_up_to_max_note_bytes(tmp_path, trained_forest, gen
     assert sizes == [1234]
 
 
+def test_run_live_runs_in_the_callers_thread(tmp_path, trained_forest, gene_pool, monkeypatch):
+    registry = DecoyRegistry()
+    (decoy,) = deploy(DecoySpec(str(tmp_path), count=1), registry, seed=7)
+    seen = []  # (where, thread, live thread count)
+    poll = DirectoryWatcher.poll
+
+    def recording_poll(self):
+        if not seen:
+            with open(decoy, "ab") as fp:  # trips the decoy on the first poll
+                fp.write(b"ENCRYPTED!")
+        seen.append(("poll", threading.current_thread(), threading.active_count()))
+        return poll(self)
+
+    def on_alert(alert):
+        seen.append(("alert", threading.current_thread(), threading.active_count()))
+
+    monkeypatch.setattr(DirectoryWatcher, "poll", recording_poll)
+    threads_before = threading.active_count()
+    run_live([str(tmp_path)], registry, gene_pool, trained_forest, duration_s=0.1,
+             on_alert=on_alert, poll_interval=0.02)
+    assert {where for where, _, _ in seen} == {"poll", "alert"}
+    assert {thread for _, thread, _ in seen} == {threading.current_thread()}
+    assert {count for _, _, count in seen} == {threads_before} == {threading.active_count()}
+
+
 def test_directory_watcher_event_kinds(tmp_path):
     (tmp_path / "a.txt").write_text("1")
-    watcher = DirectoryWatcher([str(tmp_path)], poll_interval=0.02)
-    watcher.start()
-    try:
-        (tmp_path / "b.txt").write_text("new")
-        time.sleep(0.15)
-        (tmp_path / "a.txt").write_text("changed-content!")
-        time.sleep(0.15)
-        (tmp_path / "b.txt").unlink()
-        time.sleep(0.15)
-        kinds = {}
-        while not watcher.events.empty():
-            ev = watcher.events.get_nowait()
-            kinds.setdefault(ev.operation.value, set()).add(ev.file_name)
-        assert str(tmp_path / "b.txt") in kinds.get("Create", set())
-        assert str(tmp_path / "a.txt") in kinds.get("Write", set())
-        assert str(tmp_path / "b.txt") in kinds.get("Delete", set())
-    finally:
-        watcher.stop()
+    watcher = DirectoryWatcher([str(tmp_path)])
+    a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+    changes = [
+        (lambda: (tmp_path / "b.txt").write_text("new"), [(Operation.CREATE, b)]),
+        (lambda: (tmp_path / "a.txt").write_text("changed-content!"), [(Operation.WRITE, a)]),
+        ((tmp_path / "b.txt").unlink, [(Operation.DELETE, b)]),
+        (lambda: None, []),
+    ]
+    for change, expected in changes:
+        change()
+        events = watcher.poll()
+        assert [(ev.operation, ev.file_name) for ev in events] == expected
+        assert all((ev.pid, ev.pid_name, ev.file_type) == (0, "live", "txt") for ev in events)
+
+
+def test_directory_watcher_poll_order_and_time(tmp_path):
+    # creates and writes in scan order, then deletes in the previous scan's
+    # order, all stamped with the one time of the scan that saw them
+    names = [f"f{i:02d}.txt" for i in range(12)]
+    for name in names:
+        (tmp_path / name).write_text("old")
+    watcher = DirectoryWatcher([str(tmp_path)])
+    before = list(watcher._snapshot)
+    for name in names[:4]:
+        (tmp_path / name).unlink()
+    for name in names[4:8]:
+        (tmp_path / name).write_text("rewritten")
+    for i in range(4):
+        (tmp_path / f"new{i}.txt").write_text("x")
+    after = watcher.now_us()
+    events = watcher.poll()
+    current = list(watcher._snapshot)  # the scan order
+    created = {str(tmp_path / f"new{i}.txt") for i in range(4)}
+    written = {str(tmp_path / name) for name in names[4:8]}
+    gone = [path for path in before if path not in watcher._snapshot]
+    assert sorted(gone) == [str(tmp_path / name) for name in names[:4]]
+    expected = [(Operation.CREATE if path in created else Operation.WRITE, path)
+                for path in current if path in created | written]
+    expected += [(Operation.DELETE, path) for path in gone]
+    assert [(ev.operation, ev.file_name) for ev in events] == expected
+    assert len({ev.time for ev in events}) == 1 and events[0].time >= after
 
 
 def test_featurize_layers_called_once_per_classification(tmp_path, trained_forest, gene_pool, monkeypatch):
@@ -676,7 +724,7 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
 # alert bytes, parse issues and the metrics report without its timings. The
 # out-of-order line is a late decoy touch, so finish() closes one window Low
 # before its last slide, besides the windows it closes High.
-_REPLAY_GOLDEN = "cfb68625f2593cd50101adb524d3cd52ec459fd0fed2b77052c57cb706253e9a"
+_REPLAY_GOLDEN = "a3bf5518a00639e64083de0cc877486d3aee5f1b03d711f6891e3a7033445158"
 
 
 def test_replay_matches_golden_digest(tmp_path, trained_forest, gene_pool):
