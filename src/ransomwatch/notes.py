@@ -9,6 +9,7 @@ import codecs
 import json
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -42,6 +43,14 @@ class TokenizedNote:
 # The category-P characters among the 128 ASCII code points (23 of them);
 # $+<=>^`|~ are symbols and stay.
 _ASCII_PUNCT = "".join(c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P"))
+
+# For GenePool.score_bound: lowers A-Z and maps to a space the ASCII
+# punctuation and \x1c-\x1f, which str.split() splits at but bytes.split()
+# does not.
+_PIECE_TABLE = bytes.maketrans(
+    bytes(range(65, 91)) + (_ASCII_PUNCT + "\x1c\x1d\x1e\x1f").encode(),
+    bytes(range(97, 123)) + b" " * (len(_ASCII_PUNCT) + 4),
+)
 
 
 def _strip_punct(token: str) -> str:
@@ -118,6 +127,46 @@ class GenePool:
 
     def __len__(self) -> int:
         return len(self.fragments)
+
+    def score_bound(self, blob: bytes) -> Optional[float]:
+        """An upper bound on the score of ASCII ``blob``, found without tokenizing.
+
+        The bound is ``>= similarity(tokenize(blob.decode()), self, tau=0.0).score``.
+        It is None for a blob that is not ASCII, and for a pool that is empty,
+        has n < 1 or a negative score. The blob is lowered, its punctuation and
+        separators become spaces, and it is split into pieces. A token that
+        equals a clean word w (ASCII, no punctuation or whitespace) is a
+        whitespace run of punctuation, w, punctuation, so it becomes the piece
+        w, and a run that strips to nothing becomes no piece. So every clean
+        fragment that ``similarity`` matches is an n-gram of the pieces. A loose
+        fragment, one with any other word ("don't", "café"), always counts. The
+        counted scores are summed in the pool's order, as ``similarity`` sums a
+        subset of them, so the float sum is no smaller.
+        """
+        index = self._bound_index
+        if index is None or not blob.isascii():
+            return None
+        clean, ranked, loose_sum = index
+        pieces = blob.translate(_PIECE_TABLE).split()
+        hits = clean.intersection(zip(*[pieces[i:] for i in range(self.n)]))
+        if not hits:
+            return loose_sum
+        return sum(score for frag, score in ranked if frag is None or frag in hits)
+
+    @cached_property
+    def _bound_index(self):
+        """(clean fragments as bytes, pool-ordered (bytes fragment or None if
+        loose, score) pairs, sum of the loose scores), or None when no bound holds."""
+        scores = self.fragments.values()
+        if not scores or self.n < 1 or not all(score >= 0 for score in scores):
+            return None
+        ranked = []
+        for frag, score in self.fragments.items():
+            words = tuple(word.encode() for word in frag if word.isascii())
+            clean = len(words) == len(frag) and all(w.translate(_PIECE_TABLE).split() == [w.lower()] for w in words)
+            ranked.append((words if clean else None, score))
+        loose_sum = sum(score for frag, score in ranked if frag is None)
+        return frozenset(frag for frag, _ in ranked if frag is not None), ranked, loose_sum
 
     def to_json(self) -> str:
         payload = {

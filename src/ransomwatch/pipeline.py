@@ -241,6 +241,9 @@ class Engine:
         if not blob:  # an empty note may be filled by a later Write
             return None
         self._scored_paths.add(ev.file_name)
+        bound = self.pool.score_bound(blob[: self.config.max_note_bytes])
+        if bound is not None and bound < self.config.tau_sim:  # cannot reach tau: skip the full scorer
+            return None
         text = decode_note(blob, self.config.max_note_bytes)
         if text is None:
             return None
@@ -488,6 +491,9 @@ def run_live(
         for ev in watcher.poll():
             engine.process(ev)
         engine.advance_time(watcher.now_us())
+        # Every live event is pid 0, and its simulated terminate stops
+        # nothing: re-arm it so a later attack still triggers.
+        engine._terminated.discard(0)
         done = duration_s is not None and time_mod.perf_counter() - started >= duration_s
         if done:
             engine.finish()

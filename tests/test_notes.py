@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomwatch import notes as notes_module
+from ransomwatch.decoys import DecoyRegistry
+from ransomwatch.events import FileEvent, Operation
 from ransomwatch.notes import (
     DEFAULT_TAU_SIM,
     DegenerateLabels,
@@ -27,6 +29,7 @@ from ransomwatch.notes import (
     sweep_window,
     tokenize,
 )
+from ransomwatch.pipeline import Engine, MappingContentProvider
 from ransomwatch.simulator import make_benign_doc_corpus, make_benign_text, make_note_corpus
 
 
@@ -462,3 +465,118 @@ def _pool_json(n=2, fragments=(["a", "b"],)) -> str:
 def test_pool_from_json_rejects_malformed(text):
     with pytest.raises(ValueError):
         GenePool.from_json(text)
+
+
+# -- the ASCII score bound -------------------------------------------------------
+
+# Clean words, and loose ones: interior or only punctuation, whitespace, empty,
+# non-ASCII. "Btc" is clean but never matches, since tokens are lowered.
+_BOUND_WORDS = ["your", "files", "pay", "btc", "$5", "x1", "Btc", "don't", "a.b", "--", "", "x y", "k\x1cey", "café"]
+_SEPARATORS = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"
+
+
+def _random_case(word_and_mask: tuple[str, list[bool]]) -> str:
+    word, mask = word_and_mask
+    return "".join(c.upper() if up else c for c, up in zip(word, mask))
+
+
+@st.composite
+def _bound_cases(draw) -> tuple[GenePool, str]:
+    """An ASCII text mixing pool words in any case with any ASCII, and a pool
+    of n = 1-4 whose fragments come from the text's own n-grams and from
+    _BOUND_WORDS, loose ones included."""
+    word = st.tuples(
+        st.sampled_from([w for w in _BOUND_WORDS if w.isascii()]), st.lists(st.booleans(), min_size=8, max_size=8)
+    ).map(_random_case)
+    punct = st.text(st.sampled_from(notes_module._ASCII_PUNCT), max_size=3)
+    sep = st.text(st.sampled_from(_SEPARATORS), min_size=1, max_size=2)
+    parts = draw(st.lists(st.one_of(
+        st.tuples(punct, word, punct, sep).map("".join),
+        st.tuples(punct.filter(bool), sep).map("".join),  # a run that strips to nothing
+        st.text(st.characters(max_codepoint=127), max_size=6),
+    ), max_size=40))
+    text = "".join(parts)
+    n = draw(st.integers(min_value=1, max_value=4))
+    frag = st.tuples(*[st.sampled_from(_BOUND_WORDS)] * n)
+    own = ngrams(tokenize(text), n)
+    if own:
+        frag = st.one_of(frag, st.sampled_from(own))
+    scores = st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.1, 0.2, 0.25, 1e-17, 0.1 + 0.2]))
+    frags = draw(st.lists(frag, min_size=1, max_size=12))
+    return GenePool(n, None, {f: draw(scores) for f in frags}, 1), text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_bound_cases())
+def test_score_bound_is_at_least_the_exact_score(case):
+    pool, text = case
+    bound = pool.score_bound(text.encode())
+    assert bound is not None
+    assert bound >= similarity(tokenize(text), pool, tau=0.0).score
+
+
+def test_score_bound_on_clean_pools():
+    pool = GenePool(2, None, {("pay", "now"): 0.25, ("your", "files"): 0.5, ("Btc", "now"): 0.125}, 1)
+    for text in ["PAY... now!", "your\x1cfiles", "(your) 'files' pay\x0bnow", "btc now"]:
+        assert pool.score_bound(text.encode()) == similarity(tokenize(text), pool).score, text
+    # interior punctuation splits a token into pieces, so the bound may exceed the score
+    assert pool.score_bound(b"pay-now") == 0.25 and similarity(tokenize("pay-now"), pool).score == 0
+    assert pool.score_bound(b"your files?!pay now") == 0.75
+
+
+def test_score_bound_counts_loose_fragments_always():
+    pool = GenePool(1, None, {("don't",): 0.5, ("pay",): 0.25}, 1)
+    assert pool.score_bound(b"nothing here") == 0.5
+    assert pool.score_bound(b"PAY up") == 0.75
+
+
+def test_score_bound_is_none_for_non_ascii_blobs_and_unboundable_pools(gene_pool):
+    text = make_note_corpus(1, seed=31)[0]
+    assert gene_pool.score_bound(text.encode()) >= similarity(tokenize(text), gene_pool).score
+    assert gene_pool.score_bound(_non_ascii_variant(text).encode()) is None
+    assert gene_pool.score_bound(b"caf\xc3\xa9 " + text.encode()) is None
+    assert gene_pool.score_bound(b"\xff not utf-8") is None
+    for pool in (GenePool(2, None, {}, 0), GenePool(0, None, {(): 1.0}, 1), GenePool(1, None, {("a",): -0.5}, 1)):
+        assert pool.score_bound(b"a b") is None
+
+
+def test_score_bound_rules_out_benign_text_and_keeps_notes(gene_pool):
+    for text in _simulator_texts():
+        bound = gene_pool.score_bound(text.encode())
+        if bound is not None:
+            assert bound >= similarity(tokenize(text), gene_pool, tau=0.0).score
+    rng = random.Random(8)
+    benign = [make_benign_text(rng) for _ in range(200)]
+    assert all(gene_pool.score_bound(t.encode()) < DEFAULT_TAU_SIM for t in benign)
+
+
+def _replay_documents(pool, forest, texts):
+    """One pid per document: Create then Write, then end of stream."""
+    content = {f"C:/Users/u/Documents/doc_{i:03d}.txt": text for i, text in enumerate(texts)}
+    engine = Engine(DecoyRegistry(), pool, forest, content_provider=MappingContentProvider(content))
+    for i, path in enumerate(content):
+        engine.process(FileEvent(i * 10_000, i + 1, "editor.exe", Operation.CREATE, path, "txt"))
+        engine.process(FileEvent(i * 10_000 + 5_000, i + 1, "editor.exe", Operation.WRITE, path, "txt"))
+    engine.finish()
+    return [a.to_json_line() for a in engine.alerts], engine.metrics.triggers, dict(engine.threat_by_pid)
+
+
+def test_engine_gives_the_same_alerts_without_the_bound(gene_pool, trained_forest, monkeypatch):
+    rng = random.Random(12)
+    texts = make_note_corpus(30, seed=13) + [make_benign_text(rng) for _ in range(60)]
+    texts += [_non_ascii_variant(t) for t in texts[::5]]
+    rng.shuffle(texts)
+    ruled_out = []
+    score_bound = GenePool.score_bound
+
+    def recording_bound(self, blob):
+        bound = score_bound(self, blob)
+        ruled_out.append(bound is not None and bound < DEFAULT_TAU_SIM)
+        return bound
+
+    monkeypatch.setattr(GenePool, "score_bound", recording_bound)
+    with_bound = _replay_documents(gene_pool, trained_forest, texts)
+    assert sum(ruled_out) >= 60 and not all(ruled_out)
+    monkeypatch.setattr(GenePool, "score_bound", lambda self, blob: None)
+    assert _replay_documents(gene_pool, trained_forest, texts) == with_bound
+    assert with_bound[1] >= 10

@@ -478,6 +478,55 @@ def test_run_live_detects_scripted_encryptor(tmp_path, trained_forest, gene_pool
     runner.join(timeout=10)
 
 
+class _ScriptedClock:
+    """Stands in for the pipeline's time module: sleep advances the clock."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    monotonic = perf_counter
+
+    def sleep(self, seconds):
+        self.now += seconds
+
+
+def test_run_live_keeps_detecting_after_a_high(tmp_path, trained_forest, monkeypatch):
+    # every live event is pid 0, so a terminate that stops nothing must not
+    # leave the engine blind to the next attack
+    clock = _ScriptedClock()
+    decoy = str(tmp_path / "family_budget.docx")
+    write_times = (0.5, 2.5)  # two decoy writes, two slides apart
+
+    class ScriptedWatcher(DirectoryWatcher):
+        def _scan(self):
+            return {decoy: (sum(clock.now >= t for t in write_times), 100)}
+
+    monkeypatch.setattr(pipeline, "time_mod", clock)
+    monkeypatch.setattr(pipeline, "DirectoryWatcher", ScriptedWatcher)
+    config = pipeline.PipelineConfig(decision_threshold=0.0)  # the first decision is High
+    result = run_live([str(tmp_path)], _registry_for([decoy]), None, trained_forest, config,
+                      duration_s=5.0, poll_interval=0.25)
+    highs = [a for a in result.alerts if a.threat.level is Level.HIGH]
+    assert [(a.pid, a.created_at) for a in highs] == [(0, 1_500_000), (0, 3_500_000)]
+    assert all(a.threat.source is TriggerKind.DECOY_TOUCH for a in highs)
+    assert result.metrics.triggers == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3, defect 1: a window advances only on its own pid's events")
+def test_window_is_decided_when_other_pids_pass_its_boundaries(trained_forest, gene_pool):
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    engine = pipeline.Engine(_registry_for([decoy]), gene_pool, trained_forest)
+    engine.process(FileEvent(0, 1, "x.exe", Operation.WRITE, decoy, "docx"))
+    for t in range(100_000, 5_000_001, 100_000):
+        engine.process(FileEvent(t, 2, "editor.exe", Operation.WRITE, f"C:/Users/bob/Documents/r{t}.docx", "docx"))
+    # by t = 5 s every slide boundary of pid 1's 3 s window has passed
+    assert engine.metrics.classifier_calls > 0
+    assert [a.pid for a in engine.alerts] == [1]
+
+
 def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool):
     workdir = tmp_path / "user_docs"
     hidden = tmp_path / "app_config"
