@@ -152,19 +152,20 @@ def note() -> None:
 @click.option("--tau", default=DEFAULT_TAU_SIM, show_default=True, type=float)
 def note_score(pool_path, file_path, tau) -> None:
     """Score the first max_note_bytes bytes of FILE, as replay scores note content."""
+    config = _checked(PipelineConfig, tau_sim=tau)
     pool = _load(GenePool.load, pool_path)
-    limit = PipelineConfig().max_note_bytes
+    limit = config.max_note_bytes
     with open(file_path, "rb") as fp:
         text = decode_note(fp.read(limit), limit)
     if text is None:
         raise click.ClickException(f"{file_path}: not scored, the content is not UTF-8")
-    verdict = similarity(tokenize(text), pool, tau=tau)
+    verdict = similarity(tokenize(text), pool, tau=config.tau_sim)
     click.echo(json.dumps({
         "file": file_path,
         "score": round(verdict.score, 6),
         "matched_fragments": len(verdict.matched),
         "is_note": verdict.is_note,
-        "tau": tau,
+        "tau": config.tau_sim,
     }))
 
 
@@ -303,11 +304,11 @@ def corpus(ransom, benign, seed, include_zipper, out_dir) -> None:
 @click.option("--metrics", "metrics_path", required=True, type=click.Path(dir_okay=False))
 def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_path, metrics_path) -> None:
     """Replay a trace through the funnel, writing alerts and metrics."""
+    config = _checked(PipelineConfig, tau_sim=tau)
     registry = _load(DecoyRegistry.load, registry_path)
     pool = _load(GenePool.load, pool_path)
     forest = _load(BoostedForest.load, model_path)
     provider = _load(MappingContentProvider.from_json_file, notes_path) if notes_path else None
-    config = PipelineConfig(tau_sim=tau)
     try:
         result = run_replay(log_path, registry, pool, forest, config, provider)
     except WidthMismatch as exc:  # raised before the first event is read
@@ -329,10 +330,10 @@ def run(log_path, pool_path, model_path, registry_path, notes_path, tau, alerts_
 @click.option("--duration", default=None, type=float, help="Stop after this many seconds (default: run until interrupted).")
 def watch(watch_dirs, pool_path, model_path, registry_path, tau, duration) -> None:
     """Watch directories and the decoys' directories live; print alerts as they fire."""
+    config = _checked(PipelineConfig, tau_sim=tau)
     registry = _load(DecoyRegistry.load, registry_path)
     pool = _load(GenePool.load, pool_path)
     forest = _load(BoostedForest.load, model_path)
-    config = PipelineConfig(tau_sim=tau)
     try:
         result = run_live(
             watch_dirs, registry, pool, forest, config,

@@ -83,7 +83,8 @@ class MappingContentProvider:
         value = self._mapping.get(path)
         if value is None:
             return None
-        return value.encode("utf-8") if isinstance(value, str) else value
+        # a lone surrogate becomes bytes that are not UTF-8, which are not scored
+        return value.encode("utf-8", "surrogatepass") if isinstance(value, str) else value
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "MappingContentProvider":
@@ -116,6 +117,14 @@ class PipelineConfig:
     decision_threshold: float = 0.5
     tau_sim: float = DEFAULT_TAU_SIM
     max_note_bytes: int = 65536
+
+    def __post_init__(self) -> None:
+        for name in ("window_total_us", "slide_us", "max_note_bytes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("tau_sim", "decision_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_slides(self) -> int:
@@ -258,83 +267,51 @@ class Engine:
 
     # -- window lifecycle ------------------------------------------------------
 
-    def _escalate(self, pid: int, level: Level) -> None:
-        current = self.threat_by_pid.get(pid, Level.NONE)
-        if (level is Level.HIGH) or (level is Level.LOW and current is Level.NONE):
-            self.threat_by_pid[pid] = level
-
-    def _emit_high(self, state: _WindowState, boundary: int, prob: float, row: np.ndarray) -> None:
-        trigger = state.trigger
-        pid = trigger.pid
-        self._escalate(pid, Level.HIGH)
-        self._terminated.add(pid)
-        latency = boundary - trigger.time
-        self.metrics.decision_latencies_us.append(latency)
-        self.metrics.alerts_high += 1
-        self.alerts.append(
-            Alert(
-                created_at=boundary,
-                pid=pid,
-                pid_name=state.pid_name,
-                threat=ThreatLevel(Level.HIGH, trigger.kind, prob),
-                evidence=(
-                    trigger.detail,
-                    f"trigger_time_us={trigger.time}",
-                    f"classifier_p={prob:.4f}",
-                    f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}",
-                ),
-                response_taken=Response.TERMINATE_SIMULATED,
-            )
-        )
-        del self._windows[pid]
-
-    def _emit_low(self, state: _WindowState) -> None:
-        trigger = state.trigger
-        pid = trigger.pid
-        self._escalate(pid, Level.LOW)
-        self.metrics.alerts_low += 1
-        score = min(1.0, round(trigger.score, 3))
-        self.alerts.append(
-            Alert(
-                created_at=trigger.time + self.config.window_total_us,
-                pid=pid,
-                pid_name=state.pid_name,
-                threat=ThreatLevel(Level.LOW, trigger.kind, score),
-                evidence=(trigger.detail, f"trigger_time_us={trigger.time}"),
-                response_taken=Response.TRACK_ONLY,
-            )
-        )
-        del self._windows[pid]
-
     def _decide(self, state: _WindowState, boundary: int, final: bool) -> bool:
         """Classify the window at ``boundary``; return True once it is closed.
 
-        High closes it at once. Otherwise the slide is counted, and the window
-        closes Low after its last slide, or at once when ``final`` is set.
+        Every window closes here and every alert is raised here. High closes
+        it at once and terminates its pid. Otherwise the slide is counted, and
+        the window closes Low after its last slide, or at once when ``final``.
         """
+        trigger = state.trigger
+        pid = trigger.pid
+        metrics = self.metrics
         row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
-        self.metrics.classifier_calls += 1
+        metrics.classifier_calls += 1
         prob = self.forest.predict_row(row)
         if prob >= self.config.decision_threshold:
-            self._emit_high(state, boundary, prob, row)
-            return True
-        state.slides_done += 1
-        if final or state.slides_done >= self.config.n_slides:
-            self._emit_low(state)
-            return True
-        return False
+            self.threat_by_pid[pid] = Level.HIGH
+            self._terminated.add(pid)
+            metrics.decision_latencies_us.append(boundary - trigger.time)
+            metrics.alerts_high += 1
+            created_at = boundary
+            threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
+            evidence = (
+                trigger.detail,
+                f"trigger_time_us={trigger.time}",
+                f"classifier_p={prob:.4f}",
+                f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}",
+            )
+            response = Response.TERMINATE_SIMULATED
+        else:
+            state.slides_done += 1
+            if not final and state.slides_done < self.config.n_slides:
+                return False
+            metrics.alerts_low += 1
+            created_at = trigger.time + self.config.window_total_us
+            threat = ThreatLevel(Level.LOW, trigger.kind, min(1.0, round(trigger.score, 3)))
+            evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
+            response = Response.TRACK_ONLY
+        self.alerts.append(Alert(created_at, pid, state.pid_name, threat, evidence, response))
+        del self._windows[pid]
+        return True
 
     def _advance(self, state: _WindowState, now: int) -> None:
         slide_us = self.config.slide_us
         boundary = state.trigger.time + (state.slides_done + 1) * slide_us
         while now >= boundary and not self._decide(state, boundary, False):
             boundary += slide_us
-
-    def _open_window(self, trigger: Trigger, pid_name: str) -> _WindowState:
-        self.metrics.windows_opened += 1
-        self._escalate(trigger.pid, Level.LOW)
-        state = self._windows[trigger.pid] = _WindowState(trigger, pid_name)
-        return state
 
     # -- ingestion -------------------------------------------------------------
 
@@ -356,17 +333,17 @@ class Engine:
                 trigger = self._note_trigger(ev)
         if trigger is not None:
             self.metrics.triggers += 1
-            if state is None:
-                state = self._open_window(trigger, ev.pid_name)
+            if state is None:  # the one place a window opens
+                self.metrics.windows_opened += 1
+                self.threat_by_pid.setdefault(pid, Level.LOW)
+                state = self._windows[pid] = _WindowState(trigger, ev.pid_name)
         if state is not None and 0 <= ev.time - state.trigger.time < self.config.window_total_us:
             state.events.append(ev)
 
     def advance_time(self, now: int) -> None:
         """Drive open windows forward against a clock (live mode)."""
-        for pid in list(self._windows):
-            state = self._windows.get(pid)
-            if state is not None:
-                self._advance(state, now)
+        for state in list(self._windows.values()):
+            self._advance(state, now)
 
     def finish(self) -> None:
         """Decide every open window once, at its next slide boundary, at end of stream."""

@@ -336,6 +336,17 @@ def test_note_score_reads_only_max_note_bytes(runner, artifacts, tmp_path):
     assert json.loads(_invoke(runner, args + [str(path)]).output)["score"] == 0.0
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["run", "watch", "note score"])
+def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts, command, tau):
+    args = {
+        "run": _run_args(artifacts),
+        "watch": _watch_args(artifacts),
+        "note score": ["note", "score", "--pool", str(artifacts["pool.json"]), "--file", str(artifacts["fv.json"])],
+    }[command]
+    _one_line_error(runner, args + ["--tau", tau], f"tau_sim must be finite, got {float(tau)}")
+
+
 # Each command hands its arguments to one library call that validates them;
 # its ValueError becomes the command's one-line error.
 @pytest.mark.parametrize("args,expected", [

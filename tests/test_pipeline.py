@@ -337,6 +337,33 @@ def test_note_cut_inside_a_character_is_scored(tmp_path, trained_forest, gene_po
     assert result.metrics.triggers == 0
 
 
+def test_notes_map_text_that_is_not_unicode_is_not_scored(tmp_path, trained_forest, gene_pool):
+    # json.loads keeps a lone surrogate escape; such text has no UTF-8 bytes
+    readme, note_path = "C:/u/README.txt", "C:/u/HOW_TO_RECOVER_FILES.txt"
+    notes = tmp_path / "notes.json"
+    notes.write_text(json.dumps({readme: "hello \ud800 world", note_path: make_note_corpus(1, seed=31)[0]}),
+                     encoding="utf-8")
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(serialize_events([
+        FileEvent(1_000, 1, "notepad.exe", Operation.CREATE, readme, "txt"),
+        FileEvent(2_000, 2, "x.exe", Operation.CREATE, note_path, "txt"),
+    ]), encoding="utf-8")
+    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest,
+                        content_provider=MappingContentProvider.from_json_file(notes))
+    assert result.metrics.triggers == 1
+    assert {a.pid for a in result.alerts} == {2}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("window_total_us", 0), ("slide_us", 0), ("slide_us", -5), ("max_note_bytes", 0),
+    ("tau_sim", float("nan")), ("tau_sim", float("inf")), ("decision_threshold", float("nan")),
+    ("decision_threshold", float("-inf")),
+])
+def test_pipeline_config_refuses_values_the_engine_cannot_run(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        pipeline.PipelineConfig(**{field: value})
+
+
 def test_funnel_and_metrics_consistency_on_mixed_trace(tmp_path, trained_forest, gene_pool):
     decoys = _decoy_in_first_dir(seed=70)
     results = [
