@@ -14,6 +14,7 @@ import math
 import os
 import time as time_mod
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
 
@@ -180,7 +181,6 @@ class _WindowState:
     pid_name: str
     events: list[FileEvent] = field(default_factory=list)
     labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
-    slides_done: int = 0
 
 
 @dataclass
@@ -231,6 +231,7 @@ class Engine:
         self.threat_by_pid: dict[int, Level] = {}
         self._decoy_paths = frozenset(registry.entries())
         self._windows: dict[int, _WindowState] = {}
+        self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
         self._terminated: set[int] = set()
         self._scored_paths: set[str] = set()
         self._text_exts = TEXT_EXTENSIONS
@@ -271,8 +272,8 @@ class Engine:
         """Classify the window at ``boundary``; return True once it is closed.
 
         Every window closes here and every alert is raised here. High closes
-        it at once and terminates its pid. Otherwise the slide is counted, and
-        the window closes Low after its last slide, or at once when ``final``.
+        it at once and terminates its pid. Otherwise the window stays open
+        until its last slide, and closes Low there, or at once when ``final``.
         """
         trigger = state.trigger
         pid = trigger.pid
@@ -295,8 +296,7 @@ class Engine:
             )
             response = Response.TERMINATE_SIMULATED
         else:
-            state.slides_done += 1
-            if not final and state.slides_done < self.config.n_slides:
+            if not final and boundary - trigger.time < self.config.n_slides * self.config.slide_us:
                 return False
             metrics.alerts_low += 1
             created_at = trigger.time + self.config.window_total_us
@@ -307,25 +307,17 @@ class Engine:
         del self._windows[pid]
         return True
 
-    def _advance(self, state: _WindowState, now: int) -> None:
-        slide_us = self.config.slide_us
-        boundary = state.trigger.time + (state.slides_done + 1) * slide_us
-        while now >= boundary and not self._decide(state, boundary, False):
-            boundary += slide_us
-
     # -- ingestion -------------------------------------------------------------
 
     def process(self, ev: FileEvent) -> None:
         self.metrics.events += 1
+        due = self._due
+        if due and due[0][0] <= ev.time:
+            self.advance_time(ev.time)
         pid = ev.pid
         if pid in self._terminated:
             return
         state = self._windows.get(pid)
-        if state is not None:
-            self._advance(state, ev.time)
-            if pid in self._terminated:
-                return
-            state = self._windows.get(pid)  # None if the window just closed Low
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
             op = ev.operation
@@ -337,19 +329,24 @@ class Engine:
                 self.metrics.windows_opened += 1
                 self.threat_by_pid.setdefault(pid, Level.LOW)
                 state = self._windows[pid] = _WindowState(trigger, ev.pid_name)
+                heappush(due, (trigger.time + self.config.slide_us, pid))
         if state is not None and 0 <= ev.time - state.trigger.time < self.config.window_total_us:
             state.events.append(ev)
 
     def advance_time(self, now: int) -> None:
-        """Drive open windows forward against a clock (live mode)."""
-        for state in list(self._windows.values()):
-            self._advance(state, now)
+        """The engine's one clock: decide every slide boundary at or before ``now``, earliest first."""
+        due = self._due
+        while due and due[0][0] <= now:
+            boundary, pid = heappop(due)
+            if not self._decide(self._windows[pid], boundary, False):
+                heappush(due, (boundary + self.config.slide_us, pid))
 
     def finish(self) -> None:
-        """Decide every open window once, at its next slide boundary, at end of stream."""
-        slide_us = self.config.slide_us
-        for state in list(self._windows.values()):
-            self._decide(state, state.trigger.time + (state.slides_done + 1) * slide_us, True)
+        """Decide every open window once, at its next slide boundary, earliest first, at end of stream."""
+        due = self._due
+        while due:
+            boundary, pid = heappop(due)
+            self._decide(self._windows[pid], boundary, True)
 
     def result(self, issues: Optional[list[ParseIssue]] = None) -> ReplayResult:
         return ReplayResult(self.alerts, self.metrics, issues or [], dict(self.threat_by_pid))
@@ -450,22 +447,26 @@ def run_live(
 
     Runs in the caller's thread until ``duration_s`` has passed, or until
     interrupted when it is None. Each pass polls the watcher, hands the
-    engine its events, advances open windows to the watcher's clock and
-    passes new alerts to ``on_alert``, then sleeps ``poll_interval``.
+    engine its events, decoy touches first, advances open windows to the
+    watcher's clock and passes new alerts to ``on_alert``, then sleeps
+    ``poll_interval``.
     Besides ``dirs``, the watcher covers the directory of every registered
     decoy that exists, so a decoy planted outside ``dirs`` still trips.
     Raises WatchUnavailable when the directories cannot be watched; the
     caller degrades to replay-only operation.
     """
     watched = [str(d) for d in dirs]
-    decoy_dirs = {os.path.dirname(path) for path in registry.paths()}
+    decoys = frozenset(registry.paths())
+    decoy_dirs = {os.path.dirname(path) for path in decoys}
     watched += sorted(d for d in decoy_dirs if d not in watched and os.path.isdir(d))
     engine = Engine(registry, pool, forest, config, content_provider or FilesystemContentProvider(config.max_note_bytes))
     watcher = DirectoryWatcher(watched)
     started = time_mod.perf_counter()
     seen_alerts = 0
     while True:
-        for ev in watcher.poll():
+        # A poll's events share one time stamp: its decoy touches go first,
+        # so a window they open holds the whole poll.
+        for ev in sorted(watcher.poll(), key=lambda ev: check_event(ev, decoys) is None):
             engine.process(ev)
         engine.advance_time(watcher.now_us())
         # Every live event is pid 0, and its simulated terminate stops

@@ -542,16 +542,62 @@ def test_run_live_keeps_detecting_after_a_high(tmp_path, trained_forest, monkeyp
     assert result.metrics.triggers == 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3, defect 1: a window advances only on its own pid's events")
-def test_window_is_decided_when_other_pids_pass_its_boundaries(trained_forest, gene_pool):
+def test_run_live_opens_a_window_that_holds_the_whole_poll_of_its_decoy_touch(tmp_path, trained_forest, monkeypatch):
+    # 40 documents and the decoy become .locked files between two polls; the
+    # scan lists the decoy's delete after every create, yet its window holds them
+    clock = _ScriptedClock()
+    decoy = str(tmp_path / "family_budget.docx")
+    docs = [str(tmp_path / f"report_{i:03d}.docx") for i in range(40)] + [decoy]
+
+    class ScriptedWatcher(DirectoryWatcher):
+        def _scan(self):
+            return {path + ".locked" if clock.now >= 0.5 else path: (1, 100) for path in docs}
+
+    monkeypatch.setattr(pipeline, "time_mod", clock)
+    monkeypatch.setattr(pipeline, "DirectoryWatcher", ScriptedWatcher)
+    result = run_live([str(tmp_path)], _registry_for([decoy]), None, trained_forest,
+                      duration_s=5.0, poll_interval=0.25)
+    assert [(a.threat.level, a.created_at) for a in result.alerts] == [(Level.HIGH, 1_500_000)]
+
+
+@pytest.mark.parametrize("quiet_pids", [1, 200])
+def test_window_is_decided_when_other_pids_pass_its_boundaries(trained_forest, gene_pool, quiet_pids):
     decoy = "C:/Users/alice/Documents/family_budget.docx"
     engine = pipeline.Engine(_registry_for([decoy]), gene_pool, trained_forest)
-    engine.process(FileEvent(0, 1, "x.exe", Operation.WRITE, decoy, "docx"))
+    for pid in range(1, quiet_pids + 1):  # each writes the decoy within the first 10 ms, then goes quiet
+        engine.process(FileEvent((pid - 1) * 10_000 // quiet_pids, pid, "x.exe", Operation.WRITE, decoy, "docx"))
+    editor = quiet_pids + 1
     for t in range(100_000, 5_000_001, 100_000):
-        engine.process(FileEvent(t, 2, "editor.exe", Operation.WRITE, f"C:/Users/bob/Documents/r{t}.docx", "docx"))
-    # by t = 5 s every slide boundary of pid 1's 3 s window has passed
-    assert engine.metrics.classifier_calls > 0
-    assert [a.pid for a in engine.alerts] == [1]
+        engine.process(FileEvent(t, editor, "editor.exe", Operation.WRITE, f"C:/Users/bob/Documents/r{t}.docx", "docx"))
+    # by t = 5 s every slide boundary of each quiet pid's 3 s window has passed
+    assert sorted(a.pid for a in engine.alerts) == list(range(1, quiet_pids + 1))
+    assert not engine._windows
+
+
+def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, trained_forest, gene_pool, monkeypatch):
+    # pid 1's event at 0.9 s comes after pid 2's at 1.2 s has decided pid 1's
+    # window at 1 s: it is in time order for its own pid, so no issue
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    events = [
+        FileEvent(0, 1, "x.exe", Operation.WRITE, decoy, "docx"),
+        FileEvent(1_200_000, 2, "editor.exe", Operation.WRITE, "C:/Users/bob/Documents/r.docx", "docx"),
+        FileEvent(900_000, 1, "x.exe", Operation.WRITE, "C:/Users/alice/Documents/a.docx", "docx"),
+    ]
+    trace = tmp_path / "late.jsonl"
+    trace.write_text(serialize_events(events), encoding="utf-8")
+    real_decide = pipeline.Engine._decide
+    decided = []
+
+    def decide(self, state, boundary, final):
+        decided.append((boundary, len(state.events), final))
+        return real_decide(self, state, boundary, final)
+
+    monkeypatch.setattr(pipeline.Engine, "_decide", decide)
+    config = pipeline.PipelineConfig(decision_threshold=1.01)  # every slide decides Low
+    result = run_replay(trace, _registry_for([decoy]), gene_pool, trained_forest, config)
+    assert result.issues == []
+    assert decided == [(1_000_000, 1, False), (2_000_000, 2, True)]
+    assert [(a.pid, a.threat.level) for a in result.alerts] == [(1, Level.LOW)]
 
 
 def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool):
@@ -798,9 +844,9 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
 
 # sha256 over the replay of the _mode_mix() trace plus three noisy lines:
 # alert bytes, parse issues and the metrics report without its timings. The
-# out-of-order line is a late decoy touch, so finish() closes one window Low
-# before its last slide, besides the windows it closes High.
-_REPLAY_GOLDEN = "a3bf5518a00639e64083de0cc877486d3aee5f1b03d711f6891e3a7033445158"
+# out-of-order line is a decoy touch at the end of the stream, so finish()
+# closes the window it opens Low before its last slide.
+_REPLAY_GOLDEN = "5fbf03cd2998d7616d372e88aa13412ee567d55fd98641a01fed72f9abd63130"
 
 
 def test_replay_matches_golden_digest(tmp_path, trained_forest, gene_pool):
