@@ -202,6 +202,17 @@ class DecoyEntry:
     kind: DecoyKind
 
 
+_KINDS = {kind.value: kind for kind in DecoyKind}
+
+
+def _kind(value) -> DecoyKind:
+    """The kind a registry file names; DecoyKind's own ValueError unless it names one."""
+    try:
+        return _KINDS[value]
+    except (KeyError, TypeError):
+        return DecoyKind(value)
+
+
 class DecoyRegistry:
     """Single source of truth for "is this path a decoy".
 
@@ -243,15 +254,18 @@ class DecoyRegistry:
         """Load a saved registry. Raises ValueError unless the file holds a JSON
         object mapping each path to an object with content_digest, deployed_at
         and a known kind."""
-        registry = cls()
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         try:
-            for p, entry in payload.items():
-                registry.register(p, entry["content_digest"], DecoyKind(entry["kind"]), entry["deployed_at"])
+            entries = {
+                p: DecoyEntry(entry["content_digest"], entry["deployed_at"], _kind(entry["kind"]))
+                for p, entry in payload.items()
+            }
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(
                 "decoy registry must map each path to an object with content_digest, deployed_at and kind"
             ) from exc
+        registry = cls()
+        registry._entries = entries
         return registry
 
     def verify(self) -> dict[str, str]:

@@ -14,6 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -201,24 +202,6 @@ _NODE = np.dtype([("leaf", "u1"), ("feature", "<u2"), ("value", "<f8"), ("left",
 _HEADER = struct.Struct("<HHQH4d")
 
 
-def _unpack_tree(table: np.ndarray, n_features: int) -> FlatTree:
-    """The flat tree of one node table; CorruptModel unless it is a tree.
-
-    Each internal node must name a feature below n_features and two children
-    later in the table, as the preorder layout of grow_tree places them, so
-    every walk from the root ends at a leaf.
-    """
-    leaf = table["leaf"] == 1
-    features = table["feature"].astype(np.int32)
-    features[leaf] = -1
-    lefts, rights = table["left"].astype(np.int32), table["right"].astype(np.int32)
-    slots, n = np.arange(len(table)), len(table)
-    bad = ~leaf & ((features >= n_features) | (lefts <= slots) | (rights <= slots) | (lefts >= n) | (rights >= n))
-    if bad.any():
-        raise CorruptModel(f"node {int(bad.argmax())} has a feature or child index out of range")
-    return features, table["value"].copy(), lefts, rights
-
-
 def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -339,22 +322,46 @@ class BoostedForest:
             raise CorruptModel(f"unsupported model version {version}; this build reads version {MODEL_VERSION}")
         if hashlib.sha256(body).digest() != digest:
             raise CorruptModel("checksum mismatch; file corrupt or truncated")
-        offset = 5 + _HEADER.size
         n_features, dims, hash_seed, n_trees, eta, base, gamma, lambda_ = _HEADER.unpack_from(body, 5)
         try:
             check_dims(dims)
         except BadDim as exc:
             raise CorruptModel(str(exc)) from exc
-        trees = []
+        # The tree sizes first, then every node of every tree checked at once:
+        # each internal node must name a feature below n_features and two
+        # children later in its own tree, as the preorder layout of grow_tree
+        # places them, so every walk from the root ends at a leaf; each leaf
+        # weight must be finite. The trees are slices of four forest-wide arrays.
+        sizes, chunks, offset = [], [], 5 + _HEADER.size
         for _ in range(n_trees):
             n_nodes = int.from_bytes(body[offset : offset + 2], "little")
             start, offset = offset + 2, offset + 2 + n_nodes * _NODE.itemsize
             if n_nodes == 0 or offset > len(body):
                 raise CorruptModel("tree data empty or truncated")
-            trees.append(_unpack_tree(np.frombuffer(body, _NODE, n_nodes, start), n_features))
+            sizes.append(n_nodes)
+            chunks.append(body[start:offset])
         if offset != len(body):
             raise CorruptModel("trailing bytes after tree data")
-        return cls(tuple(trees), eta, gamma, lambda_, base, n_features, dims, hash_seed)
+        if not (math.isfinite(eta) and math.isfinite(base)):
+            raise CorruptModel(f"eta ({eta}) and base score ({base}) must be finite")
+        table = np.frombuffer(b"".join(chunks), _NODE)
+        ends = list(accumulate(sizes))
+        starts = [0, *ends[:-1]]
+        n = np.repeat(sizes, sizes)  # the size of each node's tree
+        slots = np.arange(len(table)) - np.repeat(starts, sizes)  # each node's slot in its tree
+        leaf = table["leaf"] == 1
+        features = table["feature"].astype(np.int32)
+        features[leaf] = -1
+        values = table["value"].copy()
+        lefts, rights = table["left"].astype(np.int32), table["right"].astype(np.int32)
+        out_of_range = (features >= n_features) | (lefts <= slots) | (rights <= slots) | (lefts >= n) | (rights >= n)
+        bad = np.where(leaf, ~np.isfinite(values), out_of_range)
+        if bad.any():
+            first = int(bad.argmax())
+            fault = "a leaf weight that is not finite" if leaf[first] else "a feature or child index out of range"
+            raise CorruptModel(f"node {int(slots[first])} has {fault}")
+        trees = tuple((features[a:b], values[a:b], lefts[a:b], rights[a:b]) for a, b in zip(starts, ends))
+        return cls(trees, eta, gamma, lambda_, base, n_features, dims, hash_seed)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_bytes(self.to_bytes())

@@ -181,18 +181,36 @@ def test_registry_persistence_and_verify(tmp_path):
     assert list(problems) == [paths[0]] and problems[paths[0]] == "digest mismatch"
 
 
-@pytest.mark.parametrize("text", [
-    "not json",
-    "[]",
-    '{"C:/d.docx": "Document"}',
-    '{"C:/d.docx": {"kind": "Document"}}',
-    '{"C:/d.docx": {"content_digest": "d", "deployed_at": "", "kind": "Folder"}}',
-], ids=["not-json", "not-an-object", "entry-not-an-object", "missing-key", "unknown-kind"])
-def test_registry_load_rejects_malformed_file(tmp_path, text):
+_NOT_A_REGISTRY = "decoy registry must map each path to an object with content_digest, deployed_at and kind"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "Expecting value"),
+    ("[]", _NOT_A_REGISTRY),
+    ('{"C:/d.docx": "Document"}', _NOT_A_REGISTRY),
+    ('{"C:/d.docx": {"kind": "Document"}}', _NOT_A_REGISTRY),
+    ('{"C:/d.docx": {"content_digest": "d", "deployed_at": "", "kind": "Folder"}}',
+     "'Folder' is not a valid DecoyKind"),
+    ('{"C:/d.docx": {"content_digest": "d", "deployed_at": "", "kind": ["Document"]}}',
+     r"\['Document'\] is not a valid DecoyKind"),
+], ids=["not-json", "not-an-object", "entry-not-an-object", "missing-key", "unknown-kind", "unhashable-kind"])
+def test_registry_load_rejects_malformed_file(tmp_path, text, message):
     reg_file = tmp_path / "decoys.json"
     reg_file.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         DecoyRegistry.load(reg_file)
+
+
+def test_registry_load_reads_every_entry_with_its_kind(tmp_path):
+    saved = DecoyRegistry()
+    for i, kind in enumerate(DecoyKind):
+        saved.register(f"/d/{i}.bin", f"digest{i}", kind, f"2024-01-0{i + 1}T00:00:00Z")
+    saved.save(tmp_path / "decoys.json")
+    loaded = DecoyRegistry.load(tmp_path / "decoys.json")
+    assert loaded.entries() == saved.entries()
+    assert all(type(entry.kind) is DecoyKind for entry in loaded.entries().values())
+    loaded.register("/d/new.bin", "digest", DecoyKind.IMAGE)
+    assert "/d/new.bin" in loaded and len(loaded) == len(DecoyKind) + 1
 
 
 def _first_trigger(watcher, registry, polls):

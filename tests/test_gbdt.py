@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ransomwatch.gbdt import (
     BoostParams,
@@ -394,24 +396,140 @@ def test_loaded_trees_equal_fitted_trees(trained_forest):
             assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
 
 
-_ROOT = 4 + 1 + struct.calcsize("<HHQH4d") + 2  # offset of the first tree's first node
+_TREES = 4 + 1 + struct.calcsize("<HHQH4d")  # offset of the first tree's node count
 
 
-@pytest.mark.parametrize("case", ["truncated", "empty tree", "child out of range", "child is self", "feature out of range"])
-def test_malformed_node_table_rejected(trained_forest, case):
+def _tree_offset(body: bytes, tree: int) -> int:
+    """Offset of the node count of tree ``tree`` in a model file's body."""
+    offset = _TREES
+    for _ in range(tree):
+        offset += 2 + struct.unpack_from("<H", body, offset)[0] * 15
+    return offset
+
+
+def _resealed(body: bytearray) -> bytes:
+    return bytes(body + hashlib.sha256(bytes(body)).digest())  # the checksum holds
+
+
+_WHICH_TREE = {"first": lambda n: 0, "middle": lambda n: n // 2, "last": lambda n: n - 1}
+
+
+@pytest.mark.parametrize("case, which", [
+    pytest.param(case, which, id=case if which == "first" else f"{case}-{which} tree")
+    for which in _WHICH_TREE
+    for case in ["truncated", "empty tree", "child out of range", "child is self", "feature out of range"]
+])
+def test_malformed_node_table_rejected(trained_forest, case, which):
+    tree = _WHICH_TREE[which](len(trained_forest.trees))
     body = bytearray(trained_forest.to_bytes()[:-32])
-    (n_nodes,) = struct.unpack_from("<H", body, _ROOT - 2)
-    assert body[_ROOT] == 0 and n_nodes > 1  # the root is an internal node
+    count = _tree_offset(body, tree)
+    features = trained_forest.trees[tree][0]
+    node = int(np.flatnonzero(features >= 0)[-1])  # the tree's last internal node, past its root
+    at = count + 2 + node * 15
+    assert node > 0 and body[at] == 0  # an internal node
+    message = f"node {node} has a feature or child index out of range"
     if case == "truncated":
-        del body[-7:]
+        del body[at:]
+        message = "tree data empty or truncated"
     elif case == "empty tree":
-        struct.pack_into("<H", body, _ROOT - 2, 0)
+        struct.pack_into("<H", body, count, 0)
+        message = "tree data empty or truncated"
     elif case == "child out of range":
-        struct.pack_into("<h", body, _ROOT + 11, n_nodes)
+        struct.pack_into("<h", body, at + 11, len(features))
     elif case == "child is self":
-        struct.pack_into("<h", body, _ROOT + 11, 0)
+        struct.pack_into("<h", body, at + 11, node)
     else:
-        struct.pack_into("<H", body, _ROOT + 1, trained_forest.n_features)
-    body += hashlib.sha256(bytes(body)).digest()  # re-sealed: the checksum holds
-    with pytest.raises(CorruptModel):
-        BoostedForest.from_bytes(bytes(body))
+        struct.pack_into("<H", body, at + 1, trained_forest.n_features)
+    with pytest.raises(CorruptModel, match=f"^{message}$"):
+        BoostedForest.from_bytes(_resealed(body))
+
+
+@pytest.mark.parametrize("case", ["eta nan", "eta inf", "base score nan", "base score -inf", "leaf inf", "leaf nan"])
+def test_non_finite_numbers_rejected(trained_forest, case):
+    """A model that loads with a NaN base score predicts NaN for every row, and
+    one with infinite leaf weights predicts 0 or 1 whatever the row: both would
+    silently disable the classifier."""
+    body = bytearray(trained_forest.to_bytes()[:-32])
+    number = float(case.split()[-1])
+    if case.startswith("leaf"):
+        tree = len(trained_forest.trees) // 2
+        count = _tree_offset(body, tree)
+        leaves = np.flatnonzero(trained_forest.trees[tree][0] < 0).tolist()
+        for node in leaves:
+            struct.pack_into("<d", body, count + 2 + node * 15 + 3, number)
+        message = f"^node {leaves[0]} has a leaf weight that is not finite$"
+    else:
+        struct.pack_into("<d", body, 19 if case.startswith("eta") else 27, number)  # eta, then the base score
+        message = "must be finite"
+    with pytest.raises(CorruptModel, match=message):
+        BoostedForest.from_bytes(_resealed(body))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=2, max_value=60),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_from_bytes_inverts_to_bytes(n_trees, depth, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.integers(-3, 4, size=(rows, cols)) * rng.choice([0.5, 1.0, 7.0])
+    y = rng.integers(0, 2, size=rows)
+    y[:2] = (0, 1)
+    forest = fit(X, y, BoostParams(n_trees=n_trees, max_depth=depth, min_leaf=1))
+    blob = forest.to_bytes()
+    loaded = BoostedForest.from_bytes(blob)
+    assert loaded.to_bytes() == blob
+    assert len(loaded.trees) == n_trees
+    for got, want in zip(loaded.trees, forest.trees):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.flags.c_contiguous and np.array_equal(a, b)
+    assert np.array_equal(loaded.predict(X), forest.predict(X))
+
+
+def _reference_trees(body: bytes, n_features: int) -> list:
+    """The node tables of a model body read one node at a time, tree by tree,
+    raising the first fault in file order: the oracle for from_bytes' one pass."""
+    trees, offset = [], _TREES
+    while offset < len(body):
+        (n,) = struct.unpack_from("<H", body, offset)
+        nodes = [struct.unpack_from("<BHdhh", body, offset + 2 + 15 * i) for i in range(n)]
+        for i, (leaf, feature, value, left, right) in enumerate(nodes):
+            if leaf == 1 and not math.isfinite(value):
+                raise CorruptModel(f"node {i} has a leaf weight that is not finite")
+            if leaf != 1 and not (feature < n_features and i < left < n and i < right < n):
+                raise CorruptModel(f"node {i} has a feature or child index out of range")
+        trees.append([[-1 if leaf == 1 else feature, value, left, right] for leaf, feature, value, left, right in nodes])
+        offset += 2 + 15 * n
+    return trees
+
+
+_FIELDS = {  # offset in the node, struct format, and values (given the feature width) that are sometimes out of range
+    "leaf": (0, "<B", lambda width: st.sampled_from([0, 1, 2])),
+    "feature": (1, "<H", lambda width: st.sampled_from([0, width - 1, width, width + 1, 65535])),
+    "value": (3, "<d", lambda width: st.sampled_from([0.0, -2.5, math.inf, -math.inf, math.nan])),
+    "left": (11, "<h", lambda width: st.integers(min_value=-2, max_value=40)),
+    "right": (13, "<h", lambda width: st.integers(min_value=-2, max_value=40)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_corrupt_node_is_reported_as_the_per_tree_reference_reports_it(trained_forest, data):
+    body = bytearray(trained_forest.to_bytes()[:-32])
+    tree = data.draw(st.integers(min_value=0, max_value=len(trained_forest.trees) - 1))
+    node = data.draw(st.integers(min_value=0, max_value=len(trained_forest.trees[tree][0]) - 1))
+    at, fmt, values = _FIELDS[data.draw(st.sampled_from(sorted(_FIELDS)))]
+    struct.pack_into(fmt, body, _tree_offset(body, tree) + 2 + 15 * node + at, data.draw(values(trained_forest.n_features)))
+    try:
+        want = _reference_trees(bytes(body), trained_forest.n_features)
+    except CorruptModel as exc:
+        with pytest.raises(CorruptModel, match=f"^{exc}$"):
+            BoostedForest.from_bytes(_resealed(body))
+        return
+    got = BoostedForest.from_bytes(_resealed(body)).trees
+    assert len(got) == len(want)
+    for flat, nodes in zip(got, want):
+        np.testing.assert_array_equal(np.column_stack(flat), np.array(nodes, dtype=np.float64))  # NaN equals NaN
