@@ -34,7 +34,6 @@ from .decoys import (
 from .notes import (
     GenePool,
     SimilarityVerdict,
-    TokenizedNote,
     build_pool,
     ngrams,
     similarity,
@@ -42,7 +41,7 @@ from .notes import (
     sweep_window,
     tokenize,
 )
-from .features import FeatureVector, Mode, extract_features
+from .features import Mode, extract_features
 from .graph import build_graph, encode
 from .gbdt import BoostedForest, BoostParams, TreeParams, best_split, fit, grow_tree
 from .pipeline import Engine, PipelineConfig, ReplayResult, metrics_report, run_live, run_replay

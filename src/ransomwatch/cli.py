@@ -32,7 +32,7 @@ from .pipeline import (
     run_live,
     run_replay,
 )
-from .simulator import Corpus, build_corpus, generate, spec_from_json, spec_from_kind, write_scenario
+from .simulator import Corpus, TreeSpec, build_corpus, generate, spec_from_json, spec_from_kind, write_scenario
 
 
 def _load(loader, path):
@@ -73,16 +73,16 @@ def decoy() -> None:
               default=(DecoyKind.DOCUMENT.value,), show_default=True)
 @click.option("--style", type=click.Choice([s.value for s in NameStyle]),
               default=NameStyle.MIMIC_NEIGHBORS.value, show_default=True)
-@click.option("--auto", is_flag=True, help="Prepend the early-traversal directories.")
+@click.option("--auto", is_flag=True, help="Prepend the platform's early-traversal directories.")
 @click.option("--early-dir", "early_dirs", multiple=True,
-              help="Early-traversal directory for --auto (repeatable).")
+              help="Early-traversal directory to prepend instead (repeatable).")
 @click.option("--registry", "registry_path", default="decoys.json", show_default=True)
 @click.option("--seed", default=0, show_default=True, type=int)
 def decoy_deploy(directory, count, kinds, style, auto, early_dirs, registry_path, seed) -> None:
     """Write decoys into DIRECTORY and record them in the registry."""
     registry = _load(DecoyRegistry.load, registry_path) if Path(registry_path).exists() else DecoyRegistry()
     spec = _checked(DecoySpec, directory, count, tuple(DecoyKind(k) for k in kinds), NameStyle(style))
-    early = (list(early_dirs) or default_early_dirs()) if auto else []
+    early = list(early_dirs) or (default_early_dirs() if auto else [])
     try:
         paths = deploy(spec, registry, seed=seed, early_dirs=early)
     except IoFailure as exc:
@@ -268,8 +268,8 @@ def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_di
     if spec_path is not None:
         spec = _load(lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")), spec_path)
     elif kind is not None:
-        spec = _checked(spec_from_kind, kind, seed=seed, files=files, fps=fps,
-                        note_every_k_dirs=note_every, avoid_decoys=avoid_decoys)
+        spec = _checked(spec_from_kind, kind, seed=seed, fps=fps, note_every_k_dirs=note_every,
+                        avoid_decoys=avoid_decoys, tree=TreeSpec(files=files))
     else:
         raise click.ClickException("pass --kind or --spec")
     result = _checked(generate, spec)

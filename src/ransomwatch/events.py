@@ -43,7 +43,6 @@ class TriggerKind(str, Enum):
 
     DECOY_TOUCH = "DecoyTouch"
     RANSOM_NOTE = "RansomNote"
-    MANUAL = "Manual"
 
 
 class Level(str, Enum):
@@ -53,7 +52,6 @@ class Level(str, Enum):
 
 
 class Response(str, Enum):
-    NONE_YET = "NoneYet"
     TRACK_ONLY = "TrackOnly"
     TERMINATE_SIMULATED = "TerminateSimulated"
 
@@ -137,7 +135,6 @@ class ProcessWindow:
     window_start: int
     window_end: int
     events: tuple[FileEvent, ...]
-    trigger: TriggerKind = TriggerKind.MANUAL
 
     def __post_init__(self) -> None:
         if self.window_end <= self.window_start:
@@ -147,10 +144,6 @@ class ProcessWindow:
                 raise ValueError(f"event pid {ev.pid} does not match window pid {self.pid}")
             if not (self.window_start <= ev.time < self.window_end):
                 raise ValueError(f"event time {ev.time} outside window bounds")
-
-    @property
-    def duration(self) -> int:
-        return self.window_end - self.window_start
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,7 +166,7 @@ class Alert:
     pid_name: str
     threat: ThreatLevel
     evidence: tuple[str, ...]
-    response_taken: Response = Response.NONE_YET
+    response_taken: Response
 
     def __post_init__(self) -> None:
         if self.threat.level is not Level.NONE and not self.evidence:
@@ -367,7 +360,6 @@ def window_events(
     pid: int,
     trigger_time: int,
     delta_us: int,
-    trigger: TriggerKind = TriggerKind.MANUAL,
 ) -> ProcessWindow:
     """Collect the pid's events inside [trigger_time, trigger_time + delta_us).
 
@@ -385,4 +377,4 @@ def window_events(
             pid_name = ev.pid_name
         if trigger_time <= ev.time < end:
             selected.append(ev)
-    return ProcessWindow(pid, pid_name, trigger_time, end, tuple(selected), trigger)
+    return ProcessWindow(pid, pid_name, trigger_time, end, tuple(selected))

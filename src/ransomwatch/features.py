@@ -6,7 +6,6 @@ the shape of the extension-set change, and five fusion/ratio features.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,55 +30,6 @@ FEATURE_NAMES = (
 N_EXPERT_FEATURES = len(FEATURE_NAMES)
 
 
-class TypeChange(Enum):
-    """Shape of the extension-set change across the window."""
-
-    UNCHANGED = 0
-    GROWN = 1
-    SHRUNK = 2
-    CHURN = 3
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureVector:
-    """Expert features of one window; see FEATURE_NAMES for the export order.
-
-    ntype_before/ntype_after are kept for inspection but exported only through
-    ntype_change's one-hot and the rtype ratio.
-    """
-
-    n_create: int
-    n_delete: int
-    n_renamed: int
-    ntype_before: int
-    ntype_after: int
-    ntype_change: int
-    type_change: TypeChange
-    rtype: float
-    rtype_change: float
-    max_n_file: int
-    n_folder: int
-    r_file: float
-
-    def as_array(self) -> np.ndarray:
-        onehot = [0.0, 0.0, 0.0, 0.0]
-        onehot[self.type_change.value] = 1.0
-        return np.array(
-            [
-                float(self.n_create),
-                float(self.n_delete),
-                float(self.n_renamed),
-                *onehot,
-                self.rtype,
-                self.rtype_change,
-                float(self.max_n_file),
-                float(self.n_folder),
-                self.r_file,
-            ],
-            dtype=np.float64,
-        )
-
-
 def _old_extension(ev) -> str:
     return extension_of(ev.old_file_name) if ev.old_file_name else ""
 
@@ -92,8 +42,8 @@ _OPS = (
 )
 
 
-def extract_features(window: ProcessWindow) -> FeatureVector:
-    """Compute the 12-dimensional expert vector from a window's events.
+def extract_features(window: ProcessWindow) -> np.ndarray:
+    """The 12 expert features of a window's events, as a float64 row in FEATURE_NAMES order.
 
     Only ``window.events`` is read, and only during the call, so the engine
     can pass the open window it keeps.
@@ -105,6 +55,9 @@ def extract_features(window: ProcessWindow) -> FeatureVector:
       first Create/Delete event (renames contribute the old path's type);
     * the "after" set holds extensions existing among touched files at the
       end (creates/writes add, deletes/smashes remove, renames swap paths).
+
+    The type-change one-hot is grown or shrunk when the set's size changes,
+    churn when the size holds but the set does not, and unchanged otherwise.
 
     Zero denominators use bounded sentinels: rtype = 0 when the before set is
     empty, rtype_change falls back to the deleted-type count when nothing was
@@ -163,15 +116,7 @@ def extract_features(window: ProcessWindow) -> FeatureVector:
     ntype_before = len(before_types)
     ntype_after = len(after_types)
     ntype_change = ntype_after - ntype_before
-
-    if ntype_change > 0:
-        shape = TypeChange.GROWN
-    elif ntype_change < 0:
-        shape = TypeChange.SHRUNK
-    elif before_types != after_types:
-        shape = TypeChange.CHURN
-    else:
-        shape = TypeChange.UNCHANGED
+    churn = ntype_change == 0 and before_types != after_types
 
     rtype = ntype_after / ntype_before if ntype_before > 0 else 0.0
     n_del_types = len(del_types)
@@ -190,19 +135,13 @@ def extract_features(window: ProcessWindow) -> FeatureVector:
         n_folder = 0
     r_file = max_n_file / n_folder if n_folder > 0 else 0.0
 
-    return FeatureVector(
-        n_create=n_create,
-        n_delete=n_delete,
-        n_renamed=n_renamed,
-        ntype_before=ntype_before,
-        ntype_after=ntype_after,
-        ntype_change=ntype_change,
-        type_change=shape,
-        rtype=rtype,
-        rtype_change=rtype_change,
-        max_n_file=max_n_file,
-        n_folder=n_folder,
-        r_file=r_file,
+    return np.array(
+        [
+            n_create, n_delete, n_renamed,
+            ntype_change == 0 and not churn, ntype_change > 0, ntype_change < 0, churn,
+            rtype, rtype_change, max_n_file, n_folder, r_file,
+        ],
+        dtype=np.float64,
     )
 
 

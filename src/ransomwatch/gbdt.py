@@ -228,6 +228,9 @@ class BoostParams:
             raise ValueError(f"eta must be finite and at least 0, got {self.eta}")
         if not self.lambda_ >= 0:
             raise ValueError(f"lambda_ must be at least 0, got {self.lambda_}")
+        for name in ("gamma", "lambda_"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

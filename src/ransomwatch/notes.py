@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,17 +28,6 @@ class EmptyCorpus(ValueError):
 
 class DegenerateLabels(ValueError):
     """A sweep needs both classes present."""
-
-
-@dataclass(frozen=True, slots=True)
-class TokenizedNote:
-    """Normalized word sequence of one document."""
-
-    words: tuple[str, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.words)
 
 
 # The category-P characters among the 128 ASCII code points (23 of them);
@@ -62,8 +52,8 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str) -> TokenizedNote:
-    """Split on whitespace, strip leading/trailing punctuation, lowercase.
+def tokenize(text: str) -> tuple[str, ...]:
+    """The words of a text: split on whitespace, strip leading/trailing punctuation, lowercase.
 
     Punctuation is any Unicode category-P character; interior punctuation is
     kept ("don't" survives, "ENCRYPTED!" becomes "encrypted"). Empty tokens
@@ -72,13 +62,13 @@ def tokenize(text: str) -> TokenizedNote:
     if text.isascii():
         # On ASCII, lower() changes only A-Z, so lowering the whole text
         # first changes neither the whitespace split nor what is punctuation.
-        return TokenizedNote(tuple(filter(None, [raw.strip(_ASCII_PUNCT) for raw in text.lower().split()])))
+        return tuple(filter(None, [raw.strip(_ASCII_PUNCT) for raw in text.lower().split()]))
     words = []
     for raw in text.split():
         tok = _strip_punct(raw).lower()
         if tok:
             words.append(tok)
-    return TokenizedNote(tuple(words))
+    return tuple(words)
 
 
 def decode_note(blob: bytes, limit: int) -> Optional[str]:
@@ -94,9 +84,9 @@ def decode_note(blob: bytes, limit: int) -> Optional[str]:
         return None
 
 
-def ngrams(note: TokenizedNote, n: int) -> list[Fragment]:
-    """All sliding n-word sequences, max(0, k - n + 1) of them, in order."""
-    return list(_fragments(note.words, n))
+def ngrams(words: tuple[str, ...], n: int) -> list[Fragment]:
+    """All sliding n-word sequences, max(0, len(words) - n + 1) of them, in order."""
+    return list(_fragments(words, n))
 
 
 def _fragments(words: tuple[str, ...], n: int) -> Iterator[Fragment]:
@@ -180,7 +170,8 @@ class GenePool:
     @classmethod
     def from_json(cls, text: str) -> "GenePool":
         """Load a pool. Raises ValueError unless n >= 1 and the pool holds at
-        least one fragment, each a list of exactly n strings."""
+        least one fragment, each a list of exactly n strings with a finite
+        score of at least 0."""
         payload = json.loads(text)
         try:
             n = int(payload["n"])
@@ -197,6 +188,8 @@ class GenePool:
             ):
                 raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
             fragments = {tuple(words): float(item["f"]) for words, item in zip(word_lists, items)}
+            if not all(0.0 <= score < math.inf for score in fragments.values()):  # NaN fails both
+                raise ValueError("gene pool fragment scores must be finite and at least 0")
             return cls(n, payload["top_k"], fragments, int(payload["source_count"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(
@@ -212,7 +205,7 @@ class GenePool:
 
 
 def build_pool(
-    notes: Sequence[TokenizedNote],
+    notes: Sequence[tuple[str, ...]],
     n: int = DEFAULT_NGRAM_SIZE,
     top_k: Optional[int] = DEFAULT_POOL_CAPACITY,
 ) -> GenePool:
@@ -243,10 +236,9 @@ class SimilarityVerdict:
     score: float
     matched: tuple[tuple[Fragment, float], ...]
     is_note: bool
-    threshold: float
 
 
-def similarity(doc: TokenizedNote, pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
+def similarity(doc: tuple[str, ...], pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
     """Sum the scores of pool fragments present in the document.
 
     Set semantics: each distinct pool fragment counts at most once no matter
@@ -255,15 +247,15 @@ def similarity(doc: TokenizedNote, pool: GenePool, tau: float = DEFAULT_TAU_SIM)
     fragments = pool.fragments
     if not fragments:
         raise ValueError("gene pool is empty")
-    hits = fragments.keys() & _fragments(doc.words, pool.n)
+    hits = fragments.keys() & _fragments(doc, pool.n)
     matched = tuple((frag, score) for frag, score in fragments.items() if frag in hits) if hits else ()
     score = sum(s for _, s in matched)
-    return SimilarityVerdict(score, matched, score >= tau, tau)
+    return SimilarityVerdict(score, matched, score >= tau)
 
 
-def match_count(doc: TokenizedNote, pool: GenePool) -> int:
+def match_count(doc: tuple[str, ...], pool: GenePool) -> int:
     """Number of distinct pool fragments present in the document."""
-    return len(pool.fragments.keys() & _fragments(doc.words, pool.n))
+    return len(pool.fragments.keys() & _fragments(doc, pool.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +268,7 @@ class ThresholdPoint:
 
 def sweep_threshold(
     pool: GenePool,
-    labeled_docs: Sequence[tuple[TokenizedNote, bool]],
+    labeled_docs: Sequence[tuple[tuple[str, ...], bool]],
     taus: Iterable[float],
 ) -> list[ThresholdPoint]:
     """Classification metrics per candidate threshold.
@@ -307,8 +299,8 @@ class WindowPoint:
 
 
 def sweep_window(
-    notes: Sequence[TokenizedNote],
-    benign_docs: Sequence[TokenizedNote],
+    notes: Sequence[tuple[str, ...]],
+    benign_docs: Sequence[tuple[str, ...]],
     n_values: Iterable[int] = range(1, 7),
     top_k: Optional[int] = DEFAULT_POOL_CAPACITY,
 ) -> list[WindowPoint]:

@@ -65,9 +65,7 @@ def featurize(
     ``labels`` is passed to ``build_graph``: the graph labels of a prefix of
     the window's events, extended in place to all of them.
     """
-    expert = extract_features(window).as_array()
-    embedding = encode(build_graph(window, labels), dims, hash_seed)
-    return np.concatenate([expert, embedding])
+    return np.concatenate([extract_features(window), encode(build_graph(window, labels), dims, hash_seed)])
 
 
 class ContentProvider(Protocol):
@@ -123,13 +121,17 @@ class PipelineConfig:
         for name in ("window_total_us", "slide_us", "max_note_bytes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.window_total_us % self.slide_us:
+            raise ValueError(
+                f"window_total_us must be a whole number of {self.slide_us} us slides, got {self.window_total_us}"
+            )
         for name in ("tau_sim", "decision_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def n_slides(self) -> int:
-        return max(1, self.window_total_us // self.slide_us)
+        return self.window_total_us // self.slide_us
 
 
 @dataclass
@@ -140,7 +142,8 @@ class RunMetrics:
     classifier_calls: int = 0
     alerts_low: int = 0
     alerts_high: int = 0
-    decision_latencies_us: list[int] = field(default_factory=list)
+    # High decisions by latency from trigger; every latency is k * slide_us, 1 <= k <= n_slides
+    decision_latencies_us: dict[int, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
     @property
@@ -152,12 +155,14 @@ class RunMetrics:
         return {"low": self.alerts_low, "high": self.alerts_high}
 
 
-def _percentile(values: Sequence[int], q: float) -> Optional[int]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))  # nearest-rank
-    return ordered[min(rank, len(ordered)) - 1]
+def _percentile(counts: dict[int, int], q: float) -> Optional[int]:
+    """The nearest-rank q-quantile of values given as value -> count."""
+    rank = max(1, math.ceil(q * sum(counts.values())))
+    for value in sorted(counts):
+        rank -= counts[value]
+        if rank <= 0:
+            return value
+    return None
 
 
 def metrics_report(metrics: RunMetrics) -> dict:
@@ -284,7 +289,8 @@ class Engine:
         if prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
             self._terminated.add(pid)
-            metrics.decision_latencies_us.append(boundary - trigger.time)
+            latency = boundary - trigger.time
+            metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
             created_at = boundary
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
@@ -296,7 +302,7 @@ class Engine:
             )
             response = Response.TERMINATE_SIMULATED
         else:
-            if not final and boundary - trigger.time < self.config.n_slides * self.config.slide_us:
+            if not final and boundary - trigger.time < self.config.window_total_us:
                 return False
             metrics.alerts_low += 1
             created_at = trigger.time + self.config.window_total_us

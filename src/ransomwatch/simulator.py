@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -702,19 +702,15 @@ _PROFILE_BY_NAME = {p.value: p for p in BenignProfile}
 def spec_from_kind(
     kind: str,
     seed: int = 0,
-    files: int = 120,
     fps: float = 60.0,
     note_every_k_dirs: int = 1,
     avoid_decoys: bool = False,
     touch_decoy: bool = False,
-    tree: Optional[TreeSpec] = None,
+    tree: TreeSpec = TreeSpec(),
     decoy_paths: Sequence[str] = (),
 ) -> ScenarioSpec:
-    """Build a ScenarioSpec from a CLI-style kind name ("m3", "office", ...)."""
+    """Build a ScenarioSpec over ``tree`` from a CLI-style kind name ("m3", "office", ...)."""
     kind_l = kind.lower()
-    tree = tree or TreeSpec(files=files)
-    if tree.files != files:
-        tree = replace(tree, files=files)
     if kind_l in _MODE_BY_NAME:
         return ScenarioSpec(
             kind=RansomwareSpec(_MODE_BY_NAME[kind_l], fps, note_every_k_dirs, avoid_decoys),
@@ -755,7 +751,6 @@ def spec_from_json(text: str) -> ScenarioSpec:
         return spec_from_kind(
             obj["kind"],
             seed=int(obj.get("seed", 0)),
-            files=tree.files,
             fps=float(obj.get("fps", 60.0)),
             note_every_k_dirs=int(obj.get("note_every_k_dirs", 1)),
             avoid_decoys=bool(obj.get("avoid_decoys", False)),

@@ -67,13 +67,13 @@ def test_criterion_1_equation_identities():
     rng_py = random.Random(1002)
     for _ in range(1000):
         events = _random_events(rng_py, rng_py.randint(0, 50))
-        vec = extract_features(_window(events))
-        assert vec.ntype_change == vec.ntype_after - vec.ntype_before
+        onehot = extract_features(_window(events))[3:7]
+        assert sorted(onehot.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     _report(1, f"{checked} split objectives agree (worst gap {worst:.2e} <= 1e-9); "
-               f"type-change identity exact on 1000 fuzzed windows; {elapsed:.1f}s < 30s")
+               f"one type-change shape on each of 1000 fuzzed windows; {elapsed:.1f}s < 30s")
 
 
 # -- 2. oracle equivalence ----------------------------------------------------
@@ -127,7 +127,7 @@ def test_criterion_2_oracle_equivalence():
     rng_py = random.Random(2002)
     for _ in range(1000):
         events = _random_events(rng_py, rng_py.randint(0, 60))
-        assert extract_features(_window(events)).as_array().tolist() == _oracle_features(events)
+        assert extract_features(_window(events)).tolist() == _oracle_features(events)
 
     for _ in range(200):
         events = [
@@ -158,12 +158,12 @@ def test_criterion_3_gene_pool_laws(note_corpus):
         k = rng.randint(0, 50)
         n = rng.randint(1, 8)
         note = tokenize(" ".join(rng.choice("abcdefgh") for _ in range(k)))
-        assert len(ngrams(note, n)) == max(0, note.k - n + 1)
+        assert len(ngrams(note, n)) == max(0, len(note) - n + 1)
 
     source = notes[0]
     solo = build_pool([source], n=3, top_k=None)
     assert abs(similarity(source, solo).score - 1.0) <= 1e-9
-    repeated = tokenize(" ".join(source.words * 3))
+    repeated = tokenize(" ".join(source * 3))
     assert abs(similarity(repeated, solo).score - 1.0) <= 1e-9  # set semantics
 
     _report(3, f"untruncated scores sum to {total:.12f} (within 1e-9); n-gram count law on 300 "

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ransomwatch import cli
 from ransomwatch.cli import main
 from ransomwatch.simulator import make_note_corpus
 
@@ -141,6 +142,23 @@ def test_train_reports_missing_corpus_files_in_one_line(tmp_path, runner, presen
                     f"{missing}: No such file")
 
 
+def test_decoy_deploy_places_decoys_in_the_given_early_dirs(tmp_path, runner, monkeypatch):
+    user, early, platform = (tmp_path / name for name in ("docs", "early", "platform"))
+    for directory in (user, early, platform):
+        directory.mkdir()
+    monkeypatch.setattr(cli, "default_early_dirs", lambda: [str(platform)])
+
+    def deploy(*flags):
+        """Deploy two decoys with a fresh registry; the file counts of the early, user and platform dirs."""
+        registry = tmp_path / f"decoys{len(flags)}.json"
+        _invoke(runner, ["decoy", "deploy", "--dir", str(user), "--count", "2", "--registry", str(registry), *flags])
+        return tuple(len(list(directory.iterdir())) for directory in (early, user, platform))
+
+    assert deploy("--early-dir", str(early)) == (1, 1, 0)  # without --auto
+    assert deploy("--auto", "--early-dir", str(early), "--seed", "1") == (2, 2, 0)
+    assert deploy("--auto") == (2, 3, 1)
+
+
 def test_decoy_verify_fails_on_tamper(tmp_path, runner):
     decoy_dir = tmp_path / "d"
     decoy_dir.mkdir()
@@ -200,6 +218,7 @@ def artifacts(tmp_path, trained_forest, gene_pool):
         ("text.json", "not json"),
         ("words.json", json.dumps({**pool, "fragments": [f["words"] for f in pool["fragments"]]})),
         ("nofrags.json", json.dumps({k: v for k, v in pool.items() if k != "fragments"})),
+        ("nan_score.json", json.dumps({**pool, "fragments": [{**pool["fragments"][0], "f": float("nan")}]})),
         ("list_decoys.json", "[]"),
         ("number_notes.json", json.dumps({"C:/x.txt": 5})),
         ("list_notes.json", json.dumps(["a"])),
@@ -233,7 +252,7 @@ def _watch_args(artifacts, model="model.bin"):
     ]
 
 
-@pytest.mark.parametrize("bad_pool", ["n0.json", "empty.json", "text.json", "words.json", "nofrags.json"])
+@pytest.mark.parametrize("bad_pool", ["n0.json", "empty.json", "text.json", "words.json", "nofrags.json", "nan_score.json"])
 def test_run_reports_malformed_pool_in_one_line(runner, artifacts, bad_pool):
     _one_line_error(runner, _run_args(artifacts, pool=bad_pool), bad_pool)
 
@@ -365,9 +384,10 @@ def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts,
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--trees", "0"], "n_trees must be at least 1, got 0"),
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--depth", "0"], "max_depth must be at least 1, got 0"),
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--eta", "-1"], "eta must be finite and at least 0, got -1.0"),
+    (["train", "--corpus", "{corpus}", "--out", "{out}", "--gamma", "nan"], "gamma must be finite, got nan"),
 ], ids=["decoy-count0", "genepool-empty", "genepool-n0", "genepool-top-k0", "features-dt0", "features-dt-negative",
         "simulate-files0", "simulate-fps0", "simulate-kind", "corpus-empty", "train-dims12", "train-trees0",
-        "train-depth0", "train-eta-negative"])
+        "train-depth0", "train-eta-negative", "train-gamma-nan"])
 def test_commands_report_invalid_arguments_in_one_line(runner, tmp_path, args, expected):
     notes = tmp_path / "notes"
     notes.mkdir()

@@ -37,7 +37,7 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
     def decide(pid, boundary, final):
         trigger, pid_name, start, slides = windows[pid]
         evs = tuple(ev for ev in stream[start:] if ev.pid == pid and ev.time < boundary)
-        row = pipeline.featurize(ProcessWindow(pid, pid_name, trigger.time, boundary, evs, trigger.kind),
+        row = pipeline.featurize(ProcessWindow(pid, pid_name, trigger.time, boundary, evs),
                                  forest.dims, forest.hash_seed)
         prob = forest.predict_row(row)
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")

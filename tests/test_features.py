@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
-from ransomwatch.features import FEATURE_NAMES, FeatureVector, Mode, TypeChange, extract_features
+from ransomwatch.features import FEATURE_NAMES, Mode, extract_features
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -84,15 +85,16 @@ def _oracle_features(events):
                 exists[e.file_name] = e.file_type
     after = set(exists.values())
 
+    # one-hot index in FEATURE_NAMES order: unchanged, grown, shrunk, churn
     ntype_change = len(after) - len(before)
     if ntype_change > 0:
-        shape = TypeChange.GROWN
+        shape = 1
     elif ntype_change < 0:
-        shape = TypeChange.SHRUNK
+        shape = 2
     elif before != after:
-        shape = TypeChange.CHURN
+        shape = 3
     else:
-        shape = TypeChange.UNCHANGED
+        shape = 0
 
     rtype = len(after) / len(before) if before else 0.0
     del_types = {e.file_type for e in events if e.operation in (Operation.DELETE, Operation.SMASH)}
@@ -112,7 +114,7 @@ def _oracle_features(events):
     r_file = max_n_file / n_folder if n_folder else 0.0
 
     onehot = [0.0] * 4
-    onehot[shape.value] = 1.0
+    onehot[shape] = 1.0
     return [
         float(n_create), float(n_delete), float(n_renamed), *onehot,
         rtype, rtype_change, float(max_n_file), float(n_folder), r_file,
@@ -140,38 +142,35 @@ def test_extract_features_matches_recount_oracle():
     rng = random.Random(77)
     for _ in range(1000):
         events = _random_events(rng, rng.randint(0, 60))
-        got = extract_features(_window(events)).as_array().tolist()
+        got = extract_features(_window(events)).tolist()
         assert got == _oracle_features(events)
 
 
+def _named(window):
+    return dict(zip(FEATURE_NAMES, extract_features(window).tolist()))
+
+
 def test_empty_window():
-    vec = extract_features(_window([]))
-    assert vec.n_create == vec.n_delete == vec.n_renamed == 0
-    assert vec.rtype == vec.rtype_change == vec.r_file == 0.0
-    assert vec.type_change is TypeChange.UNCHANGED
-    assert len(vec.as_array()) == 12 == len(FEATURE_NAMES)
+    row = extract_features(_window([]))
+    assert row.dtype == np.float64 and row.shape == (12,) == (len(FEATURE_NAMES),)
+    vec = _named(_window([]))
+    assert vec["n_create"] == vec["n_delete"] == vec["n_renamed"] == 0
+    assert vec["rtype"] == vec["rtype_change"] == vec["r_file"] == 0.0
+    assert (vec["type_unchanged"], vec["type_grown"], vec["type_shrunk"], vec["type_churn"]) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_ransom_note_spread_example():
     events = [
         _ev(Operation.CREATE, f"C:/u/folder{i}/HOW_TO_DECRYPT.txt", time=i) for i in range(5)
     ]
-    vec = extract_features(_window(events))
-    assert vec.max_n_file == 5 and vec.n_folder == 5 and vec.r_file == 1.0
+    vec = _named(_window(events))
+    assert vec["max_n_file"] == 5 and vec["n_folder"] == 5 and vec["r_file"] == 1.0
 
 
 def test_benign_installer_same_folder_example():
     events = [_ev(Operation.CREATE, "C:/Program Files/app/setup.log", time=i) for i in range(5)]
-    vec = extract_features(_window(events))
-    assert vec.max_n_file == 5 and vec.n_folder == 1 and vec.r_file == 5.0
-
-
-def test_ntype_change_identity_on_fuzzed_windows():
-    rng = random.Random(123)
-    for _ in range(500):
-        events = _random_events(rng, rng.randint(0, 40))
-        vec = extract_features(_window(events))
-        assert vec.ntype_change == vec.ntype_after - vec.ntype_before
+    vec = _named(_window(events))
+    assert vec["max_n_file"] == 5 and vec["n_folder"] == 1 and vec["r_file"] == 5.0
 
 
 def test_duplication_invariance_of_type_features():
@@ -184,20 +183,18 @@ def test_duplication_invariance_of_type_features():
             FileEvent(i, e.pid, e.pid_name, e.operation, e.file_name, e.file_type, e.old_file_name)
             for i, e in enumerate(doubled)
         ]
-        a = extract_features(_window(events))
-        b = extract_features(_window(doubled))
-        assert a.ntype_change == b.ntype_change
-        assert a.rtype == b.rtype
-        assert a.type_change == b.type_change
+        a = _named(_window(events))
+        b = _named(_window(doubled))
+        for name in ("type_unchanged", "type_grown", "type_shrunk", "type_churn", "rtype"):
+            assert a[name] == b[name]
 
 
 def test_rtype_sentinels():
     # no before-set: first event is a Create
-    vec = extract_features(_window([_ev(Operation.CREATE, "C:/u/a.txt")]))
-    assert vec.rtype == 0.0
+    assert _named(_window([_ev(Operation.CREATE, "C:/u/a.txt")]))["rtype"] == 0.0
     # deletes but no creates: rtype_change falls back to deleted-type count
     events = [_ev(Operation.DELETE, "C:/u/a.txt"), _ev(Operation.DELETE, "C:/u/b.pdf", time=1)]
-    assert extract_features(_window(events)).rtype_change == 2.0
+    assert _named(_window(events))["rtype_change"] == 2.0
 
 
 # --- exactness oracle: the same loop, with no local aliases and no shared split
@@ -255,14 +252,15 @@ def _extract_features_before(window):
     ntype_before = len(before_types)
     ntype_after = len(after_types)
     ntype_change = ntype_after - ntype_before
+    onehot = [0.0] * 4  # unchanged, grown, shrunk, churn
     if ntype_change > 0:
-        shape = TypeChange.GROWN
+        onehot[1] = 1.0
     elif ntype_change < 0:
-        shape = TypeChange.SHRUNK
+        onehot[2] = 1.0
     elif before_types != after_types:
-        shape = TypeChange.CHURN
+        onehot[3] = 1.0
     else:
-        shape = TypeChange.UNCHANGED
+        onehot[0] = 1.0
     rtype = ntype_after / ntype_before if ntype_before > 0 else 0.0
     n_del_types = len(del_types)
     n_create_types = len(create_types)
@@ -278,12 +276,10 @@ def _extract_features_before(window):
         max_n_file = 0
         n_folder = 0
     r_file = max_n_file / n_folder if n_folder > 0 else 0.0
-    return FeatureVector(
-        n_create=n_create, n_delete=n_delete, n_renamed=n_renamed,
-        ntype_before=ntype_before, ntype_after=ntype_after, ntype_change=ntype_change,
-        type_change=shape, rtype=rtype, rtype_change=rtype_change,
-        max_n_file=max_n_file, n_folder=n_folder, r_file=r_file,
-    )
+    return [
+        float(n_create), float(n_delete), float(n_renamed), *onehot,
+        rtype, rtype_change, float(max_n_file), float(n_folder), r_file,
+    ]
 
 
 def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, gene_pool, monkeypatch):
@@ -307,7 +303,7 @@ def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, ge
 
     def checked(window):
         vec = extract_features(window)
-        assert vec == _extract_features_before(window)
+        assert vec.tolist() == _extract_features_before(window)
         windows.append(_window(window.events, window.trigger.pid))  # the engine's window grows after the call
         return vec
 
@@ -321,10 +317,10 @@ def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, ge
     assert len(windows) == engine.metrics.classifier_calls
     assert engine.metrics.windows_opened == len(results)
     assert {window.pid for window in windows} == {r.ground_truth["pid"] for r in results}
-    vectors = [extract_features(window) for window in windows]
+    vectors = [_named(window) for window in windows]
     # creates, renames and a note spread across folders all reached the check
-    assert any(v.n_create for v in vectors) and any(v.n_renamed for v in vectors)
-    assert any(v.max_n_file > 1 for v in vectors)
+    assert any(v["n_create"] for v in vectors) and any(v["n_renamed"] for v in vectors)
+    assert any(v["max_n_file"] > 1 for v in vectors)
 
 
 # Paths on which the one split must agree with basename_of and dirname_of:
@@ -348,7 +344,7 @@ def _feature_events(draw):
 @given(_feature_events())
 def test_extract_features_matches_the_reference_on_split_edge_paths(events):
     window = _window(events)
-    assert extract_features(window) == _extract_features_before(window)
+    assert extract_features(window).tolist() == _extract_features_before(window)
 
 
 def test_extract_features_matches_the_reference_on_every_pair_of_split_edge_events():
@@ -361,4 +357,4 @@ def test_extract_features_matches_the_reference_on_every_pair_of_split_edge_even
     for first in singles:
         for second in singles:
             window = _window([_ev(first[0], first[1], 0, old=first[2]), _ev(second[0], second[1], 1, old=second[2])])
-            assert extract_features(window) == _extract_features_before(window), (first, second)
+            assert extract_features(window).tolist() == _extract_features_before(window), (first, second)

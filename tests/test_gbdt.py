@@ -250,6 +250,10 @@ def test_fit_eta_zero_predicts_base_rate():
     ("eta", math.nan, "eta must be finite"),
     ("lambda_", -0.5, "lambda_ must be at least 0, got -0.5"),
     ("lambda_", math.nan, "lambda_ must be at least 0"),
+    ("gamma", math.nan, "gamma must be finite, got nan"),
+    ("gamma", math.inf, "gamma must be finite, got inf"),
+    ("gamma", -math.inf, "gamma must be finite, got -inf"),
+    ("lambda_", math.inf, "lambda_ must be finite, got inf"),  # every leaf weight 0: a constant model
 ])
 def test_boost_params_reject_values_that_train_no_useful_model(field, value, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):

@@ -20,7 +20,6 @@ from ransomwatch.notes import (
     EmptyCorpus,
     GenePool,
     SimilarityVerdict,
-    TokenizedNote,
     build_pool,
     match_count,
     ngrams,
@@ -34,21 +33,19 @@ from ransomwatch.simulator import make_benign_doc_corpus, make_benign_text, make
 
 
 def test_tokenize_normalizes():
-    note = tokenize("All your files have been ENCRYPTED!")
-    assert note.words == ("all", "your", "files", "have", "been", "encrypted")
+    assert tokenize("All your files have been ENCRYPTED!") == ("all", "your", "files", "have", "been", "encrypted")
 
 
 def test_tokenize_empty():
-    assert tokenize("").k == 0
+    assert tokenize("") == ()
 
 
 def test_tokenize_keeps_interior_and_symbols():
-    note = tokenize("Don't pay $500, (really) e.g. -- ...")
-    assert note.words == ("don't", "pay", "$500", "really", "e.g")
+    assert tokenize("Don't pay $500, (really) e.g. -- ...") == ("don't", "pay", "$500", "really", "e.g")
 
 
 def test_tokenize_unicode_punctuation():
-    assert tokenize("«quoted» “files” encrypted…").words == ("quoted", "files", "encrypted")
+    assert tokenize("«quoted» “files” encrypted…") == ("quoted", "files", "encrypted")
 
 
 # ASCII punctuation in Unicode category P; $+<=>^`|~ are symbols and stay.
@@ -70,11 +67,11 @@ def test_tokenize_matches_regex_oracle_on_mixed_punctuation():
     pieces = ["files!", "(pay)", "us...", "$500", "now;", "--key--", "a+b", "don't", "#1", "[x]", "e.g.,", "OK?!"]
     for _ in range(200):
         text = " ".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
-        assert tokenize(text).words == _oracle_tokenize(text)
+        assert tokenize(text) == _oracle_tokenize(text)
 
 
 def test_ngrams_trigram_example():
-    note = TokenizedNote(("all", "your", "files", "have", "been", "encrypted"))
+    note = ("all", "your", "files", "have", "been", "encrypted")
     grams = ngrams(note, 3)
     assert len(grams) == 4
     assert ("all", "your", "files") in grams
@@ -82,24 +79,23 @@ def test_ngrams_trigram_example():
 
 
 def test_ngrams_short_note():
-    assert ngrams(TokenizedNote(("pay", "now")), 3) == []
+    assert ngrams(("pay", "now"), 3) == []
 
 
 def test_ngrams_rejects_bad_n():
     with pytest.raises(ValueError):
-        ngrams(TokenizedNote(("a",)), 0)
+        ngrams(("a",), 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.sampled_from("abcdef"), max_size=40), st.integers(min_value=1, max_value=8))
 def test_ngrams_count_law(words, n):
-    note = TokenizedNote(tuple(words))
-    assert len(ngrams(note, n)) == max(0, note.k - n + 1)
+    assert len(ngrams(tuple(words), n)) == max(0, len(words) - n + 1)
 
 
 def test_build_pool_tiny_counts():
     # bigrams of (x y x y z): (x,y) twice, (y,x) once, (y,z) once
-    pool = build_pool([TokenizedNote(("x", "y", "x", "y", "z"))], n=2, top_k=None)
+    pool = build_pool([("x", "y", "x", "y", "z")], n=2, top_k=None)
     assert pool.fragments[("x", "y")] == pytest.approx(0.5)
     assert pool.fragments[("y", "x")] == pytest.approx(0.25)
     assert pool.fragments[("y", "z")] == pytest.approx(0.25)
@@ -130,19 +126,19 @@ def test_pool_scores_invariant_to_note_duplication():
 
 
 def test_pool_descending_order_with_lexicographic_ties():
-    pool = build_pool([TokenizedNote(("b", "a", "b", "a", "c"))], n=1, top_k=None)
+    pool = build_pool([("b", "a", "b", "a", "c")], n=1, top_k=None)
     assert list(pool.fragments) == [("a",), ("b",), ("c",)]  # a and b tie at 2, c has 1
 
 
 def test_build_pool_empty_corpus():
     with pytest.raises(EmptyCorpus):
-        build_pool([TokenizedNote(("too", "short"))], n=3)
+        build_pool([("too", "short")], n=3)
 
 
 @pytest.mark.parametrize("top_k", [0, -1])
 def test_build_pool_rejects_top_k_below_one(top_k):
     with pytest.raises(ValueError):
-        build_pool([TokenizedNote(("your", "files", "are", "encrypted"))], n=3, top_k=top_k)
+        build_pool([("your", "files", "are", "encrypted")], n=3, top_k=top_k)
 
 
 def test_pool_serialization_deterministic_and_round_trips(note_corpus):
@@ -184,7 +180,7 @@ def test_similarity_no_overlap_is_zero():
 
 def test_similarity_sums_matched_scores():
     pool = GenePool(2, None, {("a", "b"): 0.5, ("b", "c"): 0.25, ("z", "z"): 0.25}, 1)
-    verdict = similarity(TokenizedNote(("a", "b", "c")), pool, tau=0.7)
+    verdict = similarity(("a", "b", "c"), pool, tau=0.7)
     assert verdict.score == pytest.approx(0.75)
     assert {frag for frag, _ in verdict.matched} == {("a", "b"), ("b", "c")}
     assert verdict.is_note  # 0.75 >= 0.7
@@ -203,7 +199,7 @@ def test_similarity_set_semantics_ignores_repetition():
 def test_similarity_invariant_to_pool_storage_order():
     frags = {("a", "b"): 0.4, ("b", "c"): 0.35, ("c", "d"): 0.25}
     shuffled = dict(reversed(list(frags.items())))
-    doc = TokenizedNote(("a", "b", "c"))
+    doc = ("a", "b", "c")
     assert similarity(doc, GenePool(2, None, frags, 1)).score == pytest.approx(
         similarity(doc, GenePool(2, None, shuffled, 1)).score
     )
@@ -266,8 +262,8 @@ def test_sweep_window_shape(note_corpus):
 
 
 def test_sweep_window_short_notes_zero_recall():
-    notes = [TokenizedNote(("pay", "now", "please"))] * 5
-    benign = [TokenizedNote(("hello", "world"))]
+    notes = [("pay", "now", "please")] * 5
+    benign = [("hello", "world")]
     (point,) = sweep_window(notes, benign, n_values=(6,))
     assert point.recall == 0.0
 
@@ -289,25 +285,25 @@ def _reference_strip_punct(token: str) -> str:
     return token[start:end]
 
 
-def _reference_tokenize(text: str) -> TokenizedNote:
+def _reference_tokenize(text: str) -> tuple[str, ...]:
     words = []
     for raw in text.split():
         tok = _reference_strip_punct(raw).lower()
         if tok:
             words.append(tok)
-    return TokenizedNote(tuple(words))
+    return tuple(words)
 
 
-def _reference_similarity(doc: TokenizedNote, pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
+def _reference_similarity(doc: tuple[str, ...], pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
     if not pool.fragments:
         raise ValueError("gene pool is empty")
     doc_fragments = set(ngrams(doc, pool.n))
     matched = tuple((frag, score) for frag, score in pool.fragments.items() if frag in doc_fragments)
     score = sum(s for _, s in matched)
-    return SimilarityVerdict(score, matched, score >= tau, tau)
+    return SimilarityVerdict(score, matched, score >= tau)
 
 
-def _reference_match_count(doc: TokenizedNote, pool: GenePool) -> int:
+def _reference_match_count(doc: tuple[str, ...], pool: GenePool) -> int:
     doc_fragments = set(ngrams(doc, pool.n))
     return sum(1 for frag in pool.fragments if frag in doc_fragments)
 
@@ -378,11 +374,11 @@ def _random_pool(rng: random.Random, n: int, vocab: str) -> GenePool:
     return GenePool(n, None, fragments, 1)
 
 
-def _random_doc(rng: random.Random, vocab: str) -> TokenizedNote:
+def _random_doc(rng: random.Random, vocab: str) -> tuple[str, ...]:
     if rng.random() < 0.3:  # a fragment repeated many times
         unit = [rng.choice(vocab) for _ in range(rng.randint(1, 3))]
-        return TokenizedNote(tuple(unit * rng.randint(1, 6)))
-    return TokenizedNote(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12))))
+        return tuple(unit * rng.randint(1, 6))
+    return tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))
 
 
 def test_similarity_and_match_count_equal_reference_on_random_pools():
@@ -393,12 +389,12 @@ def test_similarity_and_match_count_equal_reference_on_random_pools():
         vocab = "abcd"[: rng.randint(1, 4)]
         pool = _random_pool(rng, n, vocab)
         doc = _random_doc(rng, vocab)
-        short_docs += doc.k < n
+        short_docs += len(doc) < n
         tau = rng.choice([0.0, 0.21, 0.5])
         got, want = similarity(doc, pool, tau), _reference_similarity(doc, pool, tau)
         assert got.matched == want.matched
         assert repr(got.score) == repr(want.score) and type(got.score) is type(want.score)
-        assert (got.is_note, got.threshold) == (want.is_note, want.threshold)
+        assert got.is_note == want.is_note
         assert match_count(doc, pool) == _reference_match_count(doc, pool)
     assert short_docs > 100
 
@@ -411,7 +407,7 @@ def test_similarity_no_match_scores_int_zero(gene_pool):
 
 
 def test_similarity_rejects_empty_pool_and_bad_n():
-    doc = TokenizedNote(("a", "b"))
+    doc = ("a", "b")
     with pytest.raises(ValueError):
         similarity(doc, GenePool(2, None, {}, 0))
     with pytest.raises(ValueError):
@@ -445,8 +441,8 @@ def test_similarity_matches_golden_digest(gene_pool):
     assert digest.hexdigest() == _SIMILARITY_GOLDEN
 
 
-def _pool_json(n=2, fragments=(["a", "b"],)) -> str:
-    return json.dumps({"n": n, "top_k": None, "source_count": 1, "fragments": [{"words": w, "f": 0.5} for w in fragments]})
+def _pool_json(n=2, fragments=(["a", "b"],), score=0.5) -> str:
+    return json.dumps({"n": n, "top_k": None, "source_count": 1, "fragments": [{"words": w, "f": score} for w in fragments]})
 
 
 @pytest.mark.parametrize(
@@ -459,11 +455,18 @@ def _pool_json(n=2, fragments=(["a", "b"],)) -> str:
         _pool_json(fragments=(["a", "b", "c"],)),
         _pool_json(fragments=(["a", 2],)),
         _pool_json(fragments=("ab",)),
+        # a NaN score makes every verdict False, a negative one cancels others, an infinite one flags every holder
+        _pool_json(score=float("nan")),
+        _pool_json(score=-0.5),
+        _pool_json(score=float("inf")),
+        _pool_json(score=float("-inf")),
+        _pool_json(score=0.5).replace("0.5", "1e400"),
     ],
-    ids=["n0", "n_negative", "no_fragments", "short_fragment", "long_fragment", "non_string_word", "string_not_list"],
+    ids=["n0", "n_negative", "no_fragments", "short_fragment", "long_fragment", "non_string_word", "string_not_list",
+         "score_nan", "score_negative", "score_infinity", "score_minus_infinity", "score_1e400"],
 )
 def test_pool_from_json_rejects_malformed(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="gene pool"):
         GenePool.from_json(text)
 
 

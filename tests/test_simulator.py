@@ -247,7 +247,7 @@ def test_corpus_feature_distributions_separate_classes():
                 seed=800 + i, tree=TreeSpec(depth=2, fanout=2, files=80),
             )
         for window in scenario_windows(generate(spec))[:2]:
-            rows.append(extract_features(window).as_array())
+            rows.append(extract_features(window))
             labels.append(i % 2)
     matrix, y = np.stack(rows), np.array(labels)
 
@@ -280,6 +280,13 @@ def test_bad_specs_rejected():
         spec_from_kind("m9")
     with pytest.raises(BadSpec):
         build_corpus(0, 5, seed=1)
+
+
+def test_spec_from_kind_keeps_the_given_tree():
+    tree = TreeSpec(depth=2, fanout=2, files=300)
+    assert spec_from_kind("m3", tree=tree).tree == tree
+    assert spec_from_kind("office", tree=tree).tree == tree
+    assert spec_from_kind("m3").tree == TreeSpec()
 
 
 def test_spec_from_json_round():
