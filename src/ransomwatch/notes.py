@@ -169,15 +169,18 @@ class GenePool:
 
     @classmethod
     def from_json(cls, text: str) -> "GenePool":
-        """Load a pool. Raises ValueError unless n >= 1 and the pool holds at
-        least one fragment, each a list of exactly n strings with a finite
-        score of at least 0."""
+        """Load a pool. Raises ValueError unless n >= 1 and source_count are JSON
+        integers, top_k is null or an integer >= 1, and the pool holds at least
+        one fragment, each a list of exactly n strings with a finite score >= 0."""
         payload = json.loads(text)
         try:
-            n = int(payload["n"])
-            if n < 1:
-                raise ValueError(f"gene pool n must be at least 1, got {n}")
-            items = payload["fragments"]
+            n, top_k, source_count, items = (payload[key] for key in ("n", "top_k", "source_count", "fragments"))
+            if type(n) is not int or n < 1:  # type(True) is bool, so a boolean is refused too
+                raise ValueError(f"gene pool n must be an integer of at least 1, got {n!r}")
+            if top_k is not None and (type(top_k) is not int or top_k < 1):
+                raise ValueError(f"gene pool top_k must be null or an integer of at least 1, got {top_k!r}")
+            if type(source_count) is not int:
+                raise ValueError(f"gene pool source_count must be an integer, got {source_count!r}")
             word_lists = [item["words"] for item in items]
             if not word_lists:
                 raise ValueError("gene pool has no fragments")
@@ -187,11 +190,11 @@ class GenePool:
                 or set(map(type, chain.from_iterable(word_lists))) != {str}
             ):
                 raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
-            fragments = {tuple(words): float(item["f"]) for words, item in zip(word_lists, items)}
-            if not all(0.0 <= score < math.inf for score in fragments.values()):  # NaN fails both
-                raise ValueError("gene pool fragment scores must be finite and at least 0")
-            return cls(n, payload["top_k"], fragments, int(payload["source_count"]))
-        except (KeyError, TypeError) as exc:
+            scores = [item["f"] for item in items]
+            if not set(map(type, scores)) <= {int, float} or not all(0.0 <= score < math.inf for score in scores):
+                raise ValueError("gene pool fragment scores must be numbers, finite and at least 0")  # NaN fails
+            return cls(n, top_k, dict(zip(map(tuple, word_lists), map(float, scores))), source_count)
+        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer score too large for a float
             raise ValueError(
                 "gene pool must be an object with n, top_k, source_count and fragments of {words, f}"
             ) from exc

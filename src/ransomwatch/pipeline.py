@@ -186,6 +186,7 @@ class _WindowState:
     pid_name: str
     events: list[FileEvent] = field(default_factory=list)
     labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
+    classified: int = 0  # len(events) when the window was last classified
 
 
 @dataclass
@@ -237,7 +238,7 @@ class Engine:
         self._decoy_paths = frozenset(registry.entries())
         self._windows: dict[int, _WindowState] = {}
         self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
-        self._terminated: set[int] = set()
+        self._terminated: dict[int, str] = {}  # pid -> the pid_name it was terminated under
         self._scored_paths: set[str] = set()
         self._text_exts = TEXT_EXTENSIONS
 
@@ -273,43 +274,41 @@ class Engine:
 
     # -- window lifecycle ------------------------------------------------------
 
-    def _decide(self, state: _WindowState, boundary: int, final: bool) -> bool:
-        """Classify the window at ``boundary``; return True once it is closed.
+    def _decide(self, state: _WindowState, boundary: int) -> bool:
+        """Decide the window at ``boundary``; return True once it is closed.
 
-        Every window closes here and every alert is raised here. High closes
-        it at once and terminates its pid. Otherwise the window stays open
-        until its last slide, and closes Low there, or at once when ``final``.
+        Every window closes and every alert is raised here, dated at ``boundary``.
+        The row reads only the window's events, so the window is classified only
+        when it has gained events since its last classification. High closes it
+        at once and terminates its pid under its name; otherwise it closes Low
+        at its last slide.
         """
         trigger = state.trigger
         pid = trigger.pid
         metrics = self.metrics
-        row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
-        metrics.classifier_calls += 1
-        prob = self.forest.predict_row(row)
-        if prob >= self.config.decision_threshold:
+        latency = boundary - trigger.time
+        evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
+        prob = None
+        if len(state.events) > state.classified:
+            state.classified = len(state.events)
+            row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
+            metrics.classifier_calls += 1
+            prob = self.forest.predict_row(row)
+        if prob is not None and prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
-            self._terminated.add(pid)
-            latency = boundary - trigger.time
+            self._terminated[pid] = state.pid_name
             metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
-            created_at = boundary
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
-            evidence = (
-                trigger.detail,
-                f"trigger_time_us={trigger.time}",
-                f"classifier_p={prob:.4f}",
-                f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}",
-            )
+            evidence += (f"classifier_p={prob:.4f}", f"feature_digest={hashlib.sha256(row.tobytes()).hexdigest()[:12]}")
             response = Response.TERMINATE_SIMULATED
+        elif latency < self.config.window_total_us:
+            return False
         else:
-            if not final and boundary - trigger.time < self.config.window_total_us:
-                return False
             metrics.alerts_low += 1
-            created_at = trigger.time + self.config.window_total_us
             threat = ThreatLevel(Level.LOW, trigger.kind, min(1.0, round(trigger.score, 3)))
-            evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
             response = Response.TRACK_ONLY
-        self.alerts.append(Alert(created_at, pid, state.pid_name, threat, evidence, response))
+        self.alerts.append(Alert(boundary, pid, state.pid_name, threat, evidence, response))
         del self._windows[pid]
         return True
 
@@ -321,7 +320,7 @@ class Engine:
         if due and due[0][0] <= ev.time:
             self.advance_time(ev.time)
         pid = ev.pid
-        if pid in self._terminated:
+        if pid in self._terminated and self._terminated[pid] == ev.pid_name:
             return
         state = self._windows.get(pid)
         trigger = check_event(ev, self._decoy_paths)
@@ -336,23 +335,20 @@ class Engine:
                 self.threat_by_pid.setdefault(pid, Level.LOW)
                 state = self._windows[pid] = _WindowState(trigger, ev.pid_name)
                 heappush(due, (trigger.time + self.config.slide_us, pid))
-        if state is not None and 0 <= ev.time - state.trigger.time < self.config.window_total_us:
+        if state is not None and ev.time >= state.trigger.time:
             state.events.append(ev)
 
-    def advance_time(self, now: int) -> None:
+    def advance_time(self, now: float) -> None:
         """The engine's one clock: decide every slide boundary at or before ``now``, earliest first."""
         due = self._due
         while due and due[0][0] <= now:
             boundary, pid = heappop(due)
-            if not self._decide(self._windows[pid], boundary, False):
+            if not self._decide(self._windows[pid], boundary):
                 heappush(due, (boundary + self.config.slide_us, pid))
 
     def finish(self) -> None:
-        """Decide every open window once, at its next slide boundary, earliest first, at end of stream."""
-        due = self._due
-        while due:
-            boundary, pid = heappop(due)
-            self._decide(self._windows[pid], boundary, True)
+        """End of stream: the clock runs out, so every open window is decided to its close."""
+        self.advance_time(math.inf)
 
     def result(self, issues: Optional[list[ParseIssue]] = None) -> ReplayResult:
         return ReplayResult(self.alerts, self.metrics, issues or [], dict(self.threat_by_pid))
@@ -477,7 +473,7 @@ def run_live(
         engine.advance_time(watcher.now_us())
         # Every live event is pid 0, and its simulated terminate stops
         # nothing: re-arm it so a later attack still triggers.
-        engine._terminated.discard(0)
+        engine._terminated.pop(0, None)
         done = duration_s is not None and time_mod.perf_counter() - started >= duration_s
         if done:
             engine.finish()

@@ -1,14 +1,17 @@
 """The engine against a batch reference: the same decisions across pids, checked on generated traces.
 
 The reference decides every open window at each of its slide boundaries as
-soon as the stream's time reaches it, whichever pid's event moves the time,
-and scores each window from scratch. It is the event-time contract, written
-for plainness rather than speed (QuickCheck-style differential testing,
-Claessen and Hughes, ICFP 2000).
+soon as the stream's time reaches it, whichever pid's event moves the time;
+at the end of the stream the time runs on until every window has closed. It
+scores each window from scratch at every boundary, so it also checks the
+engine's skip of a window that gained no event. It is the event-time
+contract, written for plainness rather than speed (QuickCheck-style
+differential testing, Claessen and Hughes, ICFP 2000).
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 
 import pytest
@@ -27,15 +30,11 @@ from test_pipeline import _decoy_in_first_dir, _mode_mix, _registry_for
 def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
     """Alerts and threat levels of a trace replayed in event time, with decoy triggers only."""
     stream = sorted(events, key=lambda ev: ev.time)
-    alerts, threat, terminated = [], {}, set()
-    windows = {}  # pid -> [trigger, pid_name, index of the trigger event, slides done]
+    alerts, threat, terminated = [], {}, {}  # terminated: pid -> the pid_name it was terminated under
+    windows = {}  # pid -> [trigger, pid_name, index of the trigger event, next slide boundary]
 
-    def next_boundary(pid):
-        trigger, _, _, slides = windows[pid]
-        return trigger.time + (slides + 1) * config.slide_us
-
-    def decide(pid, boundary, final):
-        trigger, pid_name, start, slides = windows[pid]
+    def decide(pid):
+        trigger, pid_name, start, boundary = windows[pid]
         evs = tuple(ev for ev in stream[start:] if ev.pid == pid and ev.time < boundary)
         row = pipeline.featurize(ProcessWindow(pid, pid_name, trigger.time, boundary, evs),
                                  forest.dims, forest.hash_seed)
@@ -43,34 +42,36 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
         if prob >= config.decision_threshold:
             threat[pid] = Level.HIGH
-            terminated.add(pid)
+            terminated[pid] = pid_name
             digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
             alerts.append(Alert(boundary, pid, pid_name, ThreatLevel(Level.HIGH, trigger.kind, prob),
                                 evidence + (f"classifier_p={prob:.4f}", f"feature_digest={digest}"),
                                 Response.TERMINATE_SIMULATED))
-        elif final or slides + 1 == config.n_slides:
+        elif boundary - trigger.time == config.window_total_us:
             score = min(1.0, round(trigger.score, 3))
-            alerts.append(Alert(trigger.time + config.window_total_us, pid, pid_name,
+            alerts.append(Alert(boundary, pid, pid_name,
                                 ThreatLevel(Level.LOW, trigger.kind, score), evidence, Response.TRACK_ONLY))
         else:
-            windows[pid][3] += 1
+            windows[pid][3] += config.slide_us
             return
         del windows[pid]
 
-    for i, ev in enumerate(stream):
+    def advance(now):
         while windows:
-            boundary, pid = min((next_boundary(pid), pid) for pid in windows)
-            if boundary > ev.time:
-                break
-            decide(pid, boundary, False)
-        if ev.pid in terminated or ev.pid in windows:
+            boundary, pid = min((window[3], pid) for pid, window in windows.items())
+            if boundary > now:
+                return
+            decide(pid)
+
+    for i, ev in enumerate(stream):
+        advance(ev.time)
+        if terminated.get(ev.pid) == ev.pid_name or ev.pid in windows:
             continue
         trigger = check_event(ev, decoys)
         if trigger is not None:
-            windows[ev.pid] = [trigger, ev.pid_name, i, 0]
+            windows[ev.pid] = [trigger, ev.pid_name, i, trigger.time + config.slide_us]
             threat.setdefault(ev.pid, Level.LOW)
-    for pid in sorted(windows, key=lambda pid: (next_boundary(pid), pid)):
-        decide(pid, next_boundary(pid), True)
+    advance(math.inf)
     return alerts, threat
 
 
@@ -87,7 +88,7 @@ def _assert_engine_matches_reference(events, decoys, forest, config=pipeline.Pip
     alerts, threat = reference_replay(events, decoys, forest, config)
     assert engine.alerts == alerts  # in the order they are raised
     assert engine.threat_by_pid == threat
-    return alerts
+    return engine
 
 
 _MODES = [m for m in Mode if m is not Mode.NONE]
@@ -113,6 +114,15 @@ def _scenarios(draw):
     return events, decoys
 
 
+@st.composite
+def _cut_scenarios(draw):
+    """Scenarios whose trace ends at a drawn time up to 3 s after a decoy touch, so windows are open at its end."""
+    events, decoys = draw(_scenarios())
+    touches = sorted({ev.time for ev in events if ev.file_name in decoys})
+    cut = draw(st.sampled_from(touches)) + draw(st.integers(min_value=0, max_value=3_000_000))
+    return [ev for ev in events if ev.time <= cut], decoys
+
+
 # The default config, and others whose windows have more or fewer slides and
 # whose threshold a later slide may be the first to reach.
 _CONFIGS = st.builds(
@@ -123,31 +133,50 @@ _CONFIGS = st.builds(
 
 
 @settings(max_examples=50, deadline=None)
-@given(_scenarios(), _CONFIGS)
+@given(_scenarios() | _cut_scenarios(), _CONFIGS)
 def test_engine_decides_as_the_reference(trained_forest, trace, config):
     events, decoys = trace
     _assert_engine_matches_reference(events, decoys, trained_forest, config)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_cut_scenarios(), _CONFIGS)
+def test_alerts_are_raised_in_date_order(trained_forest, trace, config):
+    events, decoys = trace
+    dates = [alert.created_at for alert in _engine_replay(events, decoys, trained_forest, config).alerts]
+    assert dates == sorted(dates)
+
+
 def test_engine_decides_as_the_reference_on_the_mode_mix(trained_forest):
     results, decoys = _mode_mix()
     events = [ev for result in results for ev in result.events]
-    alerts = _assert_engine_matches_reference(events, decoys, trained_forest)
-    levels = {a.threat.level for a in alerts}
+    engine = _assert_engine_matches_reference(events, decoys, trained_forest)
+    levels = {a.threat.level for a in engine.alerts}
     assert {Level.HIGH, Level.LOW} <= levels  # not a vacuous match
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: termination is permanent and keyed by bare pid")
-def test_a_reused_pid_is_detected_again(trained_forest):
+def _two_attacks_under_pid_7(forest, names):
+    """An M3 attack under pid 7 and each name in turn, 12 s apart, replayed as the reference does."""
     events, decoys = [], []
-    for i, name in enumerate(("first.exe", "second.exe")):
+    for i, name in enumerate(names):
         tree = TreeSpec(depth=2, fanout=2, files=60, root=f"C:/Users/u{i}")
         decoy = _decoy_in_first_dir(70 + i, tree)
         result = generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80), seed=70 + i,
                                        tree=tree, decoy_paths=decoy, start_us=12_000_000 * i))
         events.extend(replace(ev, pid=7, pid_name=name) for ev in result.events)
         decoys.extend(decoy)
-    engine = _engine_replay(events, decoys, trained_forest)
-    highs = [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH]
+    engine = _assert_engine_matches_reference(events, decoys, forest)
+    return [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH], engine.metrics.triggers
+
+
+def test_a_reused_pid_is_detected_again(trained_forest):
+    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("first.exe", "second.exe"))
     assert highs == [(7, "first.exe"), (7, "second.exe")]
-    assert engine.metrics.triggers == 2
+    assert triggers == 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: termination is keyed by pid and name, and never expires")
+def test_a_reused_pid_with_the_same_name_is_detected_again(trained_forest):
+    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("same.exe", "same.exe"))
+    assert highs == [(7, "same.exe"), (7, "same.exe")]
+    assert triggers == 2

@@ -152,16 +152,40 @@ def test_pool_serialization_deterministic_and_round_trips(note_corpus):
 _POOL = {"n": 2, "top_k": 1, "source_count": 1, "fragments": [{"words": ["your", "files"], "f": 1.0}]}
 
 
+def _frag(words, f):
+    return [{"words": words, "f": f}]
+
+
 @pytest.mark.parametrize("payload", [
     {**_POOL, "fragments": [["your", "files"]]},  # fragments as plain word lists
     {k: v for k, v in _POOL.items() if k != "fragments"},
     {k: v for k, v in _POOL.items() if k != "n"},
     [_POOL],
-], ids=["word-lists", "no-fragments", "no-n", "not-an-object"])
+    # JSON strings, booleans and fractions where the format asks for a JSON number or integer
+    {**_POOL, "fragments": _frag(["your", "files"], "0.5")},
+    {**_POOL, "fragments": _frag(["your", "files"], True)},
+    {**_POOL, "n": 2.9},
+    {**_POOL, "n": "2"},
+    {**_POOL, "n": True, "fragments": _frag(["files"], 1.0)},
+    {**_POOL, "source_count": "7"},
+    {**_POOL, "source_count": 2.5},
+    {**_POOL, "source_count": True},
+    {**_POOL, "top_k": "lots"},
+    {**_POOL, "top_k": 0},
+    {**_POOL, "fragments": _frag(["your", "files"], 10**400)},
+], ids=["word-lists", "no-fragments", "no-n", "not-an-object", "f-string", "f-bool", "n-fraction", "n-string", "n-bool",
+        "source_count-string", "source_count-fraction", "source_count-bool", "top_k-string", "top_k-zero",
+        "f-int-too-large-for-a-float"])
 def test_pool_from_json_rejects_malformed_payloads(payload):
     assert GenePool.from_json(json.dumps(_POOL)).fragments == {("your", "files"): 1.0}
     with pytest.raises(ValueError, match="gene pool"):
         GenePool.from_json(json.dumps(payload))
+
+
+def test_pool_from_json_takes_integer_scores_and_no_top_k():
+    pool = GenePool.from_json(json.dumps({**_POOL, "top_k": None, "fragments": _frag(["your", "files"], 1)}))
+    assert pool.top_k is None and pool.fragments == {("your", "files"): 1.0}
+    assert type(pool.fragments["your", "files"]) is float
 
 
 def test_similarity_self_is_one():

@@ -213,10 +213,12 @@ def test_event_that_closes_its_window_low_can_open_the_next(trained_forest, gene
     # past the last slide: this event closes the first window, then touches the decoy again
     engine.process(FileEvent(3_500_000, 7, "x.exe", Operation.WRITE, decoy, "docx"))
     assert engine.metrics.windows_opened == 2 and engine.metrics.triggers == 2
-    assert engine.metrics.classifier_calls == config.n_slides
+    # classified at its first slide; its later slides gained no event, so they are not classified again
+    assert engine.metrics.classifier_calls == 1
     (alert,) = engine.alerts
     assert alert.threat.level is Level.LOW and alert.created_at == config.window_total_us
     engine.finish()
+    assert engine.metrics.classifier_calls == 2
     assert [a.threat.level for a in engine.alerts] == [Level.LOW, Level.LOW]
     assert engine.alerts[1].created_at == 3_500_000 + config.window_total_us
 
@@ -590,16 +592,18 @@ def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, tra
     real_decide = pipeline.Engine._decide
     decided = []
 
-    def decide(self, state, boundary, final):
-        decided.append((boundary, len(state.events), final))
-        return real_decide(self, state, boundary, final)
+    def decide(self, state, boundary):
+        decided.append((boundary, len(state.events)))
+        return real_decide(self, state, boundary)
 
     monkeypatch.setattr(pipeline.Engine, "_decide", decide)
     config = pipeline.PipelineConfig(decision_threshold=1.01)  # every slide decides Low
     result = run_replay(trace, _registry_for([decoy]), gene_pool, trained_forest, config)
     assert result.issues == []
-    assert decided == [(1_000_000, 1, False), (2_000_000, 2, True)]
-    assert [(a.pid, a.threat.level) for a in result.alerts] == [(1, Level.LOW)]
+    # at the end of the stream the clock runs on to the window's last slide
+    assert decided == [(1_000_000, 1), (2_000_000, 2), (3_000_000, 2)]
+    assert result.metrics.classifier_calls == 2  # the last slide gained no event
+    assert [(a.pid, a.threat.level, a.created_at) for a in result.alerts] == [(1, Level.LOW, 3_000_000)]
 
 
 def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool):
@@ -799,9 +803,9 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
 
     labeled_by_window = {}
 
-    def decide(self, state, boundary, final):
+    def decide(self, state, boundary):
         boundaries.append(boundary)
-        return real_decide(self, state, boundary, final)
+        return real_decide(self, state, boundary)
 
     def checked(window, dims, hash_seed, labels=None):
         # the engine scores the window it keeps, so its events are checked here
@@ -840,14 +844,16 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
     assert not engine._windows
     assert stale == engine.metrics.windows_opened == len(results)
     assert len(slides_by_window) == len(results)
-    assert sum(slides_by_window.values()) == engine.metrics.classifier_calls == len(boundaries)
+    # a slide whose window gained no event is decided without a classification
+    assert sum(slides_by_window.values()) == engine.metrics.classifier_calls <= len(boundaries)
     assert max(slides_by_window.values()) >= 2  # a kept list was extended, not only filled
 
 
 # sha256 over the replay of the _mode_mix() trace plus three noisy lines:
 # alert bytes, parse issues and the metrics report without its timings. The
-# out-of-order line is a decoy touch at the end of the stream, so finish()
-# closes the window it opens Low before its last slide.
+# out-of-order line is a decoy touch at the end of the stream, so the window
+# it opens is classified once, at its first slide, and finish() runs the
+# clock on to close it Low at its last slide.
 _REPLAY_GOLDEN = "5fbf03cd2998d7616d372e88aa13412ee567d55fd98641a01fed72f9abd63130"
 
 
