@@ -17,7 +17,7 @@ try:
 except ImportError:  # optional extra "fast": results are the same without it
     _fast_loads = None
 
-_set_class = object.__dict__["__class__"].__set__  # what `obj.__class__ = cls` calls, bound once
+_new = object.__new__  # bound once: the parser makes an instance per line
 
 
 class Operation(str, Enum):
@@ -80,7 +80,7 @@ def dirname_of(path: str) -> str:
     return path[:cut]
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class FileEvent:
     """One file-system operation record.
 
@@ -96,31 +96,8 @@ class FileEvent:
     file_type: str
     old_file_name: Optional[str] = None
 
-    def __init__(
-        self,
-        time: int,
-        pid: int,
-        pid_name: str,
-        operation: Operation,
-        file_name: str,
-        file_type: str,
-        old_file_name: Optional[str] = None,
-    ) -> None:
-        # Every parsed line builds one, and plain slot stores need a class without the frozen
-        # __setattr__: a layout twin, left before anyone sees it (subclasses add no slots or dict).
-        cls = type(self)
-        _set_class(self, _OpenFileEvent)
-        self.time = time
-        self.pid = pid
-        self.pid_name = pid_name
-        self.operation = operation
-        self.file_name = file_name
-        self.file_type = file_type
-        self.old_file_name = old_file_name
-        self.__class__ = cls
 
-
-class _OpenFileEvent(FileEvent):  # FileEvent without the frozen guard, for its __init__ only
+class _OpenFileEvent(FileEvent):  # FileEvent without the frozen guard, for _event_or_issue only
     __slots__ = ()
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
@@ -257,7 +234,17 @@ def _event_or_issue(obj: object, line_no: int) -> Union[FileEvent, ParseIssue]:
     old = obj.get("old_file_name")
     if old is not None and type(old) is not str:
         return ParseIssue(ParseIssueKind.MALFORMED_LINE, line_no, "old_file_name must be a string")
-    return FileEvent(time, pid, pid_name, op, file_name, file_type, old)
+    # Every parsed line builds one: plain slot stores on the layout twin, retyped before anyone sees it.
+    ev = _new(_OpenFileEvent)
+    ev.time = time
+    ev.pid = pid
+    ev.pid_name = pid_name
+    ev.operation = op
+    ev.file_name = file_name
+    ev.file_type = file_type
+    ev.old_file_name = old
+    ev.__class__ = FileEvent
+    return ev
 
 
 def parse_event_line(line: str, line_no: int, issues: list[ParseIssue]) -> Optional[FileEvent]:

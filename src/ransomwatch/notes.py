@@ -169,9 +169,11 @@ class GenePool:
 
     @classmethod
     def from_json(cls, text: str) -> "GenePool":
-        """Load a pool. Raises ValueError unless n >= 1 and source_count are JSON
-        integers, top_k is null or an integer >= 1, and the pool holds at least
-        one fragment, each a list of exactly n strings with a finite score >= 0."""
+        """Load a pool. Raises ValueError unless n >= 1 and source_count >= 0 are
+        JSON integers, top_k is null or an integer >= 1 and no smaller than the
+        fragment count, and the pool holds at least one fragment, each a list of
+        exactly n strings with a finite score >= 0, in descending score order and
+        no two alike. The order of tied scores is not checked."""
         payload = json.loads(text)
         try:
             n, top_k, source_count, items = (payload[key] for key in ("n", "top_k", "source_count", "fragments"))
@@ -179,11 +181,13 @@ class GenePool:
                 raise ValueError(f"gene pool n must be an integer of at least 1, got {n!r}")
             if top_k is not None and (type(top_k) is not int or top_k < 1):
                 raise ValueError(f"gene pool top_k must be null or an integer of at least 1, got {top_k!r}")
-            if type(source_count) is not int:
-                raise ValueError(f"gene pool source_count must be an integer, got {source_count!r}")
+            if type(source_count) is not int or source_count < 0:
+                raise ValueError(f"gene pool source_count must be an integer of at least 0, got {source_count!r}")
             word_lists = [item["words"] for item in items]
             if not word_lists:
                 raise ValueError("gene pool has no fragments")
+            if top_k is not None and top_k < len(word_lists):
+                raise ValueError(f"gene pool holds {len(word_lists)} fragments, more than its top_k of {top_k}")
             if (
                 set(map(type, word_lists)) != {list}
                 or set(map(len, word_lists)) != {n}
@@ -193,7 +197,12 @@ class GenePool:
             scores = [item["f"] for item in items]
             if not set(map(type, scores)) <= {int, float} or not all(0.0 <= score < math.inf for score in scores):
                 raise ValueError("gene pool fragment scores must be numbers, finite and at least 0")  # NaN fails
-            return cls(n, top_k, dict(zip(map(tuple, word_lists), map(float, scores))), source_count)
+            if scores != sorted(scores, reverse=True):
+                raise ValueError("gene pool fragments must be sorted by descending score")
+            fragments = dict(zip(map(tuple, word_lists), map(float, scores)))
+            if len(fragments) != len(word_lists):
+                raise ValueError("gene pool holds the same fragment twice")
+            return cls(n, top_k, fragments, source_count)
         except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer score too large for a float
             raise ValueError(
                 "gene pool must be an object with n, top_k, source_count and fragments of {words, f}"

@@ -335,7 +335,7 @@ class Engine:
                 self.threat_by_pid.setdefault(pid, Level.LOW)
                 state = self._windows[pid] = _WindowState(trigger, ev.pid_name)
                 heappush(due, (trigger.time + self.config.slide_us, pid))
-        if state is not None and ev.time >= state.trigger.time:
+        if state is not None and ev.time >= state.trigger.time and ev.pid_name == state.pid_name:
             state.events.append(ev)
 
     def advance_time(self, now: float) -> None:

@@ -35,7 +35,7 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
 
     def decide(pid):
         trigger, pid_name, start, boundary = windows[pid]
-        evs = tuple(ev for ev in stream[start:] if ev.pid == pid and ev.time < boundary)
+        evs = tuple(ev for ev in stream[start:] if ev.pid == pid and ev.pid_name == pid_name and ev.time < boundary)
         row = pipeline.featurize(ProcessWindow(pid, pid_name, trigger.time, boundary, evs),
                                  forest.dims, forest.hash_seed)
         prob = forest.predict_row(row)
@@ -155,14 +155,14 @@ def test_engine_decides_as_the_reference_on_the_mode_mix(trained_forest):
     assert {Level.HIGH, Level.LOW} <= levels  # not a vacuous match
 
 
-def _two_attacks_under_pid_7(forest, names):
-    """An M3 attack under pid 7 and each name in turn, 12 s apart, replayed as the reference does."""
+def _two_attacks_under_pid_7(forest, names, gap_us=12_000_000):
+    """An M3 attack under pid 7 and each name in turn, gap_us apart, replayed as the reference does."""
     events, decoys = [], []
     for i, name in enumerate(names):
         tree = TreeSpec(depth=2, fanout=2, files=60, root=f"C:/Users/u{i}")
         decoy = _decoy_in_first_dir(70 + i, tree)
         result = generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80), seed=70 + i,
-                                       tree=tree, decoy_paths=decoy, start_us=12_000_000 * i))
+                                       tree=tree, decoy_paths=decoy, start_us=gap_us * i))
         events.extend(replace(ev, pid=7, pid_name=name) for ev in result.events)
         decoys.extend(decoy)
     engine = _assert_engine_matches_reference(events, decoys, forest)
@@ -171,6 +171,13 @@ def _two_attacks_under_pid_7(forest, names):
 
 def test_a_reused_pid_is_detected_again(trained_forest):
     highs, triggers = _two_attacks_under_pid_7(trained_forest, ("first.exe", "second.exe"))
+    assert highs == [(7, "first.exe"), (7, "second.exe")]
+    assert triggers == 2
+
+
+def test_a_reused_pid_under_a_new_name_stays_out_of_the_open_window(trained_forest):
+    # the second attack starts while the first one's window is open, so its events stay out of that window
+    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("first.exe", "second.exe"), gap_us=1_000_000)
     assert highs == [(7, "first.exe"), (7, "second.exe")]
     assert triggers == 2
 

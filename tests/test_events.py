@@ -493,6 +493,34 @@ def test_no_event_handed_out_is_of_the_open_class(monkeypatch, tmp_path):
     assert seen["simulator"] > 20 and seen["json"] == 2 and seen["watcher"] == 3
 
 
+@pytest.mark.parametrize("decoder", ["orjson", "json"])
+@pytest.mark.parametrize("overrides,fields", [
+    ({}, {}),
+    ({"old_file_name": "null"}, {}),
+    ({"operation": '"Rename"', "old_file_name": '"C:/u/y.txt"'},
+     {"operation": Operation.RENAME, "old_file_name": "C:/u/y.txt"}),
+    ({"time": WIDE}, {"time": int(WIDE)}),  # orjson reads it as a float, so json parses it on both
+], ids=["no-old", "old-null", "old-string", "wide-time"])
+def test_parsed_events_are_plain_frozen_file_events(monkeypatch, decoder, overrides, fields):
+    if decoder == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setattr(events_mod, "_fast_loads", None)
+    (ev,) = parse_event_log(_field_line(**overrides)).events
+    expected = FileEvent(**{**dict(zip(_FIELD_NAMES, _CONTRACT_ARGS[0])), **fields})
+    assert type(ev) is FileEvent
+    assert ev == expected and hash(ev) == hash(expected) and repr(ev) == repr(expected)
+    for name in _FIELD_NAMES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ev, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(ev, name)
+    moved = dataclasses.replace(ev, pid=9)
+    assert type(moved) is FileEvent and moved.pid == 9 and dataclasses.replace(moved, pid=ev.pid) == ev
+    for clone in (pickle.loads(pickle.dumps(ev)), copy.copy(ev), copy.deepcopy(ev)):
+        assert type(clone) is FileEvent and clone == ev and hash(clone) == hash(ev) and repr(clone) == repr(ev)
+
+
 def test_open_twin_is_layout_compatible_and_subclasses_keep_their_class():
     open_cls = events_mod._OpenFileEvent
     assert open_cls.__slots__ == () and open_cls.__bases__ == (FileEvent,)
@@ -502,14 +530,12 @@ def test_open_twin_is_layout_compatible_and_subclasses_keep_their_class():
     class Tagged(FileEvent):
         __slots__ = ()
 
-    ev = Tagged(*_CONTRACT_ARGS[1])
-    assert type(ev) is Tagged and ev == Tagged(*_CONTRACT_ARGS[1])
-    assert tuple(getattr(ev, name) for name in _FIELD_NAMES) == _CONTRACT_ARGS[1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        ev.pid = 0
-
-    class Loose(FileEvent):  # gains a __dict__, so its layout is not the twin's
+    class Loose(FileEvent):  # gains a __dict__; only the parser uses the twin, so it constructs too
         pass
 
-    with pytest.raises(TypeError, match="layout"):
-        Loose(*_CONTRACT_ARGS[1])
+    for cls in (Tagged, Loose):
+        ev = cls(*_CONTRACT_ARGS[1])
+        assert type(ev) is cls and ev == cls(*_CONTRACT_ARGS[1])
+        assert tuple(getattr(ev, name) for name in _FIELD_NAMES) == _CONTRACT_ARGS[1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.pid = 0

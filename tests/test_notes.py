@@ -173,9 +173,14 @@ def _frag(words, f):
     {**_POOL, "top_k": "lots"},
     {**_POOL, "top_k": 0},
     {**_POOL, "fragments": _frag(["your", "files"], 10**400)},
+    {**_POOL, "source_count": -5},
+    {**_POOL, "top_k": 1, "fragments": _frag(["your", "files"], 0.7) + _frag(["pay", "now"], 0.5)},
+    {**_POOL, "top_k": None, "fragments": _frag(["your", "files"], 0.5) + _frag(["pay", "now"], 0.7)},
+    {**_POOL, "top_k": None, "fragments": _frag(["your", "files"], 0.7) + _frag(["your", "files"], 0.5)},
 ], ids=["word-lists", "no-fragments", "no-n", "not-an-object", "f-string", "f-bool", "n-fraction", "n-string", "n-bool",
         "source_count-string", "source_count-fraction", "source_count-bool", "top_k-string", "top_k-zero",
-        "f-int-too-large-for-a-float"])
+        "f-int-too-large-for-a-float", "source_count-negative", "top_k-below-the-fragment-count", "f-ascending",
+        "words-twice"])
 def test_pool_from_json_rejects_malformed_payloads(payload):
     assert GenePool.from_json(json.dumps(_POOL)).fragments == {("your", "files"): 1.0}
     with pytest.raises(ValueError, match="gene pool"):
@@ -186,6 +191,13 @@ def test_pool_from_json_takes_integer_scores_and_no_top_k():
     pool = GenePool.from_json(json.dumps({**_POOL, "top_k": None, "fragments": _frag(["your", "files"], 1)}))
     assert pool.top_k is None and pool.fragments == {("your", "files"): 1.0}
     assert type(pool.fragments["your", "files"]) is float
+
+
+def test_pool_from_json_takes_ties_in_any_order_a_full_top_k_and_no_sources():
+    fragments = _frag(["pay", "now"], 0.5) + _frag(["all", "your"], 0.5) + _frag(["your", "files"], 0.25)
+    pool = GenePool.from_json(json.dumps({**_POOL, "top_k": 3, "source_count": 0, "fragments": fragments}))
+    assert list(pool.fragments) == [("pay", "now"), ("all", "your"), ("your", "files")]
+    assert (pool.top_k, pool.source_count) == (3, 0)
 
 
 def test_similarity_self_is_one():

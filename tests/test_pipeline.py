@@ -239,6 +239,18 @@ def test_event_before_trigger_time_stays_out_of_window(tmp_path, trained_forest,
     assert len(result.alerts) == 1
 
 
+def test_a_reused_pid_stays_out_of_the_open_window_of_its_old_image(trained_forest, gene_pool):
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    engine = pipeline.Engine(_registry_for([decoy]), gene_pool, trained_forest)
+    first = FileEvent(0, 7, "a.exe", Operation.WRITE, decoy, "docx")
+    engine.process(first)
+    engine.process(FileEvent(500_000, 7, "b.exe", Operation.WRITE, "C:/Users/alice/Documents/a.txt", "txt"))
+    assert engine._windows[7].events == [first]
+    engine.finish()
+    assert [alert.pid_name for alert in engine.alerts] == ["a.exe"]
+    assert engine.metrics.windows_opened == 1
+
+
 def _noisy_trace(tmp_path):
     """Blank lines, CRLF endings, bad JSON, an unknown operation, a pid going back in time."""
     def line(time, pid, op="Write"):
