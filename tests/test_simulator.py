@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import warnings
 
@@ -49,6 +50,38 @@ def test_same_seed_identical_bytes(tmp_path):
     write_scenario(generate(spec), d2)
     for name in ("trace.jsonl", "ground_truth.json", "notes.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def _golden_specs():
+    """One spec per mode and per benign profile, over the spec fields corpora leave at their defaults."""
+    tree = TreeSpec(depth=2, fanout=3, files=36)
+    ransom = [
+        (Mode.M1, 61, dict(note_every_k_dirs=2), 0),
+        (Mode.M2, 62, dict(files_per_second=25.0, avoid_decoys=True), 1),
+        (Mode.M3, 63, dict(files_per_second=333.0, note_every_k_dirs=3), 0),
+        (Mode.M4, 64, dict(avoid_decoys=True, note_every_k_dirs=2), 2),
+        (Mode.M5, 65, dict(files_per_second=37.5), 1),
+        (Mode.M6, 66, dict(note_every_k_dirs=3), 0),
+    ]
+    specs = []
+    for i, (mode, seed, kw, n_decoys) in enumerate(ransom):
+        dirs = tree_layout(tree, seed).dirs
+        decoys = tuple(f"{dirs[2 * k + i % 3]}/~decoy_{k}.docx" for k in range(n_decoys))
+        specs.append(ScenarioSpec(RansomwareSpec(mode=mode, **kw), seed, tree, decoys, start_us=i * 1_500_000))
+    decoys = ("C:/Users/alice/~$budget.docx", "C:/Users/alice/Documents/~report.xlsx")
+    for i, profile in enumerate(BenignProfile):
+        touch = profile is not BenignProfile.BACKUP
+        specs.append(ScenarioSpec(BenignSpec(profile, touch), 70 + i, tree, decoys[: 1 + i % 2], start_us=i * 700_001))
+    return specs
+
+
+def test_generated_files_match_the_golden_digest(tmp_path):
+    digest = hashlib.sha256()
+    for i, spec in enumerate(_golden_specs()):
+        paths = write_scenario(generate(spec), tmp_path / str(i))
+        for name in ("trace", "ground_truth", "notes"):
+            digest.update(paths[name].read_bytes())
+    assert digest.hexdigest() == "ac6a7c720a1a97d5feaa65c3be1cdb5db69b07c7a8b2e9917b798b163680895d"
 
 
 def test_different_seeds_differ():
