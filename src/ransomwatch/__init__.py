@@ -43,7 +43,7 @@ from .notes import (
 )
 from .features import Mode, extract_features
 from .graph import build_graph, encode
-from .gbdt import BoostedForest, BoostParams, TreeParams, best_split, fit, grow_tree
+from .gbdt import BoostedForest, BoostParams, best_split, fit, grow_tree
 from .pipeline import Engine, PipelineConfig, ReplayResult, metrics_report, run_live, run_replay
 from .simulator import (
     BenignProfile,

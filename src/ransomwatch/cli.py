@@ -215,11 +215,11 @@ def features_extract(log_path, pid, start, delta_us, out_path) -> None:
 @main.command()
 @click.option("--corpus", "corpus_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--trees", default=100, show_default=True, type=int)
-@click.option("--eta", default=0.1, show_default=True, type=float)
-@click.option("--depth", default=4, show_default=True, type=int)
-@click.option("--gamma", default=0.0, show_default=True, type=float)
-@click.option("--lambda", "lambda_", default=1.0, show_default=True, type=float)
+@click.option("--trees", default=BoostParams().n_trees, show_default=True, type=int)
+@click.option("--eta", default=BoostParams().eta, show_default=True, type=float)
+@click.option("--depth", default=BoostParams().max_depth, show_default=True, type=int)
+@click.option("--gamma", default=BoostParams().gamma, show_default=True, type=float)
+@click.option("--lambda", "lambda_", default=BoostParams().lambda_, show_default=True, type=float)
 def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     """Train the boosted-forest classifier on a window corpus directory."""
     params = _checked(BoostParams, n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
@@ -255,7 +255,7 @@ def predict(model_path, features_path) -> None:
 
 @main.command()
 @click.option("--kind", default=None, help="m1..m6 or office/installer/backup/indexer/editor/zipper.")
-@click.option("--files", default=120, show_default=True, type=int)
+@click.option("--files", default=TreeSpec().files, show_default=True, type=int)
 @click.option("--fps", default=60.0, show_default=True, type=float, help="Files encrypted per second.")
 @click.option("--seed", default=7, show_default=True, type=int)
 @click.option("--note-every", default=1, show_default=True, type=int)
@@ -269,7 +269,7 @@ def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_di
         spec = _load(lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")), spec_path)
     elif kind is not None:
         spec = _checked(spec_from_kind, kind, seed=seed, fps=fps, note_every_k_dirs=note_every,
-                        avoid_decoys=avoid_decoys, tree=TreeSpec(files=files))
+                        avoid_decoys=avoid_decoys, tree=_checked(TreeSpec, files=files))
     else:
         raise click.ClickException("pass --kind or --spec")
     result = _checked(generate, spec)

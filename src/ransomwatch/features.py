@@ -154,4 +154,3 @@ class Mode(str, Enum):
     M4 = "M4"
     M5 = "M5"
     M6 = "M6"
-    NONE = "None"

@@ -117,11 +117,25 @@ def best_split(
 
 
 @dataclass(frozen=True, slots=True)
-class TreeParams:
+class BoostParams:
+    n_trees: int = 100
+    eta: float = 0.1
     max_depth: int = 4
-    min_leaf: int = 1
+    min_leaf: int = 5  # keeps trees off single-window hash-noise splits
     gamma: float = 0.0
     lambda_: float = 1.0
+
+    def __post_init__(self) -> None:
+        for name in ("n_trees", "max_depth", "min_leaf"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError(f"eta must be finite and at least 0, got {self.eta}")
+        if not self.lambda_ >= 0:
+            raise ValueError(f"lambda_ must be at least 0, got {self.lambda_}")
+        for name in ("gamma", "lambda_"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 # A tree as parallel arrays (features, values, lefts, rights), root at slot 0.
@@ -137,7 +151,7 @@ def grow_tree(
     X: np.ndarray,
     grad: np.ndarray,
     hess: np.ndarray,
-    params: TreeParams = TreeParams(),
+    params: BoostParams = BoostParams(),
     feature_indices: Optional[Sequence[int]] = None,
 ) -> FlatTree:
     """Recursive tree generation on gradient statistics, straight into a FlatTree.
@@ -145,7 +159,8 @@ def grow_tree(
     Stopping rules: identical responses (pure node), no usable feature or
     identical rows, depth/min-leaf limits, and split gain <= gamma. Leaf
     weight is the regularized optimum -G/(H+lambda); with unit hessians and
-    lambda=0 that reduces to the mean residual.
+    lambda=0 that reduces to the mean residual. Of ``params`` it reads
+    max_depth, min_leaf, gamma and lambda_, which BoostParams has validated.
     """
     feats = tuple(range(X.shape[1])) if feature_indices is None else tuple(feature_indices)
     nodes: list[list] = []  # [feature, value, left, right] per slot
@@ -209,28 +224,6 @@ def _sigmoid(z):
 def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
     p = np.clip(prob, 1e-12, 1.0 - 1e-12)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-
-
-@dataclass(frozen=True, slots=True)
-class BoostParams:
-    n_trees: int = 100
-    eta: float = 0.1
-    max_depth: int = 4
-    min_leaf: int = 5  # keeps trees off single-window hash-noise splits
-    gamma: float = 0.0
-    lambda_: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("n_trees", "max_depth", "min_leaf"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.eta) and self.eta >= 0):
-            raise ValueError(f"eta must be finite and at least 0, got {self.eta}")
-        if not self.lambda_ >= 0:
-            raise ValueError(f"lambda_ must be at least 0, got {self.lambda_}")
-        for name in ("gamma", "lambda_"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -396,7 +389,6 @@ def fit(
     if pos == 0.0 or pos == 1.0:
         raise SingleClass("training labels contain a single class")
     base = math.log(pos / (1.0 - pos))
-    tree_params = TreeParams(params.max_depth, params.min_leaf, params.gamma, params.lambda_)
     margin = np.full(X.shape[0], base, dtype=np.float64)
     trees: list[FlatTree] = []
     losses: list[float] = []
@@ -404,7 +396,7 @@ def fit(
         prob = _sigmoid(margin)
         grad = prob - y
         hess = np.maximum(prob * (1.0 - prob), 1e-16)
-        tree = grow_tree(X, grad, hess, tree_params)
+        tree = grow_tree(X, grad, hess, params)
         trees.append(tree)
         margin += params.eta * apply_tree(tree, X)
         losses.append(log_loss(y, _sigmoid(margin)))

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,6 +216,12 @@ class TreeSpec:
     extensions: tuple[str, ...] = DEFAULT_EXTENSIONS
     root: str = DEFAULT_ROOT
 
+    def __post_init__(self) -> None:
+        if self.files < 1 or self.depth < 1 or self.fanout < 1:
+            raise BadSpec("tree must have at least one level, one branch and one file")
+        if not self.extensions:
+            raise BadSpec("tree must have at least one file extension")
+
 
 @dataclass(frozen=True)
 class TreeLayout:
@@ -225,8 +232,6 @@ class TreeLayout:
 
 def tree_layout(spec: TreeSpec, seed: int) -> TreeLayout:
     """Deterministic directory tree: dirs in traversal order, files round-robin."""
-    if spec.files < 1 or spec.depth < 1 or spec.fanout < 1:
-        raise BadSpec("tree must have at least one level, one branch and one file")
     rng = random.Random(seed ^ 0x7EE5)
     dirs: list[str] = []
     level = [spec.root]
@@ -292,6 +297,12 @@ class RansomwareSpec:
     note_every_k_dirs: int = 1
     avoid_decoys: bool = False
 
+    def __post_init__(self) -> None:
+        if not 0 < self.files_per_second < math.inf:
+            raise BadSpec(f"files_per_second must be positive and finite, got {self.files_per_second}")
+        if self.note_every_k_dirs < 1:
+            raise BadSpec("note_every_k_dirs must be at least 1")
+
 
 @dataclass(frozen=True, slots=True)
 class BenignSpec:
@@ -316,25 +327,15 @@ class ScenarioResult:
     notes: dict[str, str]
 
 
-def _validate(spec: ScenarioSpec) -> None:
-    if isinstance(spec.kind, RansomwareSpec):
-        if spec.kind.files_per_second <= 0:
-            raise BadSpec("files_per_second must be positive")
-        if spec.kind.note_every_k_dirs < 1:
-            raise BadSpec("note_every_k_dirs must be at least 1")
-        if spec.kind.mode is Mode.NONE:
-            raise BadSpec("ransomware scenario needs a concrete mode")
-
-
 def _rand_ext(rng: random.Random) -> str:
     return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz0123456789") for _ in range(rng.randint(4, 7)))
 
 
-def _ransomware_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[FileEvent], dict, dict]:
+def _ransomware_body(
+    spec: ScenarioSpec, layout: TreeLayout, rng: random.Random, emit: Callable[..., None]
+) -> tuple[list[dict], dict[str, str], list[str]]:
+    """Encrypt the tree directory by directory: the files' truth records, the notes and the decoys touched."""
     kind: RansomwareSpec = spec.kind
-    layout = tree_layout(spec.tree, spec.seed)
-    pid = rng.randint(2000, 60000)
-    pid_name = rng.choice(_RANSOM_PID_NAMES)
     uniform_ext = rng.choice(_UNIFORM_EXTS)
     note_name = rng.choice(NOTE_BASENAMES)
     gap = max(1, round(US / kind.files_per_second))
@@ -344,20 +345,15 @@ def _ransomware_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[Fil
     files_by_dir = {d: list(v) for d, v in layout.files_by_dir.items()}
     for decoy in spec.decoy_paths:
         d = decoy[: decoy.rfind("/")]
-        if d not in layout.dirs:
+        if d not in files_by_dir:
             raise BadSpec(f"decoy {decoy} sits outside the scenario tree")
         # decoys are crafted for access priority, so they get hit first
-        files_by_dir.setdefault(d, []).insert(0, decoy)
+        files_by_dir[d].insert(0, decoy)
 
-    events: list[FileEvent] = []
     notes: dict[str, str] = {}
     truth_files: list[dict] = []
     decoys_touched: list[str] = []
     t = spec.start_us
-
-    def emit(op: Operation, path: str, when: int, old: Optional[str] = None) -> None:
-        events.append(FileEvent(when, pid, pid_name, op, path, extension_of(path), old))
-
     mode = kind.mode
     for d_index, directory in enumerate(layout.dirs):
         if d_index % kind.note_every_k_dirs == 0:
@@ -366,7 +362,7 @@ def _ransomware_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[Fil
             emit(Operation.WRITE, note_path, t + sub)
             notes[note_path] = make_note_text(rng)
             t += gap
-        for path in files_by_dir.get(directory, ()):
+        for path in files_by_dir[directory]:
             if path in decoys and kind.avoid_decoys:
                 continue
             new_ext = uniform_ext if mode in (Mode.M1, Mode.M3, Mode.M5) else _rand_ext(rng)
@@ -384,32 +380,15 @@ def _ransomware_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[Fil
             if path in decoys:
                 decoys_touched.append(path)
             t += gap
-
-    truth = {
-        "pid": pid,
-        "pid_name": pid_name,
-        "label": "ransomware",
-        "mode": mode.value,
-        "profile": None,
-        "seed": spec.seed,
-        "files": truth_files,
-        "note_paths": sorted(notes),
-        "decoys_touched": decoys_touched,
-    }
-    return events, truth, notes
+    return truth_files, notes, decoys_touched
 
 
-def _benign_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[FileEvent], dict, dict]:
+def _benign_body(
+    spec: ScenarioSpec, layout: TreeLayout, rng: random.Random, emit: Callable[..., None], events: list[FileEvent]
+) -> list[str]:
+    """Emit the profile's file activity into ``events``; returns the decoys touched."""
     kind: BenignSpec = spec.kind
-    layout = tree_layout(spec.tree, spec.seed)
-    pid = rng.randint(2000, 60000)
-    pid_name = _BENIGN_PID_NAMES[kind.profile]
-    events: list[FileEvent] = []
     t = spec.start_us
-
-    def emit(op: Operation, path: str, when: int, old: Optional[str] = None) -> None:
-        events.append(FileEvent(when, pid, pid_name, op, path, extension_of(path), old))
-
     profile = kind.profile
     if profile is BenignProfile.OFFICE:
         # lock-file dance plus safe-save: create lock, edit, write tmp,
@@ -477,36 +456,46 @@ def _benign_events(spec: ScenarioSpec, rng: random.Random) -> tuple[list[FileEve
     else:  # pragma: no cover
         raise BadSpec(f"unknown profile {profile}")
 
-    if kind.touch_decoy and spec.decoy_paths:
-        decoy = spec.decoy_paths[0]
-        slot = max(1, len(events) // 6)
-        when = events[slot - 1].time if events else spec.start_us
-        events.insert(slot, FileEvent(when, pid, pid_name, Operation.WRITE, decoy, extension_of(decoy)))
-
-    events.sort(key=lambda ev: ev.time)
-    truth = {
-        "pid": pid,
-        "pid_name": pid_name,
-        "label": "benign",
-        "mode": None,
-        "profile": profile.value,
-        "seed": spec.seed,
-        "files": [],
-        "note_paths": [],
-        "decoys_touched": [spec.decoy_paths[0]] if kind.touch_decoy and spec.decoy_paths else [],
-    }
-    return events, truth, {}
+    if not (kind.touch_decoy and spec.decoy_paths):
+        return []
+    decoy = spec.decoy_paths[0]
+    slot = max(1, len(events) // 6)
+    emit(Operation.WRITE, decoy, events[slot - 1].time if events else spec.start_us)
+    events.insert(slot, events.pop())  # the write lands a sixth of the way into the run
+    return [decoy]
 
 
 def generate(spec: ScenarioSpec) -> ScenarioResult:
     """Realize a scenario spec into events, ground truth and note texts."""
-    _validate(spec)
+    kind = spec.kind
+    ransomware = isinstance(kind, RansomwareSpec)
     rng = random.Random(spec.seed)
-    if isinstance(spec.kind, RansomwareSpec):
-        events, truth, notes = _ransomware_events(spec, rng)
+    layout = tree_layout(spec.tree, spec.seed)
+    pid = rng.randint(2000, 60000)
+    pid_name = rng.choice(_RANSOM_PID_NAMES) if ransomware else _BENIGN_PID_NAMES[kind.profile]
+    events: list[FileEvent] = []
+
+    def emit(op: Operation, path: str, when: int, old: Optional[str] = None) -> None:
+        events.append(FileEvent(when, pid, pid_name, op, path, extension_of(path), old))
+
+    if ransomware:
+        files, notes, decoys_touched = _ransomware_body(spec, layout, rng, emit)
     else:
-        events, truth, notes = _benign_events(spec, rng)
-    truth["event_count"] = len(events)
+        files, notes = [], {}
+        decoys_touched = _benign_body(spec, layout, rng, emit, events)
+    events.sort(key=lambda ev: ev.time)  # merge_results needs time order; stable, so ties keep emission order
+    truth = {
+        "pid": pid,
+        "pid_name": pid_name,
+        "label": "ransomware" if ransomware else "benign",
+        "mode": kind.mode.value if ransomware else None,
+        "profile": None if ransomware else kind.profile.value,
+        "seed": spec.seed,
+        "files": files,
+        "note_paths": sorted(notes),
+        "decoys_touched": decoys_touched,
+        "event_count": len(events),
+    }
     return ScenarioResult(spec, tuple(events), truth, notes)
 
 
@@ -540,7 +529,7 @@ def write_scenario(result: ScenarioResult, out_dir: Union[str, Path]) -> dict[st
 # Labeled window corpus for training
 # --------------------------------------------------------------------------
 
-_CORPUS_MODES = (Mode.M1, Mode.M2, Mode.M3, Mode.M4, Mode.M5, Mode.M6)
+_CORPUS_MODES = tuple(Mode)
 _CORPUS_PROFILES = (
     BenignProfile.OFFICE,
     BenignProfile.INSTALLER,
@@ -629,62 +618,41 @@ def build_corpus(
     rows: list[np.ndarray] = []
     labels: list[int] = []
     meta: list[dict] = []
-
-    def add(result: ScenarioResult, label: int, want: int) -> int:
-        taken = 0
-        for window in scenario_windows(result):
-            if taken >= want:
-                break
-            rows.append(featurize(window, dims, hash_seed))
-            labels.append(label)
-            meta.append(
-                {
-                    "label": label,
-                    "mode": result.ground_truth["mode"],
-                    "profile": result.ground_truth["profile"],
-                    "seed": result.spec.seed,
-                    "events": len(window.events),
-                    "window_end": window.window_end,
-                }
-            )
-            taken += 1
-        return taken
-
     # tree shapes range from many small directories to a few big ones and from
     # shallow to deep nesting, so the classifier sees note-dense and
     # note-sparse windows across the whole path-depth bucket range
     shapes = [(2, 3), (1, 2), (2, 2), (1, 4), (3, 3), (3, 4), (4, 2)]
     sizes = [60, 90, 140, 240, 400]
 
-    i = 0
-    remaining = n_ransom
-    while remaining > 0:
-        mode = _CORPUS_MODES[i % len(_CORPUS_MODES)]
-        depth, fanout = rng.choice(shapes)
-        spec = ScenarioSpec(
-            kind=RansomwareSpec(
-                mode=mode,
-                files_per_second=rng.choice([25, 40, 60, 90, 130, 200, 320]),
-                note_every_k_dirs=rng.choice([1, 2, 3]),
-            ),
-            seed=seed * 1000 + i,
-            tree=TreeSpec(depth=depth, fanout=fanout, files=rng.choice(sizes)),
-        )
-        remaining -= add(generate(spec), 1, remaining)
-        i += 1
-
-    j = 0
-    remaining = n_benign
-    while remaining > 0:
-        profile = profiles[j % len(profiles)]
-        depth, fanout = rng.choice(shapes)
-        spec = ScenarioSpec(
-            kind=BenignSpec(profile=profile),
-            seed=seed * 1000 + 500_000 + j,
-            tree=TreeSpec(depth=depth, fanout=fanout, files=rng.choice(sizes)),
-        )
-        remaining -= add(generate(spec), 0, remaining)
-        j += 1
+    for label, want, seed_base in ((1, n_ransom, 0), (0, n_benign, 500_000)):
+        i = 0
+        while want > 0:
+            depth, fanout = rng.choice(shapes)
+            if label:
+                kind = RansomwareSpec(
+                    mode=_CORPUS_MODES[i % len(_CORPUS_MODES)],
+                    files_per_second=rng.choice([25, 40, 60, 90, 130, 200, 320]),
+                    note_every_k_dirs=rng.choice([1, 2, 3]),
+                )
+            else:
+                kind = BenignSpec(profile=profiles[i % len(profiles)])
+            tree = TreeSpec(depth=depth, fanout=fanout, files=rng.choice(sizes))
+            result = generate(ScenarioSpec(kind, seed=seed * 1000 + seed_base + i, tree=tree))
+            for window in scenario_windows(result)[:want]:
+                rows.append(featurize(window, dims, hash_seed))
+                labels.append(label)
+                meta.append(
+                    {
+                        "label": label,
+                        "mode": result.ground_truth["mode"],
+                        "profile": result.ground_truth["profile"],
+                        "seed": result.spec.seed,
+                        "events": len(window.events),
+                        "window_end": window.window_end,
+                    }
+                )
+                want -= 1
+            i += 1
 
     X = np.stack(rows)
     y = np.asarray(labels, dtype=np.int8)
@@ -695,7 +663,7 @@ def build_corpus(
 # CLI spec parsing
 # --------------------------------------------------------------------------
 
-_MODE_BY_NAME = {m.value.lower(): m for m in _CORPUS_MODES}
+_MODE_BY_NAME = {m.value.lower(): m for m in Mode}
 _PROFILE_BY_NAME = {p.value: p for p in BenignProfile}
 
 
@@ -712,27 +680,52 @@ def spec_from_kind(
     """Build a ScenarioSpec over ``tree`` from a CLI-style kind name ("m3", "office", ...)."""
     kind_l = kind.lower()
     if kind_l in _MODE_BY_NAME:
-        return ScenarioSpec(
-            kind=RansomwareSpec(_MODE_BY_NAME[kind_l], fps, note_every_k_dirs, avoid_decoys),
-            seed=seed,
-            tree=tree,
-            decoy_paths=tuple(decoy_paths),
-        )
-    if kind_l in _PROFILE_BY_NAME:
-        return ScenarioSpec(
-            kind=BenignSpec(_PROFILE_BY_NAME[kind_l], touch_decoy),
-            seed=seed,
-            tree=tree,
-            decoy_paths=tuple(decoy_paths),
-        )
-    raise BadSpec(f"unknown scenario kind {kind!r}")
+        scenario = RansomwareSpec(_MODE_BY_NAME[kind_l], fps, note_every_k_dirs, avoid_decoys)
+    elif kind_l in _PROFILE_BY_NAME:
+        scenario = BenignSpec(_PROFILE_BY_NAME[kind_l], touch_decoy)
+    else:
+        raise BadSpec(f"unknown scenario kind {kind!r}")
+    return ScenarioSpec(scenario, seed, tree, tuple(decoy_paths))
+
+
+# The JSON type of each spec field: its name in errors, and a test of the decoded value.
+_INTEGER = ("an integer", lambda v: type(v) is int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_BOOLEAN = ("a boolean", lambda v: type(v) is bool)
+_STRING = ("a string", lambda v: type(v) is str)
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
+
+_TREE_FIELDS = {"depth": _INTEGER, "fanout": _INTEGER, "files": _INTEGER, "extensions": _STRINGS, "root": _STRING}
+_SPEC_FIELDS = {
+    "seed": _INTEGER,
+    "fps": _NUMBER,
+    "note_every_k_dirs": _INTEGER,
+    "avoid_decoys": _BOOLEAN,
+    "touch_decoy": _BOOLEAN,
+    "decoy_paths": _STRINGS,
+}
+
+
+def _given_fields(obj: dict, types: dict) -> dict:
+    """The fields of ``obj`` that ``types`` names, lists as tuples; a value of another JSON type raises BadSpec."""
+    given = {}
+    for name, (expected, is_expected) in types.items():
+        if name in obj:
+            value = obj[name]
+            if not is_expected(value):
+                raise BadSpec(f'"{name}" has the wrong type: expected {expected}, got {json.dumps(value)}')
+            given[name] = tuple(value) if type(value) is list else value
+    return given
 
 
 def spec_from_json(text: str) -> ScenarioSpec:
     """Parse a scenario spec from its JSON form (see README for the schema).
 
+    Fields the JSON leaves out take the defaults of ``spec_from_kind`` and
+    ``TreeSpec``; a top-level ``files`` applies when ``tree`` gives none.
     Raises ValueError (BadSpec or JSONDecodeError) for text that is not a JSON
-    object with a string ``kind``, or whose fields have the wrong types.
+    object with a string ``kind``, for a field of the wrong JSON type, or for
+    a value the spec types refuse.
     """
     obj = json.loads(text)
     if type(obj) is not dict or type(obj.get("kind")) is not str:
@@ -740,23 +733,5 @@ def spec_from_json(text: str) -> ScenarioSpec:
     tree_obj = obj.get("tree", {})
     if type(tree_obj) is not dict:
         raise BadSpec('"tree" must be a JSON object')
-    try:  # int(), float() and tuple() of a value of the wrong JSON type
-        tree = TreeSpec(
-            depth=int(tree_obj.get("depth", 3)),
-            fanout=int(tree_obj.get("fanout", 3)),
-            files=int(tree_obj.get("files", obj.get("files", 120))),
-            extensions=tuple(tree_obj.get("extensions", DEFAULT_EXTENSIONS)),
-            root=tree_obj.get("root", DEFAULT_ROOT),
-        )
-        return spec_from_kind(
-            obj["kind"],
-            seed=int(obj.get("seed", 0)),
-            fps=float(obj.get("fps", 60.0)),
-            note_every_k_dirs=int(obj.get("note_every_k_dirs", 1)),
-            avoid_decoys=bool(obj.get("avoid_decoys", False)),
-            touch_decoy=bool(obj.get("touch_decoy", False)),
-            tree=tree,
-            decoy_paths=obj.get("decoy_paths", ()),
-        )
-    except TypeError as exc:
-        raise BadSpec(f"a spec field has the wrong type: {exc}") from exc
+    tree = TreeSpec(**{**_given_fields(obj, {"files": _INTEGER}), **_given_fields(tree_obj, _TREE_FIELDS)})
+    return spec_from_kind(obj["kind"], tree=tree, **_given_fields(obj, _SPEC_FIELDS))

@@ -124,6 +124,16 @@ def test_simulate_from_json_spec(tmp_path, runner):
     ('{"kind": "office", "tree": 5}', '"tree" must be'),
     ('{"kind": "office", "files": [40]}', "wrong type"),
     ('{"kind": "office", "decoy_paths": 5}', "wrong type"),
+    ('{"kind": "m1", "avoid_decoys": "false"}', '"avoid_decoys" has the wrong type'),
+    ('{"kind": "m1", "files": 2.9}', '"files" has the wrong type'),
+    ('{"kind": "m1", "seed": "7"}', '"seed" has the wrong type'),
+    ('{"kind": "m1", "note_every_k_dirs": true}', '"note_every_k_dirs" has the wrong type'),
+    ('{"kind": "m1", "tree": {"extensions": "docx"}}', '"extensions" has the wrong type'),
+    ('{"kind": "m1", "tree": {"root": 5}}', '"root" has the wrong type'),
+    ('{"kind": "m1", "fps": "nan"}', '"fps" has the wrong type'),
+    ('{"kind": "m1", "fps": NaN}', "files_per_second must be positive"),
+    ('{"kind": "m1", "tree": {"files": 0}}', "one branch and one file"),
+    ('{"kind": "m1", "tree": {"extensions": []}}', "at least one file extension"),
 ])
 def test_simulate_reports_malformed_spec_in_one_line(tmp_path, runner, text, expected):
     spec_path = tmp_path / "spec.json"
@@ -377,6 +387,8 @@ def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts,
     (["features", "extract", "--log", "{trace}", "--pid", "1", "--dt", "-5", "--out", "{out}"], "delta_us must be"),
     (["simulate", "--kind", "m1", "--files", "0", "--out", "{out}"], "one branch and one file"),
     (["simulate", "--kind", "m1", "--fps", "0", "--out", "{out}"], "files_per_second must be positive"),
+    (["simulate", "--kind", "m1", "--fps", "nan", "--out", "{out}"], "files_per_second must be positive"),
+    (["simulate", "--kind", "m1", "--fps", "inf", "--out", "{out}"], "files_per_second must be positive"),
     (["simulate", "--kind", "m9", "--out", "{out}"], "unknown scenario kind 'm9'"),
     (["corpus", "--ransom", "0", "--benign", "0", "--out", "{out}"], "corpus needs both classes"),
     (["train", "--corpus", "{corpus}", "--out", "{out}"], "dims must be a power of two >= 8, got 12"),
@@ -386,7 +398,7 @@ def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts,
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--eta", "-1"], "eta must be finite and at least 0, got -1.0"),
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--gamma", "nan"], "gamma must be finite, got nan"),
 ], ids=["decoy-count0", "genepool-empty", "genepool-n0", "genepool-top-k0", "features-dt0", "features-dt-negative",
-        "simulate-files0", "simulate-fps0", "simulate-kind", "corpus-empty", "train-dims12", "train-trees0",
+        "simulate-files0", "simulate-fps0", "simulate-fps-nan", "simulate-fps-inf", "simulate-kind", "corpus-empty", "train-dims12", "train-trees0",
         "train-depth0", "train-eta-negative", "train-gamma-nan"])
 def test_commands_report_invalid_arguments_in_one_line(runner, tmp_path, args, expected):
     notes = tmp_path / "notes"

@@ -91,7 +91,7 @@ def _assert_engine_matches_reference(events, decoys, forest, config=pipeline.Pip
     return engine
 
 
-_MODES = [m for m in Mode if m is not Mode.NONE]
+_MODES = list(Mode)
 
 
 @st.composite

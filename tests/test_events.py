@@ -10,7 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -361,19 +361,6 @@ def test_process_window_validates_members():
         ProcessWindow(4, "a.exe", 1_000, 1_000, ())
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class _GeneratedInitEvent:
-    """FileEvent as declared with the dataclass-generated __init__: the reference."""
-
-    time: int
-    pid: int
-    pid_name: str
-    operation: Operation
-    file_name: str
-    file_type: str
-    old_file_name: Optional[str] = None
-
-
 _FIELD_NAMES = ("time", "pid", "pid_name", "operation", "file_name", "file_type", "old_file_name")
 _CONTRACT_ARGS = [
     (0, 4, "a.exe", Operation.CREATE, "C:/u/x.txt", "txt"),
@@ -401,18 +388,6 @@ def test_file_event_signature_lists_the_fields_in_order():
     assert params["old_file_name"].default is None
 
 
-@pytest.mark.parametrize("args", _CONTRACT_ARGS)
-def test_file_event_matches_the_generated_init(args):
-    ev, ref = FileEvent(*args), _GeneratedInitEvent(*args)
-    for name in _FIELD_NAMES:  # every slot is set, to the value given
-        assert getattr(ev, name) is getattr(ref, name)
-    assert hash(ev) == hash(ref) == hash(tuple(getattr(ref, name) for name in _FIELD_NAMES))
-    assert repr(ev) == repr(ref).replace(_GeneratedInitEvent.__qualname__, FileEvent.__qualname__, 1)
-    assert ev == FileEvent(*args) and hash(ev) == hash(FileEvent(*args))
-    assert ev != ref and ev != dataclasses.astuple(ev)
-    assert FileEvent(**dict(zip(_FIELD_NAMES, args))) == ev
-
-
 def test_file_event_repr_default_replace_and_round_trips():
     ev = FileEvent(5, 4, "a.exe", Operation.WRITE, "C:/u/x.txt", "txt")
     assert ev.old_file_name is None
@@ -429,35 +404,37 @@ def test_file_event_repr_default_replace_and_round_trips():
         assert type(clone) is FileEvent and clone == moved and hash(clone) == hash(moved)
 
 
-# Any hashable value: the constructor stores what it is given and checks nothing.
-_any_field = st.one_of(
-    st.integers(min_value=-(2**100), max_value=2**100),
-    st.none(),
-    st.text(max_size=8),
-    st.sampled_from(list(Operation)),
-    st.builds(object),
-    st.tuples(st.integers(), st.text(max_size=3)),
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)  # valid UTF-8, mostly not ASCII
+_wide = st.integers(min_value=-(2**80), max_value=2**80)  # orjson reads integers wider than 64 bits as floats
+
+
+@pytest.mark.parametrize("decoder", [
+    pytest.param("orjson", marks=pytest.mark.skipif(events_mod._fast_loads is None, reason="orjson not installed")),
+    "json",
+])
+@settings(max_examples=150, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {"time": _wide, "pid": _wide, "pid_name": _text, "operation": st.sampled_from(list(Operation)),
+         "file_name": _text, "file_type": _text},
+        optional={"old_file_name": st.none() | _text},
+    ),
+    st.booleans(),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_any_field, min_size=7, max_size=7), st.integers(min_value=0, max_value=7), st.booleans())
-def test_file_event_stores_arbitrary_values_like_the_generated_init(values, n_positional, omit_old):
-    names = _FIELD_NAMES[:-1] if omit_old else _FIELD_NAMES
-    n_positional = min(n_positional, len(names))
-    args = values[:n_positional]
-    kwargs = {name: values[i] for i, name in enumerate(names) if i >= n_positional}
-    ev, ref = FileEvent(*args, **kwargs), _GeneratedInitEvent(*args, **kwargs)
-    assert type(ev) is FileEvent
-    expected = values[:6] + [None if omit_old else values[6]]
-    for name, value in zip(_FIELD_NAMES, expected):
-        assert getattr(ev, name) is value and getattr(ref, name) is value
-    twin = FileEvent(*args, **kwargs)
-    assert ev == twin and hash(ev) == hash(twin) == hash(ref) and repr(ev) == repr(twin)
-    assert repr(ev) == repr(ref).replace(_GeneratedInitEvent.__qualname__, FileEvent.__qualname__, 1)
+def test_parsed_lines_are_the_file_events_their_fields_build(decoder, fields, ascii_only):
+    line = json.dumps({**fields, "operation": fields["operation"].value}, ensure_ascii=ascii_only)
+    issues = []
+    with mock.patch.object(events_mod, "_fast_loads", None if decoder == "json" else events_mod._fast_loads):
+        ev = events_mod.parse_event_line(line, 1, issues)
+    assert issues == [] and type(ev) is FileEvent
+    for name in _FIELD_NAMES:  # every slot holds the line's own value, of its own type
+        value = fields.get(name)
+        assert getattr(ev, name) == value and type(getattr(ev, name)) is type(value)
+    built = FileEvent(**fields)
+    assert ev == built and hash(ev) == hash(built) and repr(ev) == repr(built)
     for name in _FIELD_NAMES:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(ev, name, 0)
+            setattr(ev, name, None)
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(ev, name)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import re
 import struct
@@ -11,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ransomwatch import gbdt as gbdt_mod
 from ransomwatch.gbdt import (
     BoostParams,
     BoostedForest,
     CorruptModel,
     NoValidSplit,
     SingleClass,
-    TreeParams,
     WidthMismatch,
     apply_tree,
     best_split,
@@ -88,7 +89,7 @@ def test_grow_tree_pure_labels_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.full(3, -1.0)  # all residuals equal
     hess = np.ones(3)
-    features, values, lefts, rights = grow_tree(X, grad, hess, TreeParams(lambda_=0.0))
+    features, values, lefts, rights = grow_tree(X, grad, hess, BoostParams(min_leaf=1, lambda_=0.0))
     assert features.tolist() == [-1]
     assert values[0] == pytest.approx(1.0)  # mean residual
 
@@ -97,7 +98,7 @@ def test_grow_tree_empty_feature_set_majority_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.array([-1.0, -1.0, 0.0])
     hess = np.ones(3)
-    features, values, lefts, rights = grow_tree(X, grad, hess, TreeParams(lambda_=0.0), feature_indices=())
+    features, values, lefts, rights = grow_tree(X, grad, hess, BoostParams(min_leaf=1, lambda_=0.0), feature_indices=())
     assert features.tolist() == [-1]
     assert values[0] == pytest.approx(2.0 / 3.0)
 
@@ -108,7 +109,7 @@ def test_grow_tree_fits_xor_at_depth_two():
     residuals = y - 0.5
     # the root split of XOR has exactly zero gain, so gain pruning must be
     # disabled (gamma below zero) for the fit to proceed
-    tree = grow_tree(X, -residuals, np.ones(4), TreeParams(max_depth=2, gamma=-1.0, lambda_=0.0))
+    tree = grow_tree(X, -residuals, np.ones(4), BoostParams(min_leaf=1, max_depth=2, gamma=-1.0, lambda_=0.0))
     features, values, lefts, rights = tree
     assert features[0] >= 0
     predictions = apply_tree(tree, X)
@@ -119,7 +120,7 @@ def test_grow_tree_fits_xor_at_depth_two():
 def test_grow_tree_gamma_prunes_weak_splits():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     grad = -np.array([0.0, 0.01, 0.0, 0.01])
-    features, values, lefts, rights = grow_tree(X, grad, np.ones(4), TreeParams(gamma=1.0, lambda_=0.0))
+    features, values, lefts, rights = grow_tree(X, grad, np.ones(4), BoostParams(min_leaf=1, gamma=1.0, lambda_=0.0))
     assert features.tolist() == [-1]
 
 
@@ -127,7 +128,7 @@ def test_grow_tree_respects_max_depth():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(64, 3))
     grad = -rng.normal(size=64)
-    features, values, lefts, rights = grow_tree(X, grad, np.ones(64), TreeParams(max_depth=2, lambda_=0.0))
+    features, values, lefts, rights = grow_tree(X, grad, np.ones(64), BoostParams(min_leaf=1, max_depth=2, lambda_=0.0))
 
     def depth(slot):
         return 0 if features[slot] < 0 else 1 + max(depth(lefts[slot]), depth(rights[slot]))
@@ -188,8 +189,8 @@ def test_grow_tree_matches_node_grower_and_round_trips():
         # few distinct gradients, so pure nodes and zero-gain splits occur
         grad = rng.integers(-1, 2, size=m).astype(np.float64) if rng.random() < 0.5 else rng.normal(size=m)
         hess = np.ones(m) if rng.random() < 0.5 else rng.uniform(0.05, 1.0, size=m)
-        params = TreeParams(
-            max_depth=int(rng.integers(0, 5)),
+        params = BoostParams(
+            max_depth=int(rng.integers(1, 5)),
             min_leaf=int(rng.integers(1, 6)),
             gamma=float(rng.choice([-1.0, 0.0, 0.5])),
             lambda_=float(rng.choice([0.0, 1.0])),
@@ -215,7 +216,7 @@ def test_depth_one_tree_equals_brute_force_stump():
         m = int(rng.integers(4, 40))
         X = rng.normal(size=(m, 3)).round(2)
         y = rng.normal(size=m)
-        tree = grow_tree(X, -y, np.ones(m), TreeParams(max_depth=1, gamma=-1.0, lambda_=0.0))
+        tree = grow_tree(X, -y, np.ones(m), BoostParams(min_leaf=1, max_depth=1, gamma=-1.0, lambda_=0.0))
         got = float(((apply_tree(tree, X) - y) ** 2).sum())
         # brute force over every (feature, midpoint) pair
         best = float(((y - y.mean()) ** 2).sum())
@@ -258,6 +259,12 @@ def test_fit_eta_zero_predicts_base_rate():
 def test_boost_params_reject_values_that_train_no_useful_model(field, value, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):
         BoostParams(**{field: value})
+
+
+def test_grow_tree_takes_the_validated_boost_params():
+    # the unvalidated copy of four BoostParams fields is gone, so no tree grows from params fit would refuse
+    assert not hasattr(gbdt_mod, "TreeParams")
+    assert inspect.signature(grow_tree).parameters["params"].default == BoostParams()
 
 
 def test_fit_rejects_single_class():

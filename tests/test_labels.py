@@ -68,7 +68,7 @@ def _label_corpus() -> list[tuple[str, str]]:
     )
     specs = []
     for seed, tree in enumerate(trees, start=1):
-        for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
+        for i, mode in enumerate(Mode):
             specs.append(ScenarioSpec(RansomwareSpec(mode=mode, files_per_second=200), 100 * seed + i, tree))
         for i, profile in enumerate(BenignProfile):
             specs.append(ScenarioSpec(BenignSpec(profile=profile), 100 * seed + 50 + i, tree))

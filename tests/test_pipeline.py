@@ -791,7 +791,7 @@ def test_hot_loops_read_no_operation_member(fn):
 def _mode_mix():
     """One run of each mode M1-M6 and an office decoy-toucher, overlapping in time."""
     results, decoys = [], []
-    for i, mode in enumerate(m for m in Mode if m is not Mode.NONE):
+    for i, mode in enumerate(Mode):
         decoy = _decoy_in_first_dir(seed=90 + i)
         decoys.extend(decoy)
         results.append(generate(ScenarioSpec(

@@ -308,11 +308,57 @@ def test_bad_specs_rejected():
     with pytest.raises(BadSpec):
         generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.M1, files_per_second=0), seed=1))
     with pytest.raises(BadSpec):
-        generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.NONE), seed=1))
-    with pytest.raises(BadSpec):
         spec_from_kind("m9")
     with pytest.raises(BadSpec):
         build_corpus(0, 5, seed=1)
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: RansomwareSpec(Mode.M1, files_per_second=float("nan")), "files_per_second must be positive"),
+    (lambda: RansomwareSpec(Mode.M1, files_per_second=float("inf")), "files_per_second must be positive"),
+    (lambda: RansomwareSpec(Mode.M1, files_per_second=-3.0), "files_per_second must be positive"),
+    (lambda: RansomwareSpec(Mode.M1, note_every_k_dirs=0), "note_every_k_dirs must be at least 1"),
+    (lambda: TreeSpec(files=0), "one branch and one file"),
+    (lambda: TreeSpec(depth=0), "one branch and one file"),
+    (lambda: TreeSpec(fanout=-1), "one branch and one file"),
+    (lambda: TreeSpec(extensions=()), "at least one file extension"),
+], ids=["fps-nan", "fps-inf", "fps-negative", "note-every-0", "files-0", "depth-0", "fanout-negative", "no-extensions"])
+def test_spec_types_refuse_bad_values_when_built(make, expected):
+    with pytest.raises(BadSpec, match=expected):
+        make()
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"avoid_decoys": "false"}, "avoid_decoys"),
+    ({"touch_decoy": 1}, "touch_decoy"),
+    ({"files": 2.9}, "files"),
+    ({"tree": {"depth": 2.0}}, "depth"),
+    ({"seed": "7"}, "seed"),
+    ({"note_every_k_dirs": True}, "note_every_k_dirs"),
+    ({"fps": "nan"}, "fps"),
+    ({"fps": False}, "fps"),
+    ({"tree": {"extensions": "docx"}}, "extensions"),
+    ({"tree": {"extensions": ["docx", 5]}}, "extensions"),
+    ({"tree": {"root": ["C:/"]}}, "root"),
+    ({"decoy_paths": "C:/Users/alice/a.docx"}, "decoy_paths"),
+], ids=lambda case: case if isinstance(case, str) else None)
+def test_spec_from_json_refuses_values_of_the_wrong_json_type(fields, name):
+    with pytest.raises(BadSpec, match=f'"{name}" has the wrong type'):
+        spec_from_json(json.dumps({"kind": "m1", **fields}))
+
+
+def test_spec_from_json_refuses_a_rate_that_is_not_finite():
+    for fps in ("NaN", "Infinity", "-Infinity"):  # JSON extensions that json.loads reads as floats
+        with pytest.raises(BadSpec, match="files_per_second must be positive"):
+            spec_from_json('{"kind": "m1", "fps": %s}' % fps)
+
+
+def test_spec_from_json_defaults_are_the_spec_types_defaults():
+    spec = spec_from_json('{"kind": "m2"}')
+    assert spec == ScenarioSpec(RansomwareSpec(Mode.M2))
+    spec = spec_from_json('{"kind": "office", "files": 7, "tree": {"depth": 1}}')
+    assert spec == ScenarioSpec(BenignSpec(BenignProfile.OFFICE), tree=TreeSpec(depth=1, files=7))
+    assert spec_from_json('{"kind": "office", "files": 7, "tree": {"files": 9}}').tree.files == 9
 
 
 def test_spec_from_kind_keeps_the_given_tree():
