@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
@@ -361,6 +362,19 @@ def test_process_window_validates_members():
         ProcessWindow(4, "a.exe", 1_000, 1_000, ())
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class _GeneratedInitEvent:
+    """FileEvent as declared with the dataclass-generated __init__: the reference."""
+
+    time: int
+    pid: int
+    pid_name: str
+    operation: Operation
+    file_name: str
+    file_type: str
+    old_file_name: Optional[str] = None
+
+
 _FIELD_NAMES = ("time", "pid", "pid_name", "operation", "file_name", "file_type", "old_file_name")
 _CONTRACT_ARGS = [
     (0, 4, "a.exe", Operation.CREATE, "C:/u/x.txt", "txt"),
@@ -386,6 +400,18 @@ def test_file_event_signature_lists_the_fields_in_order():
     assert tuple(params) == _FIELD_NAMES
     assert [p.name for p in params.values() if p.default is not inspect.Parameter.empty] == ["old_file_name"]
     assert params["old_file_name"].default is None
+
+
+@pytest.mark.parametrize("args", _CONTRACT_ARGS)
+def test_file_event_matches_the_generated_init(args):
+    ev, ref = FileEvent(*args), _GeneratedInitEvent(*args)
+    for name in _FIELD_NAMES:  # every slot is set, to the value given
+        assert getattr(ev, name) is getattr(ref, name)
+    assert hash(ev) == hash(ref) == hash(tuple(getattr(ref, name) for name in _FIELD_NAMES))
+    assert repr(ev) == repr(ref).replace(_GeneratedInitEvent.__qualname__, FileEvent.__qualname__, 1)
+    assert ev == FileEvent(*args) and hash(ev) == hash(FileEvent(*args))
+    assert ev != ref and ev != dataclasses.astuple(ev)
+    assert FileEvent(**dict(zip(_FIELD_NAMES, args))) == ev
 
 
 def test_file_event_repr_default_replace_and_round_trips():
