@@ -7,6 +7,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import __version__
 from .decoys import (
@@ -23,6 +24,7 @@ from .events import parse_event_log, window_events
 from .features import FEATURE_NAMES, N_EXPERT_FEATURES
 from .gbdt import BoostParams, BoostedForest, WidthMismatch, fit
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from .jsontypes import FEATURES, columns
 from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, decode_note, similarity, tokenize
 from .pipeline import (
     MappingContentProvider,
@@ -32,7 +34,7 @@ from .pipeline import (
     run_live,
     run_replay,
 )
-from .simulator import Corpus, TreeSpec, build_corpus, generate, spec_from_json, spec_from_kind, write_scenario
+from .simulator import Corpus, RansomwareSpec, TreeSpec, build_corpus, generate, spec_from_json, spec_from_kind, write_scenario
 
 
 def _load(loader, path):
@@ -235,9 +237,7 @@ def _read_vector(path) -> np.ndarray:
     """The "vector" of a feature file written by `features extract`."""
     # integers read as floats, so one too wide for a float becomes inf, not an OverflowError
     payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
-    vector = payload.get("vector") if type(payload) is dict else None
-    if type(vector) is not list or not all(type(v) is float for v in vector):
-        raise ValueError('expected an object whose "vector" is a list of numbers')
+    ((vector,),) = columns([payload], FEATURES, 'expected an object whose "vector" is a list of numbers')
     return np.asarray(vector, dtype=np.float64)
 
 
@@ -263,13 +263,18 @@ def predict(model_path, features_path) -> None:
 @click.option("--spec", "spec_path", default=None, type=click.Path(exists=True, dir_okay=False),
               help="Scenario spec as JSON (overrides the other options).")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def simulate(kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_dir) -> None:
+@click.pass_context
+def simulate(ctx, kind, files, fps, seed, note_every, avoid_decoys, spec_path, out_dir) -> None:
     """Generate one labeled scenario: trace.jsonl, ground_truth.json, notes.json."""
     if spec_path is not None:
         spec = _load(lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")), spec_path)
     elif kind is not None:
         spec = _checked(spec_from_kind, kind, seed=seed, fps=fps, note_every_k_dirs=note_every,
                         avoid_decoys=avoid_decoys, tree=_checked(TreeSpec, files=files))
+        given = [f"--{name.replace('_', '-')}" for name in ("fps", "note_every", "avoid_decoys")
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given and not isinstance(spec.kind, RansomwareSpec):
+            raise click.ClickException(f'kind "{kind}" takes no {", ".join(given)}')
     else:
         raise click.ClickException("pass --kind or --spec")
     result = _checked(generate, spec)

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import random
-import threading
 import time as time_mod
 from dataclasses import dataclass
 from enum import Enum
@@ -21,6 +20,7 @@ from pathlib import Path
 from typing import Container, Optional, Sequence, Union
 
 from .events import FileEvent, MUTATING_OPS, Trigger, TriggerKind
+from .jsontypes import DECOY_ENTRY, OBJECT, check, columns
 
 
 class UnsupportedKind(ValueError):
@@ -203,6 +203,7 @@ class DecoyEntry:
 
 
 _KINDS = {kind.value: kind for kind in DecoyKind}
+_REGISTRY_FORMAT = "decoy registry must map each path to an object with content_digest, deployed_at and kind"
 
 
 def _kind(value) -> DecoyKind:
@@ -214,15 +215,10 @@ def _kind(value) -> DecoyKind:
 
 
 class DecoyRegistry:
-    """Single source of truth for "is this path a decoy".
-
-    One writer (deploy) and many concurrent readers are fine: lookups touch a
-    dict that is only mutated under the registry lock.
-    """
+    """Single source of truth for "is this path a decoy"."""
 
     def __init__(self) -> None:
         self._entries: dict[str, DecoyEntry] = {}
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -231,16 +227,13 @@ class DecoyRegistry:
         return path in self._entries
 
     def entries(self) -> dict[str, DecoyEntry]:
-        with self._lock:
-            return dict(self._entries)
+        return dict(self._entries)
 
     def paths(self) -> list[str]:
-        with self._lock:
-            return sorted(self._entries)
+        return sorted(self._entries)
 
     def register(self, path: str, digest: str, kind: DecoyKind, deployed_at: str = "") -> None:
-        with self._lock:
-            self._entries[path] = DecoyEntry(digest, deployed_at, kind)
+        self._entries[path] = DecoyEntry(digest, deployed_at, kind)
 
     def save(self, path: Union[str, Path]) -> None:
         payload = {
@@ -252,20 +245,14 @@ class DecoyRegistry:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "DecoyRegistry":
         """Load a saved registry. Raises ValueError unless the file holds a JSON
-        object mapping each path to an object with content_digest, deployed_at
-        and a known kind."""
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        try:
-            entries = {
-                p: DecoyEntry(entry["content_digest"], entry["deployed_at"], _kind(entry["kind"]))
-                for p, entry in payload.items()
-            }
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ValueError(
-                "decoy registry must map each path to an object with content_digest, deployed_at and kind"
-            ) from exc
+        object mapping each non-empty path to an object with the fields of
+        ``jsontypes.DECOY_ENTRY``, whose kind names a DecoyKind."""
+        (payload,) = check([json.loads(Path(path).read_text(encoding="utf-8"))], OBJECT, _REGISTRY_FORMAT)
+        digests, dates, kinds = columns(payload, DECOY_ENTRY, _REGISTRY_FORMAT)
+        if "" in payload:
+            raise ValueError(f"{_REGISTRY_FORMAT}: a path is empty")
         registry = cls()
-        registry._entries = entries
+        registry._entries = dict(zip(payload, map(DecoyEntry, digests, dates, map(_kind, kinds))))
         return registry
 
     def verify(self) -> dict[str, str]:

@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import codecs
 import json
-import math
+import sys
 import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from .jsontypes import POOL, POOL_FRAGMENT, columns
 
 DEFAULT_NGRAM_SIZE = 3
 DEFAULT_POOL_CAPACITY = 300
@@ -169,44 +170,32 @@ class GenePool:
 
     @classmethod
     def from_json(cls, text: str) -> "GenePool":
-        """Load a pool. Raises ValueError unless n >= 1 and source_count >= 0 are
-        JSON integers, top_k is null or an integer >= 1 and no smaller than the
-        fragment count, and the pool holds at least one fragment, each a list of
-        exactly n strings with a finite score >= 0, in descending score order and
-        no two alike. The order of tied scores is not checked."""
-        payload = json.loads(text)
-        try:
-            n, top_k, source_count, items = (payload[key] for key in ("n", "top_k", "source_count", "fragments"))
-            if type(n) is not int or n < 1:  # type(True) is bool, so a boolean is refused too
-                raise ValueError(f"gene pool n must be an integer of at least 1, got {n!r}")
-            if top_k is not None and (type(top_k) is not int or top_k < 1):
-                raise ValueError(f"gene pool top_k must be null or an integer of at least 1, got {top_k!r}")
-            if type(source_count) is not int or source_count < 0:
-                raise ValueError(f"gene pool source_count must be an integer of at least 0, got {source_count!r}")
-            word_lists = [item["words"] for item in items]
-            if not word_lists:
-                raise ValueError("gene pool has no fragments")
-            if top_k is not None and top_k < len(word_lists):
-                raise ValueError(f"gene pool holds {len(word_lists)} fragments, more than its top_k of {top_k}")
-            if (
-                set(map(type, word_lists)) != {list}
-                or set(map(len, word_lists)) != {n}
-                or set(map(type, chain.from_iterable(word_lists))) != {str}
-            ):
-                raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
-            scores = [item["f"] for item in items]
-            if not set(map(type, scores)) <= {int, float} or not all(0.0 <= score < math.inf for score in scores):
-                raise ValueError("gene pool fragment scores must be numbers, finite and at least 0")  # NaN fails
-            if scores != sorted(scores, reverse=True):
-                raise ValueError("gene pool fragments must be sorted by descending score")
-            fragments = dict(zip(map(tuple, word_lists), map(float, scores)))
-            if len(fragments) != len(word_lists):
-                raise ValueError("gene pool holds the same fragment twice")
-            return cls(n, top_k, fragments, source_count)
-        except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an integer score too large for a float
-            raise ValueError(
-                "gene pool must be an object with n, top_k, source_count and fragments of {words, f}"
-            ) from exc
+        """Load a pool. Raises ValueError unless its fields have the JSON types of
+        ``jsontypes.POOL`` and ``jsontypes.POOL_FRAGMENT``, n >= 1, source_count >= 0,
+        top_k is null or no smaller than the fragment count, and the pool holds at
+        least one fragment, each of exactly n words with a finite score >= 0, in
+        descending score order and no two alike. The order of tied scores is not checked."""
+        (n,), (top_k,), (source_count,), (items,) = columns([json.loads(text)], POOL, "gene pool")
+        word_lists, scores = columns(items, POOL_FRAGMENT, "gene pool")
+        if n < 1:
+            raise ValueError(f"gene pool n must be at least 1, got {n}")
+        if source_count < 0:
+            raise ValueError(f"gene pool source_count must be at least 0, got {source_count}")
+        if not word_lists:
+            raise ValueError("gene pool has no fragments")
+        if top_k is not None and top_k < len(word_lists):
+            raise ValueError(f"gene pool holds {len(word_lists)} fragments, more than its top_k of {top_k}")
+        if set(map(len, word_lists)) != {n}:
+            raise ValueError(f"gene pool fragments must be lists of exactly {n} strings")
+        # NaN fails; an integer score too large for a float is refused before float() would overflow
+        if not all(0.0 <= score <= sys.float_info.max for score in scores):
+            raise ValueError("gene pool fragment scores must be finite and at least 0")
+        if scores != sorted(scores, reverse=True):
+            raise ValueError("gene pool fragments must be sorted by descending score")
+        fragments = dict(zip(map(tuple, word_lists), map(float, scores)))
+        if len(fragments) != len(word_lists):
+            raise ValueError("gene pool holds the same fragment twice")
+        return cls(n, top_k, fragments, source_count)
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")

@@ -39,6 +39,7 @@ from .events import (
 from .features import N_EXPERT_FEATURES, extract_features
 from .gbdt import BoostedForest, WidthMismatch
 from .graph import build_graph, encode, name_pattern_class
+from .jsontypes import OBJECT, STRING, check
 from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
 
 US = 1_000_000
@@ -89,9 +90,8 @@ class MappingContentProvider:
     def from_json_file(cls, path: Union[str, Path]) -> "MappingContentProvider":
         """Load a notes map. Raises ValueError unless the file holds a JSON
         object whose values are all strings."""
-        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        if type(mapping) is not dict or not set(map(type, mapping.values())) <= {str}:
-            raise ValueError("notes map must be a JSON object mapping each path to its text")
+        (mapping,) = check([json.loads(Path(path).read_text(encoding="utf-8"))], OBJECT, "notes map")
+        check(mapping, STRING, "notes map")
         return cls(mapping)
 
 

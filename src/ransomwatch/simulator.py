@@ -20,6 +20,7 @@ import numpy as np
 from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
 from .features import Mode
 from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from .jsontypes import BENIGN_SPEC, CORPUS_META, OBJECT, RANSOMWARE_SPEC, TREE, check, columns
 from .pipeline import US, PipelineConfig, featurize
 
 
@@ -206,6 +207,7 @@ _FILE_STEMS = [
 
 DEFAULT_EXTENSIONS = ("docx", "xlsx", "pdf", "jpg", "txt", "pptx")
 DEFAULT_ROOT = "C:/Users/alice"
+MAX_TREE_DIRS = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,6 +223,13 @@ class TreeSpec:
             raise BadSpec("tree must have at least one level, one branch and one file")
         if not self.extensions:
             raise BadSpec("tree must have at least one file extension")
+        # fanout + fanout ** 2 + ... + fanout ** depth directories; 64 levels of two or more are far past the bound
+        fanout = min(self.fanout, len(_DIR_NAMES))
+        levels = self.depth if fanout == 1 else min(self.depth, 64)
+        dirs = levels if fanout == 1 else (fanout ** (levels + 1) - fanout) // (fanout - 1)
+        if dirs > MAX_TREE_DIRS:
+            at_least = "at least " if levels < self.depth else ""
+            raise BadSpec(f"tree lays out {at_least}{dirs} directories, more than {MAX_TREE_DIRS}")
 
 
 @dataclass(frozen=True)
@@ -563,8 +572,9 @@ class Corpus:
         path = Path(in_dir)
         with np.load(path / "corpus.npz") as data:
             X, y = data["X"], data["y"]
-        info = json.loads((path / "meta.json").read_text(encoding="utf-8"))
-        return cls(X, y, tuple(info["windows"]), int(info["dims"]), int(info["hash_seed"]))
+        meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
+        (dims,), (hash_seed,), (windows,) = columns([meta], CORPUS_META, "corpus meta.json")
+        return cls(X, y, tuple(windows), dims, hash_seed)
 
 
 def scenario_windows(result: ScenarioResult, min_events: int = 3) -> list[ProcessWindow]:
@@ -688,34 +698,12 @@ def spec_from_kind(
     return ScenarioSpec(scenario, seed, tree, tuple(decoy_paths))
 
 
-# The JSON type of each spec field: its name in errors, and a test of the decoded value.
-_INTEGER = ("an integer", lambda v: type(v) is int)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
-_BOOLEAN = ("a boolean", lambda v: type(v) is bool)
-_STRING = ("a string", lambda v: type(v) is str)
-_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(x) is str for x in v))
-
-_TREE_FIELDS = {"depth": _INTEGER, "fanout": _INTEGER, "files": _INTEGER, "extensions": _STRINGS, "root": _STRING}
-_SPEC_FIELDS = {
-    "seed": _INTEGER,
-    "fps": _NUMBER,
-    "note_every_k_dirs": _INTEGER,
-    "avoid_decoys": _BOOLEAN,
-    "touch_decoy": _BOOLEAN,
-    "decoy_paths": _STRINGS,
-}
-
-
-def _given_fields(obj: dict, types: dict) -> dict:
-    """The fields of ``obj`` that ``types`` names, lists as tuples; a value of another JSON type raises BadSpec."""
-    given = {}
-    for name, (expected, is_expected) in types.items():
-        if name in obj:
-            value = obj[name]
-            if not is_expected(value):
-                raise BadSpec(f'"{name}" has the wrong type: expected {expected}, got {json.dumps(value)}')
-            given[name] = tuple(value) if type(value) is list else value
-    return given
+def _given(obj, table: dict, what: str) -> dict:
+    """The fields of JSON object ``obj`` that ``table`` names, each of its JSON type; lists as tuples."""
+    (obj,) = check([obj], OBJECT, what, error=BadSpec)
+    table = {name: jtype for name, jtype in table.items() if name in obj}
+    values = columns([obj], table, what, BadSpec)
+    return {name: tuple(value) if table[name].items else value for name, (value,) in zip(table, values)}
 
 
 def spec_from_json(text: str) -> ScenarioSpec:
@@ -724,14 +712,19 @@ def spec_from_json(text: str) -> ScenarioSpec:
     Fields the JSON leaves out take the defaults of ``spec_from_kind`` and
     ``TreeSpec``; a top-level ``files`` applies when ``tree`` gives none.
     Raises ValueError (BadSpec or JSONDecodeError) for text that is not a JSON
-    object with a string ``kind``, for a field of the wrong JSON type, or for
-    a value the spec types refuse.
+    object with a string ``kind``, for a field of the wrong JSON type (see
+    ``jsontypes.RANSOMWARE_SPEC``, ``BENIGN_SPEC`` and ``TREE``), for a field
+    of the other class of kind, or for a value the spec types refuse.
     """
     obj = json.loads(text)
-    if type(obj) is not dict or type(obj.get("kind")) is not str:
-        raise BadSpec('a spec must be a JSON object with a string "kind"')
-    tree_obj = obj.get("tree", {})
-    if type(tree_obj) is not dict:
-        raise BadSpec('"tree" must be a JSON object')
-    tree = TreeSpec(**{**_given_fields(obj, {"files": _INTEGER}), **_given_fields(tree_obj, _TREE_FIELDS)})
-    return spec_from_kind(obj["kind"], tree=tree, **_given_fields(obj, _SPEC_FIELDS))
+    what = 'a spec must be a JSON object with a string "kind"'
+    given = _given(obj, {**RANSOMWARE_SPEC, **BENIGN_SPEC}, what)
+    if "kind" not in given:
+        raise BadSpec(f'{what}: "kind" is missing')
+    tree = _given(obj.get("tree", {}), TREE, '"tree" must be an object of depth, fanout, files, extensions and root')
+    spec = spec_from_kind(tree=TreeSpec(**{"files": given.pop("files", TreeSpec().files), **tree}), **given)
+    own = RANSOMWARE_SPEC if isinstance(spec.kind, RansomwareSpec) else BENIGN_SPEC
+    stray = [name for name in given if name not in own]
+    if stray:
+        raise BadSpec(f'kind "{given["kind"]}" takes no "{stray[0]}"')
+    return spec

@@ -134,11 +134,40 @@ def test_simulate_from_json_spec(tmp_path, runner):
     ('{"kind": "m1", "fps": NaN}', "files_per_second must be positive"),
     ('{"kind": "m1", "tree": {"files": 0}}', "one branch and one file"),
     ('{"kind": "m1", "tree": {"extensions": []}}', "at least one file extension"),
+    ('{"kind": "m1", "files": 5, "tree": {"depth": 4, "fanout": 20}}', "tree lays out 168420 directories, more than 10000"),
+    ('{"kind": "office", "fps": 5}', 'kind "office" takes no "fps"'),
+    ('{"kind": "m1", "touch_decoy": true}', 'kind "m1" takes no "touch_decoy"'),
 ])
 def test_simulate_reports_malformed_spec_in_one_line(tmp_path, runner, text, expected):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(text)
     _one_line_error(runner, ["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "out")], expected)
+
+
+@pytest.mark.parametrize("meta,expected", [
+    ({}, '"dims" is missing'),
+    ({"dims": 64, "hash_seed": 0}, '"windows" is missing'),
+    ({"dims": True, "hash_seed": 0, "windows": []}, '"dims" has the wrong type: expected an integer, got true'),
+    ({"dims": 64, "hash_seed": "7", "windows": []}, '"hash_seed" has the wrong type'),
+    ({"dims": 64.0, "hash_seed": 0, "windows": []}, '"dims" has the wrong type'),
+    ({"dims": 64, "hash_seed": 0, "windows": {}}, '"windows" has the wrong type'),
+    ([], "expected an object, got []"),
+], ids=["empty", "no-windows", "dims-bool", "hash_seed-string", "dims-fraction", "windows-object", "not-an-object"])
+def test_train_reports_malformed_corpus_meta_in_one_line(tmp_path, runner, meta, expected):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    np.savez(corpus_dir / "corpus.npz", X=np.zeros((2, 3)), y=np.zeros(2))
+    (corpus_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin")],
+                    f"{corpus_dir}: corpus meta.json: {expected}")
+
+
+def test_simulate_takes_the_ransomware_flags_for_a_ransomware_kind_only(tmp_path, runner):
+    out = tmp_path / "out"
+    _invoke(runner, ["simulate", "--kind", "m2", "--fps", "90", "--note-every", "2", "--avoid-decoys", "--out", str(out)])
+    assert json.loads((out / "ground_truth.json").read_text())["mode"] == "M2"
+    _invoke(runner, ["simulate", "--kind", "office", "--seed", "3", "--files", "40", "--out", str(out)])
+    assert json.loads((out / "ground_truth.json").read_text())["profile"] == "office"
 
 
 @pytest.mark.parametrize("present", [(), ("corpus.npz",)])
@@ -390,6 +419,9 @@ def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts,
     (["simulate", "--kind", "m1", "--fps", "nan", "--out", "{out}"], "files_per_second must be positive"),
     (["simulate", "--kind", "m1", "--fps", "inf", "--out", "{out}"], "files_per_second must be positive"),
     (["simulate", "--kind", "m9", "--out", "{out}"], "unknown scenario kind 'm9'"),
+    (["simulate", "--kind", "office", "--fps", "nan", "--note-every", "0", "--avoid-decoys", "--out", "{out}"],
+     'kind "office" takes no --fps, --note-every, --avoid-decoys'),
+    (["simulate", "--kind", "backup", "--fps", "60", "--out", "{out}"], 'kind "backup" takes no --fps'),
     (["corpus", "--ransom", "0", "--benign", "0", "--out", "{out}"], "corpus needs both classes"),
     (["train", "--corpus", "{corpus}", "--out", "{out}"], "dims must be a power of two >= 8, got 12"),
     # the parameters are checked before the corpus, whose dims=12 would also stop the command
@@ -398,7 +430,8 @@ def test_commands_refuse_a_tau_that_is_not_finite_in_one_line(runner, artifacts,
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--eta", "-1"], "eta must be finite and at least 0, got -1.0"),
     (["train", "--corpus", "{corpus}", "--out", "{out}", "--gamma", "nan"], "gamma must be finite, got nan"),
 ], ids=["decoy-count0", "genepool-empty", "genepool-n0", "genepool-top-k0", "features-dt0", "features-dt-negative",
-        "simulate-files0", "simulate-fps0", "simulate-fps-nan", "simulate-fps-inf", "simulate-kind", "corpus-empty", "train-dims12", "train-trees0",
+        "simulate-files0", "simulate-fps0", "simulate-fps-nan", "simulate-fps-inf", "simulate-kind",
+        "simulate-benign-ransomware-flags", "simulate-benign-default-fps", "corpus-empty", "train-dims12", "train-trees0",
         "train-depth0", "train-eta-negative", "train-gamma-nan"])
 def test_commands_report_invalid_arguments_in_one_line(runner, tmp_path, args, expected):
     notes = tmp_path / "notes"

@@ -193,7 +193,16 @@ _NOT_A_REGISTRY = "decoy registry must map each path to an object with content_d
      "'Folder' is not a valid DecoyKind"),
     ('{"C:/d.docx": {"content_digest": "d", "deployed_at": "", "kind": ["Document"]}}',
      r"\['Document'\] is not a valid DecoyKind"),
-], ids=["not-json", "not-an-object", "entry-not-an-object", "missing-key", "unknown-kind", "unhashable-kind"])
+    ('{"C:/d.docx": {"content_digest": 5, "deployed_at": "", "kind": "Document"}}',
+     '"content_digest" has the wrong type: expected a string, got 5'),
+    ('{"C:/d.docx": {"content_digest": ["x"], "deployed_at": "", "kind": "Document"}}',
+     '"content_digest" has the wrong type'),
+    ('{"C:/d.docx": {"content_digest": "d", "deployed_at": null, "kind": "Document"}}',
+     '"deployed_at" has the wrong type: expected a string, got null'),
+    ('{"C:/d.docx": {"content_digest": "d", "deployed_at": {}, "kind": "Document"}}', '"deployed_at" has the wrong type'),
+    ('{"": {"content_digest": "d", "deployed_at": "", "kind": "Document"}}', f"{_NOT_A_REGISTRY}: a path is empty"),
+], ids=["not-json", "not-an-object", "entry-not-an-object", "missing-key", "unknown-kind", "unhashable-kind",
+        "digest-number", "digest-list", "date-null", "date-object", "empty-path"])
 def test_registry_load_rejects_malformed_file(tmp_path, text, message):
     reg_file = tmp_path / "decoys.json"
     reg_file.write_text(text, encoding="utf-8")

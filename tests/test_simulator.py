@@ -13,6 +13,7 @@ from ransomwatch.events import MUTATING_OPS, Operation
 from ransomwatch.features import FEATURE_NAMES, Mode, extract_features
 from ransomwatch.notes import build_pool, similarity, tokenize
 from ransomwatch.simulator import (
+    MAX_TREE_DIRS,
     BadSpec,
     BenignProfile,
     BenignSpec,
@@ -322,7 +323,12 @@ def test_bad_specs_rejected():
     (lambda: TreeSpec(depth=0), "one branch and one file"),
     (lambda: TreeSpec(fanout=-1), "one branch and one file"),
     (lambda: TreeSpec(extensions=()), "at least one file extension"),
-], ids=["fps-nan", "fps-inf", "fps-negative", "note-every-0", "files-0", "depth-0", "fanout-negative", "no-extensions"])
+    (lambda: TreeSpec(depth=4, fanout=20), "tree lays out 168420 directories, more than 10000"),
+    (lambda: TreeSpec(depth=14, fanout=2), "tree lays out 32766 directories"),
+    (lambda: TreeSpec(depth=10_001, fanout=1), "tree lays out 10001 directories"),
+    (lambda: TreeSpec(depth=10**30, fanout=3), "tree lays out at least "),
+], ids=["fps-nan", "fps-inf", "fps-negative", "note-every-0", "files-0", "depth-0", "fanout-negative", "no-extensions",
+        "dirs-168420", "dirs-32766", "dirs-10001-fanout-1", "dirs-past-64-levels"])
 def test_spec_types_refuse_bad_values_when_built(make, expected):
     with pytest.raises(BadSpec, match=expected):
         make()
@@ -345,6 +351,28 @@ def test_spec_types_refuse_bad_values_when_built(make, expected):
 def test_spec_from_json_refuses_values_of_the_wrong_json_type(fields, name):
     with pytest.raises(BadSpec, match=f'"{name}" has the wrong type'):
         spec_from_json(json.dumps({"kind": "m1", **fields}))
+
+
+def test_tree_directory_bound_counts_the_directories_tree_layout_lays_out():
+    for depth in range(1, 5):
+        for fanout in range(1, 23):
+            count = sum(min(fanout, 20) ** level for level in range(1, depth + 1))
+            if count > MAX_TREE_DIRS:
+                with pytest.raises(BadSpec, match=f"tree lays out {count} directories, more than {MAX_TREE_DIRS}"):
+                    TreeSpec(depth=depth, fanout=fanout, files=1)
+            else:
+                assert len(tree_layout(TreeSpec(depth=depth, fanout=fanout, files=1), seed=1).dirs) == count
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"kind": "office", "fps": 60}, "fps"),
+    ({"kind": "indexer", "note_every_k_dirs": 1}, "note_every_k_dirs"),
+    ({"kind": "zipper", "avoid_decoys": False}, "avoid_decoys"),
+    ({"kind": "M3", "touch_decoy": False}, "touch_decoy"),
+])
+def test_spec_from_json_refuses_a_field_of_the_other_class_of_kind(fields, name):
+    with pytest.raises(BadSpec, match=f'kind "{fields["kind"]}" takes no "{name}"'):
+        spec_from_json(json.dumps(fields))
 
 
 def test_spec_from_json_refuses_a_rate_that_is_not_finite():
