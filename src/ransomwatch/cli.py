@@ -226,9 +226,10 @@ def train(corpus_dir, out_path, trees, eta, depth, gamma, lambda_) -> None:
     """Train the boosted-forest classifier on a window corpus directory."""
     params = _checked(BoostParams, n_trees=trees, eta=eta, max_depth=depth, gamma=gamma, lambda_=lambda_)
     corpus = _load(Corpus.load, corpus_dir)
-    forest = _checked(fit, corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed)
+    # what fit refuses (labels, a single class, the embedding width) is in the corpus, so the error names it
+    forest = _load(lambda _: fit(corpus.X, corpus.y, params, dims=corpus.dims, hash_seed=corpus.hash_seed), corpus_dir)
     forest.save(out_path)
-    acc = float(((forest.predict(corpus.X) >= 0.5).astype(int) == corpus.y).mean())
+    acc = float(((forest.predict(corpus.X) >= PipelineConfig().decision_threshold).astype(int) == corpus.y).mean())
     size = Path(out_path).stat().st_size
     click.echo(f"trained {trees} trees on {len(corpus.y)} windows; train acc {acc:.4f}; {size} bytes -> {out_path}")
 
@@ -238,7 +239,12 @@ def _read_vector(path) -> np.ndarray:
     # integers read as floats, so one too wide for a float becomes inf, not an OverflowError
     payload = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=float)
     ((vector,),) = columns([payload], FEATURES, 'expected an object whose "vector" is a list of numbers')
-    return np.asarray(vector, dtype=np.float64)
+    vector = np.asarray(vector, dtype=np.float64)
+    finite = np.isfinite(vector)
+    if not finite.all():  # JSON's NaN and Infinity, or an integer too wide for a float
+        at = int(finite.argmin())
+        raise ValueError(f'"vector" item {at} is {vector[at]}, not a finite number')
+    return vector
 
 
 @main.command()
@@ -248,7 +254,7 @@ def predict(model_path, features_path) -> None:
     """Score one extracted feature vector."""
     forest = _load(BoostedForest.load, model_path)
     prob = _load(lambda path: forest.predict_row(_read_vector(path)), features_path)
-    click.echo(json.dumps({"probability": round(prob, 6), "ransomware": prob >= 0.5}))
+    click.echo(json.dumps({"probability": round(prob, 6), "ransomware": prob >= PipelineConfig().decision_threshold}))
 
 
 # -- simulator -----------------------------------------------------------------

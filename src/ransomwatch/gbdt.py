@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -70,12 +70,7 @@ class BestSplit:
     gain: float
 
 
-def best_split(
-    X: np.ndarray,
-    response: np.ndarray,
-    min_leaf: int = 1,
-    feature_indices: Optional[Sequence[int]] = None,
-) -> BestSplit:
+def best_split(X: np.ndarray, response: np.ndarray, min_leaf: int = 1) -> BestSplit:
     """Best (feature, threshold) by squared-error reduction, one sweep per feature.
 
     Thresholds are midpoints of adjacent sorted values; ties break toward the
@@ -83,13 +78,11 @@ def best_split(
     minus the children SSE (non-negative; zero for e.g. constant responses).
     Raises NoValidSplit when no feature separates the rows.
     """
-    m = X.shape[0]
-    feats = np.arange(X.shape[1]) if feature_indices is None else np.asarray(feature_indices)
-    if m < 2 or len(feats) == 0 or m < 2 * min_leaf:
+    m, n = X.shape
+    if m < 2 or n == 0 or m < 2 * min_leaf:
         raise NoValidSplit("not enough rows or features")
-    cols = X[:, feats]
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
     ys = response[order]
     csum = np.cumsum(ys, axis=0)
     total = float(response.sum())
@@ -113,7 +106,7 @@ def best_split(
     if not (lo <= threshold < hi):
         threshold = lo
     gain = float(flat[best]) - total * total / m
-    return BestSplit(int(feats[col]), threshold, gain)
+    return BestSplit(col, threshold, gain)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,8 +145,7 @@ def grow_tree(
     grad: np.ndarray,
     hess: np.ndarray,
     params: BoostParams = BoostParams(),
-    feature_indices: Optional[Sequence[int]] = None,
-) -> FlatTree:
+) -> tuple[FlatTree, np.ndarray]:
     """Recursive tree generation on gradient statistics, straight into a FlatTree.
 
     Stopping rules: identical responses (pure node), no usable feature or
@@ -161,21 +153,24 @@ def grow_tree(
     weight is the regularized optimum -G/(H+lambda); with unit hessians and
     lambda=0 that reduces to the mean residual. Of ``params`` it reads
     max_depth, min_leaf, gamma and lambda_, which BoostParams has validated.
+    Returns the tree and the leaf weight of each row of X, recorded as the
+    row is placed in its leaf, so boosting walks no tree it has grown.
     """
-    feats = tuple(range(X.shape[1])) if feature_indices is None else tuple(feature_indices)
     nodes: list[list] = []  # [feature, value, left, right] per slot
+    weights = np.empty(X.shape[0], dtype=np.float64)
 
     def build(idx: np.ndarray, depth: int) -> None:
         response = -grad[idx]
         split = None
-        if float(response.max()) != float(response.min()) and depth < params.max_depth and feats:
+        if float(response.max()) != float(response.min()) and depth < params.max_depth:
             try:
-                split = best_split(X[idx], response, params.min_leaf, feats)
+                split = best_split(X[idx], response, params.min_leaf)
             except NoValidSplit:
                 pass
         if split is None or split.gain <= params.gamma:
             g, h = float(grad[idx].sum()), float(hess[idx].sum())
-            nodes.append([-1, -g / (h + params.lambda_), -1, -1])
+            weights[idx] = weight = -g / (h + params.lambda_)
+            nodes.append([-1, weight, -1, -1])
             return
         slot = len(nodes)
         nodes.append([split.feature, split.threshold, slot + 1, -1])
@@ -191,24 +186,7 @@ def grow_tree(
         np.asarray(values, dtype=np.float64),
         np.asarray(lefts, dtype=np.int32),
         np.asarray(rights, dtype=np.int32),
-    )
-
-
-def apply_tree(flat: FlatTree, X: np.ndarray) -> np.ndarray:
-    """Leaf weights reached by each row."""
-    features, values, lefts, rights = flat
-    pos = np.zeros(X.shape[0], dtype=np.int64)
-    rows = np.arange(X.shape[0])
-    while True:
-        feat = features[pos]
-        internal = feat >= 0
-        if not internal.any():
-            break
-        safe_feat = np.where(internal, feat, 0)
-        go_left = X[rows, safe_feat] <= values[pos]
-        nxt = np.where(go_left, lefts[pos], rights[pos])
-        pos = np.where(internal, nxt, pos)
-    return values[pos]
+    ), weights
 
 
 # One node of the model file, packed as struct "<BHdhh": leaf flag, feature,
@@ -254,20 +232,12 @@ class BoostedForest:
         if width != self.n_features:
             raise WidthMismatch(f"expected {self.n_features} features, got {width}")
 
-    def margin(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        self._check_width(X.shape[1])
-        z = np.full(X.shape[0], self.base_score, dtype=np.float64)
-        for flat in self.trees:
-            z += self.eta * apply_tree(flat, X)
-        return z
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Probabilities for a batch of rows."""
-        return _sigmoid(self.margin(X))
+        """Probabilities for a batch of rows, each scored by predict_row."""
+        return np.array([self.predict_row(row) for row in np.atleast_2d(X)], dtype=np.float64)
 
     def predict_row(self, row: Union[np.ndarray, Sequence[float]]) -> float:
-        """Probability for a single row; the low-latency path."""
+        """Probability for a single row; the low-latency path and the one tree walk."""
         row = np.asarray(row, dtype=np.float64)
         self._check_width(row.shape[-1])
         x = row.tolist()
@@ -376,15 +346,18 @@ def fit(
 ) -> BoostedForest:
     """Boost n_trees regression trees on logistic-loss gradient statistics.
 
-    Deterministic given data and parameters. Raises SingleClass unless both
-    labels occur, and BadDim unless ``dims`` is a width that ``from_bytes``
-    loads.
+    Deterministic given data and parameters. Raises ValueError unless every
+    label is 0 or 1, SingleClass unless both occur, and BadDim unless ``dims``
+    is a width that ``from_bytes`` loads.
     """
     check_dims(dims)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
+    if X.ndim != 2 or y.shape != X.shape[:1]:
         raise ValueError("X must be 2-D with one label per row")
+    other = y[(y != 0.0) & (y != 1.0)]
+    if other.size:
+        raise ValueError(f"training labels must be 0 or 1, got {other[0]:g}")
     pos = float(y.mean())
     if pos == 0.0 or pos == 1.0:
         raise SingleClass("training labels contain a single class")
@@ -396,9 +369,9 @@ def fit(
         prob = _sigmoid(margin)
         grad = prob - y
         hess = np.maximum(prob * (1.0 - prob), 1e-16)
-        tree = grow_tree(X, grad, hess, params)
+        tree, weights = grow_tree(X, grad, hess, params)
         trees.append(tree)
-        margin += params.eta * apply_tree(tree, X)
+        margin += params.eta * weights
         losses.append(log_loss(y, _sigmoid(margin)))
     return BoostedForest(
         trees=tuple(trees),

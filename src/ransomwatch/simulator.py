@@ -10,6 +10,8 @@ import heapq
 import json
 import math
 import random
+import zipfile
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,8 +20,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
-from .features import Mode
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from .features import N_EXPERT_FEATURES, Mode
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, check_dims
 from .jsontypes import BENIGN_SPEC, CORPUS_META, OBJECT, RANSOMWARE_SPEC, TREE, check, columns
 from .pipeline import US, PipelineConfig, featurize
 
@@ -569,11 +571,31 @@ class Corpus:
 
     @classmethod
     def load(cls, in_dir: Union[str, Path]) -> "Corpus":
+        """Read a directory that ``save`` wrote. Raises ValueError in one line unless
+        corpus.npz is an undamaged npz archive of ``X`` and ``y``, meta.json is well typed with a
+        ``dims`` that check_dims takes, ``X`` holds rows of N_EXPERT_FEATURES + dims
+        features and ``y`` one label per row."""
         path = Path(in_dir)
-        with np.load(path / "corpus.npz") as data:
-            X, y = data["X"], data["y"]
+        with open(path / "corpus.npz", "rb") as fp:  # a missing file stops here, with its OSError
+            if not zipfile.is_zipfile(fp):
+                raise ValueError("corpus.npz is not an npz archive")
+        try:
+            with np.load(path / "corpus.npz") as data:
+                for name in ("X", "y"):
+                    if name not in data.files:
+                        raise ValueError(f'corpus.npz: "{name}" is missing')
+                X, y = data["X"], data["y"]
+        except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:  # what a damaged archive raises
+            raise ValueError(f"corpus.npz is damaged: {exc}") from None
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
         (dims,), (hash_seed,), (windows,) = columns([meta], CORPUS_META, "corpus meta.json")
+        check_dims(dims)
+        width = N_EXPERT_FEATURES + dims
+        if X.shape[1:] != (width,):  # and so X is 2-D
+            raise ValueError(f"corpus.npz: X must hold rows of {width} features, as meta.json's dims {dims} give, "
+                             f"got shape {X.shape}")
+        if y.shape != X.shape[:1]:
+            raise ValueError(f"corpus.npz: y must hold one label for each of the {len(X)} rows, got shape {y.shape}")
         return cls(X, y, tuple(windows), dims, hash_seed)
 
 

@@ -110,7 +110,7 @@ def test_criterion_2_oracle_equivalence():
         m = int(rng.integers(4, 25))
         X = rng.integers(0, 12, size=(m, 3)).astype(np.float64)
         y = rng.integers(0, 6, size=m).astype(np.float64)
-        features, values, lefts, rights = grow_tree(X, -y, np.ones(m), BoostParams(min_leaf=1, max_depth=1, gamma=-1.0, lambda_=0.0))
+        (features, values, lefts, rights), _ = grow_tree(X, -y, np.ones(m), BoostParams(min_leaf=1, max_depth=1, gamma=-1.0, lambda_=0.0))
         ints = [int(v) for v in y]
         if features[0] < 0:
             groups = [ints]

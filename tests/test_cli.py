@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from ransomwatch import cli
 from ransomwatch.cli import main
-from ransomwatch.simulator import make_note_corpus
+from ransomwatch.simulator import build_corpus, make_note_corpus
 
 
 @pytest.fixture()
@@ -179,6 +179,52 @@ def test_train_reports_missing_corpus_files_in_one_line(tmp_path, runner, presen
     missing = "meta.json" if present else "corpus.npz"
     _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin")],
                     f"{missing}: No such file")
+
+
+def _npz(**arrays):
+    return lambda path: np.savez(path, **arrays)
+
+
+_ROWS = np.zeros((2, 76))  # two rows as wide as dims 64 asks
+_EIGHT_ROWS = np.arange(8.0).repeat(76).reshape(8, 76)
+
+
+def _npy(path):  # one array, not an archive, under the archive's name
+    with open(path, "wb") as fp:
+        np.save(fp, _ROWS)
+
+
+def _damaged(path):  # one byte of X's data flipped
+    np.savez(path, X=_ROWS, y=np.array([0, 1]))
+    blob = bytearray(path.read_bytes())
+    blob[300] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("write,expected", [
+    (_npz(X=_ROWS), 'corpus.npz: "y" is missing'),
+    (_npz(y=np.array([0, 1])), 'corpus.npz: "X" is missing'),
+    (lambda path: path.write_text("X,y\n", encoding="utf-8"), "corpus.npz is not an npz archive"),
+    (lambda path: path.write_bytes(b""), "corpus.npz is not an npz archive"),
+    (_npy, "corpus.npz is not an npz archive"),
+    (_damaged, "corpus.npz is damaged: Bad CRC-32 for file 'X.npy'"),
+    (_npz(X=np.zeros((2, 50)), y=np.array([0, 1])),
+     "corpus.npz: X must hold rows of 76 features, as meta.json's dims 64 give, got shape (2, 50)"),
+    (_npz(X=np.zeros(76), y=np.array([0])), "corpus.npz: X must hold rows of 76 features"),
+    (_npz(X=_ROWS, y=np.array([0, 1, 1])), "corpus.npz: y must hold one label for each of the 2 rows, got shape (3,)"),
+    (_npz(X=_ROWS, y=np.array([[0], [1]])), "corpus.npz: y must hold one label for each of the 2 rows, got shape (2, 1)"),
+    (_npz(X=_EIGHT_ROWS, y=np.array([0, 3] * 4)), "training labels must be 0 or 1, got 3"),
+    (_npz(X=_EIGHT_ROWS, y=np.array([0, 0.5] * 4)), "training labels must be 0 or 1, got 0.5"),
+], ids=["no-y", "no-X", "text", "empty", "npy", "damaged", "rows-50-wide", "X-1-D", "labels-too-many", "labels-2-D",
+        "labels-0-3", "labels-0-half"])
+def test_train_refuses_a_corpus_it_cannot_train_on_in_one_line(tmp_path, runner, write, expected):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write(corpus_dir / "corpus.npz")
+    (corpus_dir / "meta.json").write_text(json.dumps({"dims": 64, "hash_seed": 0, "windows": []}), encoding="utf-8")
+    _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin")],
+                    f"{corpus_dir}: {expected}")
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_decoy_deploy_places_decoys_in_the_given_early_dirs(tmp_path, runner, monkeypatch):
@@ -353,13 +399,31 @@ def test_predict_reports_corrupt_model_in_one_line(runner, artifacts):
     (json.dumps({"v": 1}), 'bad_fv.json: expected an object whose "vector" is a list of numbers'),
     (json.dumps({"vector": [1, "2"]}), 'bad_fv.json: expected an object whose "vector" is a list of numbers'),
     (json.dumps({"vector": [1, 2]}), "features, got 2"),
-], ids=["not-json", "no-vector", "not-numbers", "wrong-width"])
+    ('{"vector": [0.5, 2, NaN]}', 'bad_fv.json: "vector" item 2 is nan, not a finite number'),
+    ('{"vector": [Infinity, 2]}', 'bad_fv.json: "vector" item 0 is inf, not a finite number'),
+    ('{"vector": [0.5, -Infinity]}', 'bad_fv.json: "vector" item 1 is -inf, not a finite number'),
+    ('{"vector": [0.5, 1%s]}' % ("0" * 400), 'bad_fv.json: "vector" item 1 is inf, not a finite number'),
+], ids=["not-json", "no-vector", "not-numbers", "wrong-width", "nan", "infinity", "minus-infinity", "wide-integer"])
 def test_predict_reports_malformed_features_in_one_line(runner, artifacts, tmp_path, text, expected):
     features = tmp_path / "bad_fv.json"
     features.write_text(text, encoding="utf-8")
     _one_line_error(runner, [
         "predict", "--model", str(artifacts["model.bin"]), "--features", str(features),
     ], expected)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 1.0])
+def test_predict_and_train_decide_at_the_engine_threshold(runner, artifacts, tmp_path, monkeypatch, threshold):
+    config = cli.PipelineConfig
+    monkeypatch.setattr(cli, "PipelineConfig", lambda **kwargs: config(**{"decision_threshold": threshold, **kwargs}))
+    verdict = json.loads(_invoke(runner, ["predict", "--model", str(artifacts["model.bin"]),
+                                          "--features", str(artifacts["fv.json"])]).output)
+    assert verdict["ransomware"] is (threshold == 0.0)  # every probability is at least 0 and below 1
+    corpus = build_corpus(4, 4, seed=2)
+    corpus.save(tmp_path / "corpus")
+    trained = _invoke(runner, ["train", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.bin"),
+                               "--trees", "3"])
+    assert f"train acc {float((corpus.y == (threshold == 0.0)).mean()):.4f}" in trained.output
 
 
 def test_features_extract_warns_on_a_line_that_is_not_utf8(runner, tmp_path):

@@ -6,11 +6,14 @@ import inspect
 import math
 import re
 import struct
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ransomwatch import gbdt as gbdt_mod
 from ransomwatch.gbdt import (
@@ -20,7 +23,6 @@ from ransomwatch.gbdt import (
     NoValidSplit,
     SingleClass,
     WidthMismatch,
-    apply_tree,
     best_split,
     fit,
     grow_tree,
@@ -89,18 +91,20 @@ def test_grow_tree_pure_labels_single_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.full(3, -1.0)  # all residuals equal
     hess = np.ones(3)
-    features, values, lefts, rights = grow_tree(X, grad, hess, BoostParams(min_leaf=1, lambda_=0.0))
+    (features, values, lefts, rights), weights = grow_tree(X, grad, hess, BoostParams(min_leaf=1, lambda_=0.0))
     assert features.tolist() == [-1]
     assert values[0] == pytest.approx(1.0)  # mean residual
+    assert weights.tolist() == [values[0]] * 3
 
 
 def test_grow_tree_empty_feature_set_majority_leaf():
     X = np.array([[0.0], [1.0], [2.0]])
     grad = np.array([-1.0, -1.0, 0.0])
     hess = np.ones(3)
-    features, values, lefts, rights = grow_tree(X, grad, hess, BoostParams(min_leaf=1, lambda_=0.0), feature_indices=())
+    (features, values, lefts, rights), weights = grow_tree(X[:, :0], grad, hess, BoostParams(min_leaf=1, lambda_=0.0))
     assert features.tolist() == [-1]
     assert values[0] == pytest.approx(2.0 / 3.0)
+    assert weights.tolist() == [values[0]] * 3
 
 
 def test_grow_tree_fits_xor_at_depth_two():
@@ -109,18 +113,17 @@ def test_grow_tree_fits_xor_at_depth_two():
     residuals = y - 0.5
     # the root split of XOR has exactly zero gain, so gain pruning must be
     # disabled (gamma below zero) for the fit to proceed
-    tree = grow_tree(X, -residuals, np.ones(4), BoostParams(min_leaf=1, max_depth=2, gamma=-1.0, lambda_=0.0))
+    tree, weights = grow_tree(X, -residuals, np.ones(4), BoostParams(min_leaf=1, max_depth=2, gamma=-1.0, lambda_=0.0))
     features, values, lefts, rights = tree
     assert features[0] >= 0
-    predictions = apply_tree(tree, X)
-    assert np.allclose(predictions, residuals)
+    assert np.allclose(weights, residuals)
     assert sorted(values[features < 0]) == pytest.approx([-0.5, -0.5, 0.5, 0.5])
 
 
 def test_grow_tree_gamma_prunes_weak_splits():
     X = np.array([[1.0], [2.0], [3.0], [4.0]])
     grad = -np.array([0.0, 0.01, 0.0, 0.01])
-    features, values, lefts, rights = grow_tree(X, grad, np.ones(4), BoostParams(min_leaf=1, gamma=1.0, lambda_=0.0))
+    (features, values, lefts, rights), _ = grow_tree(X, grad, np.ones(4), BoostParams(min_leaf=1, gamma=1.0, lambda_=0.0))
     assert features.tolist() == [-1]
 
 
@@ -128,7 +131,7 @@ def test_grow_tree_respects_max_depth():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(64, 3))
     grad = -rng.normal(size=64)
-    features, values, lefts, rights = grow_tree(X, grad, np.ones(64), BoostParams(min_leaf=1, max_depth=2, lambda_=0.0))
+    (features, values, lefts, rights), _ = grow_tree(X, grad, np.ones(64), BoostParams(min_leaf=1, max_depth=2, lambda_=0.0))
 
     def depth(slot):
         return 0 if features[slot] < 0 else 1 + max(depth(lefts[slot]), depth(rights[slot]))
@@ -136,26 +139,30 @@ def test_grow_tree_respects_max_depth():
     assert depth(0) <= 2
 
 
-def _reference_grow(X, grad, hess, params, feature_indices):
-    """Grow a tree of nested nodes, then lay it out in preorder.
+def _reference_grow(X, grad, hess, params):
+    """Grow a tree of nested nodes, then lay it out in preorder; also the
+    weight of the leaf each row lands in.
 
     A leaf is (weight,) and an internal node (feature, threshold, left, right).
     This is the two-step form that grow_tree writes in one pass.
     """
-    feats = tuple(range(X.shape[1])) if feature_indices is None else tuple(feature_indices)
+    weights = [None] * X.shape[0]
 
     def leaf(idx):
         g, h = float(grad[idx].sum()), float(hess[idx].sum())
-        return (-g / (h + params.lambda_),)
+        weight = -g / (h + params.lambda_)
+        for i in idx.tolist():
+            weights[i] = weight
+        return (weight,)
 
     def build(idx, depth):
         response = -grad[idx]
         if float(response.max()) == float(response.min()):
             return leaf(idx)
-        if depth >= params.max_depth or not feats:
+        if depth >= params.max_depth or X.shape[1] == 0:
             return leaf(idx)
         try:
-            split = best_split(X[idx], response, params.min_leaf, feats)
+            split = best_split(X[idx], response, params.min_leaf)
         except NoValidSplit:
             return leaf(idx)
         if split.gain <= params.gamma:
@@ -175,7 +182,7 @@ def _reference_grow(X, grad, hess, params, feature_indices):
 
     visit(build(np.arange(X.shape[0]), 0))
     columns = list(zip(*rows))
-    return tuple(np.asarray(c, dtype=t) for c, t in zip(columns, (np.int32, np.float64, np.int32, np.int32)))
+    return tuple(np.asarray(c, dtype=t) for c, t in zip(columns, (np.int32, np.float64, np.int32, np.int32))), weights
 
 
 def test_grow_tree_matches_node_grower_and_round_trips():
@@ -195,15 +202,16 @@ def test_grow_tree_matches_node_grower_and_round_trips():
             gamma=float(rng.choice([-1.0, 0.0, 0.5])),
             lambda_=float(rng.choice([0.0, 1.0])),
         )
-        subset = tuple(int(j) for j in rng.permutation(n)[: int(rng.integers(1, n + 1))])
-        feature_indices = (None, subset, ())[int(rng.integers(0, 3))]
-        got = grow_tree(X, grad, hess, params, feature_indices)
-        want = _reference_grow(X, grad, hess, params, feature_indices)
+        subset = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        X = (X, X[:, subset], X[:, :0])[int(rng.integers(0, 3))]  # every column, some, or none
+        got, weights = grow_tree(X, grad, hess, params)
+        want, want_weights = _reference_grow(X, grad, hess, params)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype
             assert a.tolist() == b.tolist()
+        assert weights.dtype == np.float64 and weights.tolist() == want_weights
         shapes.add(len(got[0]))
-        forest = BoostedForest((got,), 0.1, params.gamma, params.lambda_, base_score=0.0, n_features=n)
+        forest = BoostedForest((got,), 0.1, params.gamma, params.lambda_, base_score=0.0, n_features=X.shape[1])
         for a, b in zip(BoostedForest.from_bytes(forest.to_bytes()).trees[0], got):
             assert a.dtype == b.dtype
             assert a.tolist() == b.tolist()
@@ -216,8 +224,8 @@ def test_depth_one_tree_equals_brute_force_stump():
         m = int(rng.integers(4, 40))
         X = rng.normal(size=(m, 3)).round(2)
         y = rng.normal(size=m)
-        tree = grow_tree(X, -y, np.ones(m), BoostParams(min_leaf=1, max_depth=1, gamma=-1.0, lambda_=0.0))
-        got = float(((apply_tree(tree, X) - y) ** 2).sum())
+        _, weights = grow_tree(X, -y, np.ones(m), BoostParams(min_leaf=1, max_depth=1, gamma=-1.0, lambda_=0.0))
+        got = float(((weights - y) ** 2).sum())
         # brute force over every (feature, midpoint) pair
         best = float(((y - y.mean()) ** 2).sum())
         for j in range(3):
@@ -225,6 +233,62 @@ def test_depth_one_tree_equals_brute_force_stump():
             for threshold in (values[:-1] + values[1:]) / 2:
                 best = min(best, split_sse_direct(X[:, j], y, threshold))
         assert got == pytest.approx(best, abs=1e-9)
+
+
+def _leaf_slots(tree, X):
+    """The slot of the leaf that each row of X reaches, as a one-tree
+    BoostedForest.predict_row walks the tree: each leaf's weight is replaced by
+    minus its slot, so the probability names the leaf."""
+    features, values, lefts, rights = tree
+    slots = np.arange(len(features))
+    marked = (features, np.where(features < 0, -slots, values), lefts, rights)
+    forest = BoostedForest((marked,), eta=1.0, gamma=0.0, lambda_=0.0, base_score=0.0, n_features=X.shape[1])
+    slot_of = {float(gbdt_mod._sigmoid(-slot)): slot for slot in slots[features < 0].tolist()}
+    return np.array([slot_of[forest.predict_row(row)] for row in X], dtype=np.int64)
+
+
+# Few distinct values, so rows tie, mixed with arbitrary ones. Between two
+# adjacent floats (1.0 and the next one up, 0.0 and the least subnormal) no
+# midpoint exists, so best_split takes the lower value as the threshold and
+# rows equal to it must route left in the grower as in the walk.
+_tied = st.sampled_from([-2.0, -0.5, 0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), 3.5]) | st.floats(-1e3, 1e3)
+_boost_params = st.builds(
+    BoostParams,
+    max_depth=st.integers(1, 5),
+    min_leaf=st.integers(1, 6),
+    gamma=st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-1.0, 1.0),
+    lambda_=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 2.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), _boost_params)
+def test_grow_tree_weights_are_the_leaves_predict_row_reaches(data, params):
+    m, n = data.draw(st.integers(1, 30)), data.draw(st.integers(0, 4))
+    X = data.draw(arrays(np.float64, (m, n), elements=_tied))
+    grad = data.draw(arrays(np.float64, m, elements=st.sampled_from([-1.0, 0.0, 0.5]) | st.floats(-2.0, 2.0)))
+    hess = data.draw(arrays(np.float64, m, elements=st.sampled_from([1.0]) | st.floats(0.05, 1.0)))
+    tree, weights = grow_tree(X, grad, hess, params)
+    assert weights.dtype == np.float64 and weights.shape == (m,)
+    assert weights.tolist() == tree[1][_leaf_slots(tree, X)].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), _boost_params, st.integers(1, 6), st.sampled_from([0.1, 1.0]) | st.floats(0.0, 1.0))
+def test_fit_margins_are_base_plus_eta_times_the_leaves_predict_row_reaches(data, params, n_trees, eta):
+    m, n = data.draw(st.integers(2, 30)), data.draw(st.integers(0, 4))
+    X = data.draw(arrays(np.float64, (m, n), elements=_tied))
+    y = np.array([0, 1] + data.draw(st.lists(st.integers(0, 1), min_size=m - 2, max_size=m - 2)))
+    params = replace(params, n_trees=n_trees, eta=eta)
+    scored = []  # every margin fit turns into probabilities, in order
+    sigmoid = gbdt_mod._sigmoid
+    with mock.patch.object(gbdt_mod, "_sigmoid", lambda z: scored.append(z.tolist()) or sigmoid(z)):
+        forest = fit(X, y, params)
+    margins = [np.full(m, forest.base_score)]
+    for tree in forest.trees:
+        margins.append(margins[-1] + eta * tree[1][_leaf_slots(tree, X)])
+    # each margin but the first and last is scored twice: for the loss, then the next gradients
+    assert scored == [margins[(i + 1) // 2].tolist() for i in range(2 * n_trees)]
 
 
 def test_fit_separable_data_perfect_training_accuracy():
@@ -329,6 +393,18 @@ def test_batch_predict_equals_per_row(trained_forest, heldout_corpus):
     assert np.allclose(batch, rows, atol=1e-12)
 
 
+def _walked(forest, row):
+    """sigmoid(base + eta * sum of leaves), each tree walked on its arrays:
+    a value on a threshold routes left, and NaN, which compares false, right."""
+    z = forest.base_score
+    for features, values, lefts, rights in forest.trees:
+        node = 0
+        while features[node] >= 0:
+            node = lefts[node] if row[features[node]] <= values[node] else rights[node]
+        z += forest.eta * float(values[node])
+    return float(1.0 / (1.0 + np.exp(-z)))
+
+
 def test_predict_row_equals_batch_exactly(trained_forest):
     rng = np.random.default_rng(5)
     thresholds = {}
@@ -345,7 +421,7 @@ def test_predict_row_equals_batch_exactly(trained_forest):
     edge = rng.random(rows[200:].shape) < 0.2
     rows[200:][edge] = specials[rng.integers(3, size=int(edge.sum()))]
     for row in rows:
-        assert trained_forest.predict_row(row) == trained_forest.predict(row[None])[0]
+        assert trained_forest.predict_row(row) == trained_forest.predict(row[None])[0] == _walked(trained_forest, row)
     assert trained_forest.predict_row(rows[0].tolist()) == trained_forest.predict_row(rows[0])
 
 
@@ -544,3 +620,17 @@ def test_one_corrupt_node_is_reported_as_the_per_tree_reference_reports_it(train
     assert len(got) == len(want)
     for flat, nodes in zip(got, want):
         np.testing.assert_array_equal(np.column_stack(flat), np.array(nodes, dtype=np.float64))  # NaN equals NaN
+
+
+@pytest.mark.parametrize("labels", [[0, 3], [0, 0.5], [0, -1], [0, math.nan], [1, 2]])
+def test_fit_refuses_labels_other_than_0_and_1(labels):
+    X = np.arange(8, dtype=np.float64).reshape(8, 1)
+    with pytest.raises(ValueError, match=r"^training labels must be 0 or 1, got (3|0\.5|-1|nan|2)$"):
+        fit(X, np.array(labels * 4), BoostParams(n_trees=2, min_leaf=1))
+
+
+def test_fit_takes_integer_labels_as_their_floats():
+    X = np.arange(8, dtype=np.float64).reshape(8, 1)
+    y = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.int8)  # as the benchmark's corpora pass them
+    params = BoostParams(n_trees=3, min_leaf=1)
+    assert fit(X, y, params).to_bytes() == fit(X, y.astype(np.float64), params).to_bytes()

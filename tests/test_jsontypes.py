@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from ransomwatch import cli, jsontypes
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import window_events
-from ransomwatch.features import Mode
+from ransomwatch.features import N_EXPERT_FEATURES, Mode
 from ransomwatch.graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
 from ransomwatch.notes import GenePool, build_pool, tokenize
 from ransomwatch.pipeline import MappingContentProvider, featurize
@@ -57,7 +57,9 @@ _SPEC_FIELDS = {**jsontypes.RANSOMWARE_SPEC, **jsontypes.BENIGN_SPEC, "tree": js
 
 def _write_corpus_meta(path: Path, payload) -> None:
     path.mkdir(exist_ok=True)
-    np.savez(path / "corpus.npz", X=np.zeros((2, 3)), y=np.array([0, 1]))
+    dims = payload.get("dims")  # rows as wide as an integer dims asks, so only the meta.json change is refused
+    width = N_EXPERT_FEATURES + dims if type(dims) is int else 3
+    np.savez(path / "corpus.npz", X=np.zeros((2, width)), y=np.array([0, 1]))
     (path / "meta.json").write_text(json.dumps(payload), encoding="utf-8")
 
 
@@ -117,7 +119,7 @@ _FORMATS = {
                   lambda p: [(p, dict.fromkeys(p, jsontypes.STRING), set())]),
     "spec": (_specs(), _write, lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")),
              lambda p: [(p, _SPEC_FIELDS, {"kind"}), (p.setdefault("tree", {}), jsontypes.TREE, set())]),
-    "corpus meta": (st.fixed_dictionaries({"dims": _integers, "hash_seed": _integers,
+    "corpus meta": (st.fixed_dictionaries({"dims": st.sampled_from([8, 16, 64, 1024]), "hash_seed": _integers,
                                             "windows": st.lists(st.dictionaries(_text, _numbers), max_size=2)}),
                     _write_corpus_meta, Corpus.load, lambda p: [(p, jsontypes.CORPUS_META, set(p))]),
     "features": (st.fixed_dictionaries({"vector": st.lists(_numbers, max_size=4)}), _write, cli._read_vector,
