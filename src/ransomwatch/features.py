@@ -7,6 +7,7 @@ the shape of the extension-set change, and five fusion/ratio features.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -66,12 +67,10 @@ def extract_features(window: ProcessWindow) -> np.ndarray:
     n_create = n_delete = n_renamed = 0
     before_types: set[str] = set()
     past_first_create_delete = False
-    exists: dict[str, str] = {}
-    removed: set[str] = set()
+    paths: dict[str, Optional[str]] = {}  # path -> its type, or None once removed
     del_types: set[str] = set()
     create_types: set[str] = set()
-    created_name_counts: dict[str, int] = {}
-    created_name_dirs: dict[str, set[str]] = {}
+    created_dirs: dict[str, list[str]] = {}  # name -> the directory of each of its creates
     CREATE, DELETE, SMASH, RENAME, WRITE, OVERWRITE = _OPS
 
     for ev in window.events:
@@ -85,34 +84,27 @@ def extract_features(window: ProcessWindow) -> np.ndarray:
             n_create += 1
             path = ev.file_name
             create_types.add(ev.file_type)
-            exists[path] = ev.file_type
-            removed.discard(path)
+            paths[path] = ev.file_type
             # basename_of and dirname_of from one split
             cut = max(path.rfind("/"), path.rfind("\\"))
-            name = path[cut + 1 :]
-            created_name_counts[name] = created_name_counts.get(name, 0) + 1
-            created_name_dirs.setdefault(name, set()).add(path[:cut] if cut > 0 else "")
+            created_dirs.setdefault(path[cut + 1 :], []).append(path[:cut] if cut > 0 else "")
         elif op is DELETE or op is SMASH:
             n_delete += 1
             del_types.add(ev.file_type)
-            exists.pop(ev.file_name, None)
-            removed.add(ev.file_name)
+            paths[ev.file_name] = None
         elif op is RENAME:
             n_renamed += 1
             if ev.old_file_name:
-                exists.pop(ev.old_file_name, None)
-                removed.add(ev.old_file_name)
-            exists[ev.file_name] = ev.file_type
-            removed.discard(ev.file_name)
+                paths[ev.old_file_name] = None
+            paths[ev.file_name] = ev.file_type
         elif op is WRITE or op is OVERWRITE:
             # a write implies the path exists afterwards, even post-removal
-            exists[ev.file_name] = ev.file_type
-            removed.discard(ev.file_name)
+            paths[ev.file_name] = ev.file_type
         else:  # READ cannot resurrect a removed path
-            if ev.file_name not in removed and ev.file_name not in exists:
-                exists[ev.file_name] = ev.file_type
+            paths.setdefault(ev.file_name, ev.file_type)
 
-    after_types = set(exists.values())
+    after_types = set(paths.values())
+    after_types.discard(None)
     ntype_before = len(before_types)
     ntype_after = len(after_types)
     ntype_change = ntype_after - ntype_before
@@ -123,16 +115,8 @@ def extract_features(window: ProcessWindow) -> np.ndarray:
     n_create_types = len(create_types)
     rtype_change = n_del_types / n_create_types if n_create_types > 0 else float(n_del_types)
 
-    if created_name_counts:
-        max_n_file = max(created_name_counts.values())
-        n_folder = max(
-            len(created_name_dirs[name])
-            for name, count in created_name_counts.items()
-            if count == max_n_file
-        )
-    else:
-        max_n_file = 0
-        n_folder = 0
+    max_n_file = max(map(len, created_dirs.values()), default=0)
+    n_folder = max((len(set(dirs)) for dirs in created_dirs.values() if len(dirs) == max_n_file), default=0)
     r_file = max_n_file / n_folder if n_folder > 0 else 0.0
 
     return np.array(

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, BadDim, check_dims
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, BadDim, check_dims, check_hash_seed
 
 MODEL_MAGIC = b"RWF1"
 MODEL_VERSION = 1
@@ -347,10 +347,11 @@ def fit(
     """Boost n_trees regression trees on logistic-loss gradient statistics.
 
     Deterministic given data and parameters. Raises ValueError unless every
-    label is 0 or 1, SingleClass unless both occur, and BadDim unless ``dims``
-    is a width that ``from_bytes`` loads.
+    label is 0 or 1, SingleClass unless both occur, and BadDim or ValueError
+    unless ``dims`` and ``hash_seed`` are values that a model file holds.
     """
     check_dims(dims)
+    check_hash_seed(hash_seed)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.shape != X.shape[:1]:

@@ -26,21 +26,28 @@ MAX_DEPTH_BUCKET = 7
 
 
 class BadDim(ValueError):
-    """Embedding width must be a power of two, at least 8."""
+    """Embedding width must be a power of two from 8 to 32 768."""
 
 
 def check_dims(dims: int) -> None:
     """Raise BadDim unless ``dims`` is a valid embedding width."""
     if dims < 8 or dims & (dims - 1) != 0:
         raise BadDim(f"dims must be a power of two >= 8, got {dims}")
+    if dims > 32768:  # a model file stores the row width, 12 + dims, in 16 bits
+        raise BadDim(f"dims must be at most 32768, got {dims}")
 
 
-# Searched case-sensitively on a lowered, folded stem; see name_pattern_class.
+def check_hash_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an unsigned 64-bit integer, as encode and model files take it."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"hash_seed must be in [0, 2**64), got {seed}")
+
+
 _NOTE_NAME_RE = re.compile(
     r"how[\s_-]*to|read[\s_-]*me|readme|decrypt|encrypt|recover|restore|unlock"
-    r"|ransom|instruction|important|attention|warning|help"
+    r"|ransom|instruction|important|attention|warning|help",
+    re.IGNORECASE,
 )
-_CASE_FOLD = str.maketrans({"\u0131": "i", "\u017f": "s"})  # dotless i, long s
 _WORDS_RE = re.compile(r"[a-z]+(?:[ _\-][a-z]+)*")
 _HEX_RE = re.compile(r"[0-9a-f]{8,}")
 
@@ -61,16 +68,10 @@ RARE_EXTENSION_LABEL = "ext:#rare"
 
 
 def name_pattern_class(file_name: str) -> str:
-    """Classify a filename into {note, hash, word, other}.
-
-    The note search runs case-sensitively on the lowered stem and gives the
-    answer an IGNORECASE search would. Every letter of the pattern is
-    lowercase ASCII. Among the characters that lower() can output,
-    IGNORECASE matches such a letter only to itself, and "i" also to U+0131
-    and "s" also to U+017F; a scan of every code point confirms it
-    (tests/test_labels.py). Folding those two onto "i" and "s" keeps the
-    length and every other character, so the two searches agree.
-    """
+    """Classify a filename by its lowered stem: "note" if the note pattern occurs
+    in it, ignoring case; else "hash" if it is 8+ hex digits, or 10+ letters and
+    digits with 3+ digits once "-" and "_" are dropped; else "word" if it is
+    runs of a-z joined by single spaces, "_" or "-"; else "other"."""
     return _base_class(basename_of(file_name))
 
 
@@ -95,7 +96,7 @@ def _base_class(base: str) -> str:
     cls = _CLASS_BY_FOLDED_STEM.get(key)
     if cls is not None:
         return cls
-    if _NOTE_NAME_RE.search(low if low.isascii() else low.translate(_CASE_FOLD)):
+    if _NOTE_NAME_RE.search(low):
         cls = "note"
     elif _HEX_RE.fullmatch(low):
         cls = "hash"

@@ -186,7 +186,6 @@ class _WindowState:
     pid_name: str
     events: list[FileEvent] = field(default_factory=list)
     labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
-    classified: int = 0  # len(events) when the window was last classified
 
 
 @dataclass
@@ -240,7 +239,6 @@ class Engine:
         self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
         self._terminated: dict[int, str] = {}  # pid -> the pid_name it was terminated under
         self._scored_paths: set[str] = set()
-        self._text_exts = TEXT_EXTENSIONS
 
     # -- monitors ------------------------------------------------------------
 
@@ -248,7 +246,7 @@ class Engine:
         """Score a Create or Write for ransom-note content; ``process`` checks the op."""
         if self.pool is None:
             return None
-        if ev.file_type not in self._text_exts:
+        if ev.file_type not in TEXT_EXTENSIONS:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
                 return None
         if ev.file_name in self._scored_paths:
@@ -280,8 +278,8 @@ class Engine:
         Every window closes and every alert is raised here, dated at ``boundary``.
         The row reads only the window's events, so the window is classified only
         when it has gained events since its last classification. High closes it
-        at once and terminates its pid under its name; otherwise it closes Low
-        at its last slide.
+        at once and terminates its pid under its name, unless the pid is 0;
+        otherwise it closes Low at its last slide.
         """
         trigger = state.trigger
         pid = trigger.pid
@@ -289,14 +287,16 @@ class Engine:
         latency = boundary - trigger.time
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
         prob = None
-        if len(state.events) > state.classified:
-            state.classified = len(state.events)
+        # featurize labels every event it scores, so the labels count the
+        # events of the last classification
+        if len(state.events) > len(state.labels):
             row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
             metrics.classifier_calls += 1
             prob = self.forest.predict_row(row)
         if prob is not None and prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
-            self._terminated[pid] = state.pid_name
+            if pid:  # pid 0 is no process to stop: the idle task, and every live event's pid
+                self._terminated[pid] = state.pid_name
             metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
@@ -471,9 +471,6 @@ def run_live(
         for ev in sorted(watcher.poll(), key=lambda ev: check_event(ev, decoys) is None):
             engine.process(ev)
         engine.advance_time(watcher.now_us())
-        # Every live event is pid 0, and its simulated terminate stops
-        # nothing: re-arm it so a later attack still triggers.
-        engine._terminated.pop(0, None)
         done = duration_s is not None and time_mod.perf_counter() - started >= duration_s
         if done:
             engine.finish()

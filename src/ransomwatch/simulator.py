@@ -21,7 +21,7 @@ import numpy as np
 
 from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
 from .features import N_EXPERT_FEATURES, Mode
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, check_dims
+from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, check_dims, check_hash_seed
 from .jsontypes import BENIGN_SPEC, CORPUS_META, OBJECT, RANSOMWARE_SPEC, TREE, check, columns
 from .pipeline import US, PipelineConfig, featurize
 
@@ -573,8 +573,8 @@ class Corpus:
     def load(cls, in_dir: Union[str, Path]) -> "Corpus":
         """Read a directory that ``save`` wrote. Raises ValueError in one line unless
         corpus.npz is an undamaged npz archive of ``X`` and ``y``, meta.json is well typed with a
-        ``dims`` that check_dims takes, ``X`` holds rows of N_EXPERT_FEATURES + dims
-        features and ``y`` one label per row."""
+        ``dims`` and ``hash_seed`` that a model file holds, ``X`` holds rows of
+        N_EXPERT_FEATURES + dims features, and ``y`` and meta.json's ``windows`` one item per row."""
         path = Path(in_dir)
         with open(path / "corpus.npz", "rb") as fp:  # a missing file stops here, with its OSError
             if not zipfile.is_zipfile(fp):
@@ -590,12 +590,16 @@ class Corpus:
         meta = json.loads((path / "meta.json").read_text(encoding="utf-8"))
         (dims,), (hash_seed,), (windows,) = columns([meta], CORPUS_META, "corpus meta.json")
         check_dims(dims)
+        check_hash_seed(hash_seed)
         width = N_EXPERT_FEATURES + dims
         if X.shape[1:] != (width,):  # and so X is 2-D
             raise ValueError(f"corpus.npz: X must hold rows of {width} features, as meta.json's dims {dims} give, "
                              f"got shape {X.shape}")
         if y.shape != X.shape[:1]:
             raise ValueError(f"corpus.npz: y must hold one label for each of the {len(X)} rows, got shape {y.shape}")
+        if len(windows) != len(X):
+            raise ValueError(f'corpus meta.json: "windows" must hold one object for each of the {len(X)} rows, '
+                             f"got {len(windows)}")
         return cls(X, y, tuple(windows), dims, hash_seed)
 
 
@@ -632,8 +636,6 @@ def build_corpus(
     n_ransom: int,
     n_benign: int,
     seed: int,
-    dims: int = DEFAULT_EMBEDDING_DIMS,
-    hash_seed: int = DEFAULT_HASH_SEED,
     include_zipper: bool = False,
 ) -> Corpus:
     """Labeled window corpus ready for training.
@@ -641,7 +643,8 @@ def build_corpus(
     Scenarios cycle through all six encryption modes and the benign profiles;
     each scenario contributes up to three trigger-anchored prefix windows.
     The zip-like profile (mass create+delete stress case) joins the benign
-    mix only when include_zipper is set.
+    mix only when include_zipper is set. Rows are built with the default
+    embedding width and hash seed.
     """
     if n_ransom < 1 or n_benign < 1:
         raise BadSpec("corpus needs both classes")
@@ -671,7 +674,7 @@ def build_corpus(
             tree = TreeSpec(depth=depth, fanout=fanout, files=rng.choice(sizes))
             result = generate(ScenarioSpec(kind, seed=seed * 1000 + seed_base + i, tree=tree))
             for window in scenario_windows(result)[:want]:
-                rows.append(featurize(window, dims, hash_seed))
+                rows.append(featurize(window, DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED))
                 labels.append(label)
                 meta.append(
                     {
@@ -688,7 +691,7 @@ def build_corpus(
 
     X = np.stack(rows)
     y = np.asarray(labels, dtype=np.int8)
-    return Corpus(X, y, tuple(meta), dims, hash_seed)
+    return Corpus(X, y, tuple(meta), DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED)
 
 
 # --------------------------------------------------------------------------

@@ -221,8 +221,31 @@ def test_train_refuses_a_corpus_it_cannot_train_on_in_one_line(tmp_path, runner,
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
     write(corpus_dir / "corpus.npz")
-    (corpus_dir / "meta.json").write_text(json.dumps({"dims": 64, "hash_seed": 0, "windows": []}), encoding="utf-8")
+    # one window per row of the corpora that get as far as fit
+    meta = {"dims": 64, "hash_seed": 0, "windows": [{}] * len(_EIGHT_ROWS)}
+    (corpus_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
     _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin")],
+                    f"{corpus_dir}: {expected}")
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("meta,expected", [
+    ({"dims": 65536, "hash_seed": 0}, "dims must be at most 32768, got 65536"),
+    ({"dims": 64, "hash_seed": -1}, "hash_seed must be in [0, 2**64), got -1"),
+    ({"dims": 64, "hash_seed": 2**64}, f"hash_seed must be in [0, 2**64), got {2**64}"),
+    ({"dims": 64, "hash_seed": 0, "windows": [{}] * 7},
+     'corpus meta.json: "windows" must hold one object for each of the 8 rows, got 7'),
+], ids=["dims-65536", "hash_seed-negative", "hash_seed-2**64", "windows-one-short"])
+def test_train_refuses_a_corpus_whose_meta_json_a_model_or_its_rows_cannot_match_in_one_line(
+    tmp_path, runner, meta, expected
+):
+    # rows as wide as dims asks and one window per row, so only the named field is wrong
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    X = np.arange(8.0).repeat(12 + meta["dims"]).reshape(8, -1)
+    np.savez(corpus_dir / "corpus.npz", X=X, y=np.array([0, 1] * 4))
+    (corpus_dir / "meta.json").write_text(json.dumps({"windows": [{}] * 8, **meta}), encoding="utf-8")
+    _one_line_error(runner, ["train", "--corpus", str(corpus_dir), "--out", str(tmp_path / "m.bin"), "--trees", "1"],
                     f"{corpus_dir}: {expected}")
     assert not (tmp_path / "m.bin").exists()
 

@@ -345,6 +345,21 @@ def test_fit_rejects_a_width_that_from_bytes_refuses():
             fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=dims)
     forest = fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=16)
     assert BoostedForest.from_bytes(forest.to_bytes()).dims == 16
+    # the model header stores the row width, 12 + dims, in 16 bits
+    with pytest.raises(BadDim, match="dims must be at most 32768, got 65536"):
+        fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=65536)
+    forest = fit(X, y, BoostParams(n_trees=2, min_leaf=1), dims=32768)
+    assert BoostedForest.from_bytes(forest.to_bytes()).dims == 32768
+
+
+@pytest.mark.parametrize("hash_seed", [-1, 2**64])
+def test_fit_rejects_a_hash_seed_that_a_model_file_cannot_hold(hash_seed):
+    X = np.arange(8, dtype=np.float64).reshape(4, 2)
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match=re.escape(f"hash_seed must be in [0, 2**64), got {hash_seed}")):
+        fit(X, y, BoostParams(n_trees=2, min_leaf=1), hash_seed=hash_seed)
+    forest = fit(X, y, BoostParams(n_trees=2, min_leaf=1), hash_seed=2**64 - 1)
+    assert BoostedForest.from_bytes(forest.to_bytes()).hash_seed == 2**64 - 1
 
 
 def test_training_loss_monotone(train_corpus):

@@ -119,8 +119,10 @@ _FORMATS = {
                   lambda p: [(p, dict.fromkeys(p, jsontypes.STRING), set())]),
     "spec": (_specs(), _write, lambda path: spec_from_json(Path(path).read_text(encoding="utf-8")),
              lambda p: [(p, _SPEC_FIELDS, {"kind"}), (p.setdefault("tree", {}), jsontypes.TREE, set())]),
-    "corpus meta": (st.fixed_dictionaries({"dims": st.sampled_from([8, 16, 64, 1024]), "hash_seed": _integers,
-                                            "windows": st.lists(st.dictionaries(_text, _numbers), max_size=2)}),
+    "corpus meta": (st.fixed_dictionaries({"dims": st.sampled_from([8, 16, 64, 1024]),
+                                            "hash_seed": st.integers(0, 2**64 - 1),
+                                            "windows": st.lists(st.dictionaries(_text, _numbers),
+                                                                min_size=2, max_size=2)}),  # one per row
                     _write_corpus_meta, Corpus.load, lambda p: [(p, jsontypes.CORPUS_META, set(p))]),
     "features": (st.fixed_dictionaries({"vector": st.lists(_numbers, max_size=4)}), _write, cli._read_vector,
                  lambda p: [(p, jsontypes.FEATURES, {"vector"})]),

@@ -1,4 +1,4 @@
-"""The behavior-graph labels are exact: case folding, reference formulation, golden digest.
+"""The behavior-graph labels are exact: reference formulation, digit folding, golden digest.
 
 The labels are part of the model contract: a model is trained on rows built
 from them, so any change to a label changes what a saved model reads.
@@ -12,7 +12,7 @@ import string
 
 from ransomwatch.events import basename_of, dirname_of, extension_of
 from ransomwatch import graph
-from ransomwatch.graph import _NOTE_NAME_RE, MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
+from ransomwatch.graph import MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -152,23 +152,6 @@ def _random_names(count: int, seed: int) -> list[str]:
         parts = [rng.choice(words) if rng.random() < 0.3 else rng.choice(alphabet) for _ in range(rng.randint(0, 24))]
         names.append("".join(parts))
     return names
-
-
-def test_ignorecase_matches_only_dotless_i_and_long_s_beyond_ascii():
-    # Every character str.lower() can output. The note pattern is searched
-    # case-sensitively on lowered stems, after folding exactly the
-    # characters this scan finds.
-    lowered = "".join(map(str.lower, map(chr, range(0x110000))))
-    assert re.search("[A-Z]", lowered) is None
-    found = {}
-    for letter in string.ascii_lowercase:
-        hits = set(re.findall(letter, lowered, re.IGNORECASE)) - {letter}
-        if hits:
-            found[letter] = hits
-    assert found == {"i": {"\u0131"}, "s": {"\u017f"}}
-    letters = set(re.sub(r"\\s", "", _NOTE_NAME_RE.pattern)) & set(string.ascii_letters)
-    assert letters <= set(string.ascii_lowercase)
-    assert not _NOTE_NAME_RE.flags & re.IGNORECASE
 
 
 def test_labels_equal_reference_formulation():

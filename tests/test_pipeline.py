@@ -251,6 +251,19 @@ def test_a_reused_pid_stays_out_of_the_open_window_of_its_old_image(trained_fore
     assert engine.metrics.windows_opened == 1
 
 
+def test_a_high_never_terminates_pid_0(trained_forest):
+    # pid 0 is no process to stop, and live mode gives it to every event
+    decoys = ["C:/Users/alice/Documents/family_budget.docx", "C:/Users/alice/Documents/taxes.xlsx"]
+    config = pipeline.PipelineConfig(decision_threshold=0.0)  # the first decision is High
+    engine = pipeline.Engine(_registry_for(decoys), None, trained_forest, config)
+    engine.process(FileEvent(0, 0, "live", Operation.WRITE, decoys[0], "docx"))
+    # decides the first window High at 1 s, then touches the second decoy
+    engine.process(FileEvent(1_200_000, 0, "live", Operation.WRITE, decoys[1], "xlsx"))
+    engine.finish()
+    assert engine.metrics.triggers == engine.metrics.windows_opened == 2
+    assert [(a.threat.level, a.created_at) for a in engine.alerts] == [(Level.HIGH, 1_000_000), (Level.HIGH, 2_200_000)]
+
+
 def _noisy_trace(tmp_path):
     """Blank lines, CRLF endings, bad JSON, an unknown operation, a pid going back in time."""
     def line(time, pid, op="Write"):
@@ -555,6 +568,25 @@ def test_run_live_keeps_detecting_after_a_high(tmp_path, trained_forest, monkeyp
     highs = [a for a in result.alerts if a.threat.level is Level.HIGH]
     assert [(a.pid, a.created_at) for a in highs] == [(0, 1_500_000), (0, 3_500_000)]
     assert all(a.threat.source is TriggerKind.DECOY_TOUCH for a in highs)
+    assert result.metrics.triggers == 2
+
+
+def test_run_live_opens_a_window_for_a_decoy_write_in_the_scan_that_decides_a_high(tmp_path, trained_forest,
+                                                                                    monkeypatch):
+    clock = _ScriptedClock()
+    decoys = [str(tmp_path / "family_budget.docx"), str(tmp_path / "taxes.xlsx")]
+    write_times = (0.5, 1.5)  # the second write is seen by the scan that decides the first window
+
+    class ScriptedWatcher(DirectoryWatcher):
+        def _scan(self):
+            return {decoy: (int(clock.now >= t), 100) for decoy, t in zip(decoys, write_times)}
+
+    monkeypatch.setattr(pipeline, "time_mod", clock)
+    monkeypatch.setattr(pipeline, "DirectoryWatcher", ScriptedWatcher)
+    config = pipeline.PipelineConfig(decision_threshold=0.0)  # the first decision is High
+    result = run_live([str(tmp_path)], _registry_for(decoys), None, trained_forest, config,
+                      duration_s=5.0, poll_interval=0.25)
+    assert [(a.threat.level, a.created_at) for a in result.alerts] == [(Level.HIGH, 1_500_000), (Level.HIGH, 2_500_000)]
     assert result.metrics.triggers == 2
 
 

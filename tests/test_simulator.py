@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_corpus_save_load_round_trip(tmp_path):
     loaded = Corpus.load(tmp_path)
     assert (loaded.X == corpus.X).all() and (loaded.y == corpus.y).all()
     assert loaded.dims == corpus.dims and loaded.hash_seed == corpus.hash_seed
+
+
+@pytest.mark.parametrize("change,expected", [
+    ({"dims": 65536}, "dims must be at most 32768, got 65536"),
+    ({"hash_seed": -1}, "hash_seed must be in [0, 2**64), got -1"),
+    ({"hash_seed": 2**64}, f"hash_seed must be in [0, 2**64), got {2**64}"),
+    ({"meta": ({},) * 3}, '"windows" must hold one object for each of the 4 rows, got 3'),
+], ids=["dims-65536", "hash_seed-negative", "hash_seed-2**64", "windows-one-short"])
+def test_corpus_load_refuses_a_contract_a_model_file_cannot_hold_or_a_window_list_that_misses_a_row(
+    tmp_path, change, expected
+):
+    corpus = Corpus(np.zeros((4, 12 + 8)), np.array([0, 1, 0, 1]), ({},) * 4, 8, 0)
+    replace(corpus, **change).save(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        Corpus.load(tmp_path)
+    assert expected in str(refused.value)
 
 
 def test_corpus_load_closes_its_archive_when_meta_is_missing(tmp_path):
