@@ -1,10 +1,10 @@
-"""Bipartite operation-parameter behavior graph and its hashed embedding.
+"""Labels of the bipartite operation-parameter behavior graph, and its hashed embedding.
 
 Every event connects its operation node to three parameter nodes: the file
 extension, a path-depth bucket, and a filename-pattern class. The graph is
-kept as its edge counts and folded into a fixed-width vector with signed
-feature hashing; the hash seed and width are part of the model contract and
-travel inside model files.
+kept as its edge counts (``features.WindowFold`` counts them) and folded
+into a fixed-width vector with signed feature hashing; the hash seed and
+width are part of the model contract and travel inside model files.
 """
 from __future__ import annotations
 
@@ -12,13 +12,10 @@ import functools
 import hashlib
 import math
 import re
-from collections import Counter
-from operator import attrgetter
-from typing import Optional
 
 import numpy as np
 
-from .events import ProcessWindow, basename_of, dirname_of
+from .events import basename_of, dirname_of
 
 DEFAULT_EMBEDDING_DIMS = 64
 DEFAULT_HASH_SEED = 0x9E3779B97F4A7C15
@@ -131,68 +128,15 @@ def path_depth_bucket(file_name: str) -> int:
 _EXT_LABELS = {ext: f"ext:{ext}" for ext in EXTENSION_VOCABULARY}
 _DEPTH_LABELS = tuple(f"depth:{depth}" for depth in range(MAX_DEPTH_BUCKET + 1))
 _NAME_LABELS = {name: f"name:{name}" for name in ("note", "hash", "word", "other")}
-# One shared tuple per distinct triple, so a kept list of labels costs a
-# pointer per event. The label vocabulary bounds it at 57 * 8 * 4 entries.
-_TRIPLES: dict[tuple[str, str, str], tuple[str, str, str]] = {}
-_op_value = attrgetter("operation._value_")  # ev.operation.value without the enum property
 
 
 def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     """The (extension, depth, name-pattern) parameter labels of one event."""
-    triple = (
+    return (
         _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL),
         _DEPTH_LABELS[path_depth_bucket(file_name)],
         _NAME_LABELS[name_pattern_class(file_name)],
     )
-    return _TRIPLES.setdefault(triple, triple)
-
-
-def build_graph(
-    window: ProcessWindow, labels: Optional[list[tuple[str, str, str]]] = None
-) -> dict[tuple[str, str], int]:
-    """The window's behavior graph as its edge counts, ``{(op, param): count}``.
-
-    The graph is bipartite: every event joins its operation label to three
-    parameter labels, and no edge joins two labels of one side. Only
-    ``window.events`` is read, and only during the call, so the engine can
-    pass the open window it keeps.
-
-    ``labels``, when given, holds the ``event_params`` triples of a prefix of
-    ``window.events``, in order. The triples of the events past that prefix
-    are appended to it, so a caller that keeps the list for a window that
-    only grows labels each event once. Edges are counted over all events in
-    event order either way, so the counts, and the order of their keys, do
-    not depend on the list.
-    """
-    events = window.events
-    if labels is None:
-        labels = []
-    elif len(labels) > len(events):
-        raise ValueError(f"{len(labels)} labels for a window of {len(events)} events")
-    depth_by_dir: dict[str, str] = {}
-    for ev in events[len(labels):]:
-        # event_params, with dirname_of and basename_of from one split
-        path = ev.file_name
-        cut = max(path.rfind("/"), path.rfind("\\"))
-        directory = path[:cut] if cut > 0 else ""
-        depth = depth_by_dir.get(directory)
-        if depth is None:
-            depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
-        triple = (
-            _EXT_LABELS.get(ev.file_type, RARE_EXTENSION_LABEL),
-            depth,
-            _NAME_LABELS[_base_class(path[cut + 1 :])],
-        )
-        labels.append(_TRIPLES.setdefault(triple, triple))
-    # Counting (op, triple) pairs first inserts each edge when its first
-    # event is reached, as counting edge by edge would, so the edges keep
-    # the order that encode sums them in.
-    edges: dict[tuple[str, str], int] = {}
-    for (op, triple), count in Counter(zip(map(_op_value, events), labels)).items():
-        for param in triple:
-            key = (op, param)
-            edges[key] = edges.get(key, 0) + count
-    return edges
 
 
 # The label vocabulary bounds the edges of real windows to 7 ops times 70
@@ -208,13 +152,15 @@ def encode(
     edges: dict[tuple[str, str], int], dims: int = DEFAULT_EMBEDDING_DIMS, seed: int = DEFAULT_HASH_SEED
 ) -> np.ndarray:
     """Fold edge counts, as ``build_graph`` returns them, into a float64 array
-    of ``dims`` buckets with signed hashing.
+    of ``dims`` buckets with signed hashing. Raises BadDim for a width, and
+    ValueError for a seed, that ``check_dims`` or ``check_hash_seed`` refuses.
 
     Each edge lands in one bucket with sign taken from an independent hash
     bit and magnitude log1p(count); the result is scaled down if its L2 norm
     exceeds sqrt(dims). Deterministic across runs and platforms.
     """
     check_dims(dims)
+    check_hash_seed(seed)
     values = np.zeros(dims, dtype=np.float64)
     for (op, param), count in edges.items():
         h = _edge_hash(op, param, seed)

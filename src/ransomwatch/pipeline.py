@@ -36,9 +36,9 @@ from .events import (
     iter_events,
     parse_event_line,
 )
-from .features import N_EXPERT_FEATURES, extract_features
+from .features import N_EXPERT_FEATURES, WindowFold, build_graph, extract_features
 from .gbdt import BoostedForest, WidthMismatch
-from .graph import build_graph, encode, name_pattern_class
+from .graph import encode, name_pattern_class
 from .jsontypes import OBJECT, STRING, check
 from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
 
@@ -52,21 +52,19 @@ _WRITE = Operation.WRITE
 
 
 def featurize(
-    window: Union[ProcessWindow, _WindowState],
-    dims: int,
-    hash_seed: int,
-    labels: Optional[list[tuple[str, str, str]]] = None,
+    window: Union[ProcessWindow, _WindowState], dims: int, hash_seed: int, fold: Optional[WindowFold] = None
 ) -> np.ndarray:
     """The classifier row: expert features, then the hashed graph embedding.
 
     Training, serving and the CLI all build rows here, so the model scores
     exactly the row layout it was trained on. Only ``window.events`` is read,
     and only during the call: the engine passes the open window it keeps,
-    whose events it has already bounded to the trigger's pid and span.
-    ``labels`` is passed to ``build_graph``: the graph labels of a prefix of
-    the window's events, extended in place to all of them.
+    whose events it has already bounded to the trigger's pid and span, and
+    the fold it keeps for it. Both halves of the row read one fold.
     """
-    return np.concatenate([extract_features(window), encode(build_graph(window, labels), dims, hash_seed)])
+    if fold is None:
+        fold = WindowFold()
+    return np.concatenate([extract_features(window, fold=fold), encode(build_graph(window, fold=fold), dims, hash_seed)])
 
 
 class ContentProvider(Protocol):
@@ -185,7 +183,7 @@ class _WindowState:
     trigger: Trigger
     pid_name: str
     events: list[FileEvent] = field(default_factory=list)
-    labels: list[tuple[str, str, str]] = field(default_factory=list)  # graph labels of a prefix of events
+    fold: WindowFold = field(default_factory=WindowFold)  # the row state of a prefix of events
 
 
 @dataclass
@@ -287,10 +285,9 @@ class Engine:
         latency = boundary - trigger.time
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
         prob = None
-        # featurize labels every event it scores, so the labels count the
-        # events of the last classification
-        if len(state.events) > len(state.labels):
-            row = featurize(state, self.forest.dims, self.forest.hash_seed, state.labels)
+        # featurize folds every event it scores, so the fold holds the events of the last classification
+        if len(state.events) > state.fold.n:
+            row = featurize(state, self.forest.dims, self.forest.hash_seed, state.fold)
             metrics.classifier_calls += 1
             prob = self.forest.predict_row(row)
         if prob is not None and prob >= self.config.decision_threshold:

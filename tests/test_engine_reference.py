@@ -42,7 +42,8 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
         if prob >= config.decision_threshold:
             threat[pid] = Level.HIGH
-            terminated[pid] = pid_name
+            if pid:  # pid 0 is never terminated
+                terminated[pid] = pid_name
             digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
             alerts.append(Alert(boundary, pid, pid_name, ThreatLevel(Level.HIGH, trigger.kind, prob),
                                 evidence + (f"classifier_p={prob:.4f}", f"feature_digest={digest}"),
@@ -155,35 +156,42 @@ def test_engine_decides_as_the_reference_on_the_mode_mix(trained_forest):
     assert {Level.HIGH, Level.LOW} <= levels  # not a vacuous match
 
 
-def _two_attacks_under_pid_7(forest, names, gap_us=12_000_000):
-    """An M3 attack under pid 7 and each name in turn, gap_us apart, replayed as the reference does."""
+def _two_attacks_under_one_pid(forest, names, gap_us=12_000_000, pid=7):
+    """An M3 attack under ``pid`` and each name in turn, gap_us apart, replayed as the reference does."""
     events, decoys = [], []
     for i, name in enumerate(names):
         tree = TreeSpec(depth=2, fanout=2, files=60, root=f"C:/Users/u{i}")
         decoy = _decoy_in_first_dir(70 + i, tree)
         result = generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80), seed=70 + i,
                                        tree=tree, decoy_paths=decoy, start_us=gap_us * i))
-        events.extend(replace(ev, pid=7, pid_name=name) for ev in result.events)
+        events.extend(replace(ev, pid=pid, pid_name=name) for ev in result.events)
         decoys.extend(decoy)
     engine = _assert_engine_matches_reference(events, decoys, forest)
     return [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH], engine.metrics.triggers
 
 
 def test_a_reused_pid_is_detected_again(trained_forest):
-    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("first.exe", "second.exe"))
+    highs, triggers = _two_attacks_under_one_pid(trained_forest, ("first.exe", "second.exe"))
     assert highs == [(7, "first.exe"), (7, "second.exe")]
     assert triggers == 2
 
 
 def test_a_reused_pid_under_a_new_name_stays_out_of_the_open_window(trained_forest):
     # the second attack starts while the first one's window is open, so its events stay out of that window
-    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("first.exe", "second.exe"), gap_us=1_000_000)
+    highs, triggers = _two_attacks_under_one_pid(trained_forest, ("first.exe", "second.exe"), gap_us=1_000_000)
     assert highs == [(7, "first.exe"), (7, "second.exe")]
+    assert triggers == 2
+
+
+def test_pid_0_touching_a_second_decoy_after_its_high_opens_a_second_window(trained_forest):
+    # pid 0 is never terminated (every live event carries it), so each High leaves its later decoy touches live
+    highs, triggers = _two_attacks_under_one_pid(trained_forest, ("live", "live"), pid=0)
+    assert highs == [(0, "live"), (0, "live")]
     assert triggers == 2
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: termination is keyed by pid and name, and never expires")
 def test_a_reused_pid_with_the_same_name_is_detected_again(trained_forest):
-    highs, triggers = _two_attacks_under_pid_7(trained_forest, ("same.exe", "same.exe"))
+    highs, triggers = _two_attacks_under_one_pid(trained_forest, ("same.exe", "same.exe"))
     assert highs == [(7, "same.exe"), (7, "same.exe")]
     assert triggers == 2

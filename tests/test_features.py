@@ -4,13 +4,15 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
-from ransomwatch.features import FEATURE_NAMES, Mode, extract_features
+from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, extract_features
+from ransomwatch.graph import event_params
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -301,8 +303,8 @@ def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, ge
         registry.register(path, "digest", DecoyKind.DOCUMENT)
     windows = []
 
-    def checked(window):
-        vec = extract_features(window)
+    def checked(window, fold=None):
+        vec = extract_features(window, fold=fold)
         assert vec.tolist() == _extract_features_before(window)
         windows.append(_window(window.events, window.trigger.pid))  # the engine's window grows after the call
         return vec
@@ -358,3 +360,67 @@ def test_extract_features_matches_the_reference_on_every_pair_of_split_edge_even
         for second in singles:
             window = _window([_ev(first[0], first[1], 0, old=first[2]), _ev(second[0], second[1], 1, old=second[2])])
             assert extract_features(window).tolist() == _extract_features_before(window), (first, second)
+
+
+# Paths for the graph half: a note, hash and word stem, a rare extension,
+# a deep directory, a drive root and split edge cases of both separators.
+_FOLD_PATHS = _SPLIT_PATHS + [
+    "C:/u/a.txt", "C:/u/deep/dir/b.docx", "D:\\x\\HOW_TO_PAY.txt", "C:/u/8f2c9a1db4.bin", "x.k3xq7",
+    "C:/a/b/c/d/e/f/g/h/x.txt", "/readme.md", "\\8f2c9a1db4e7",
+]
+
+
+def _edges_event_by_event(events):
+    edges = {}
+    for ev in events:
+        for param in event_params(ev.file_name, ev.file_type):
+            key = (ev.operation.value, param)
+            edges[key] = edges.get(key, 0) + 1
+    return edges
+
+
+@st.composite
+def _split_fold_events(draw):
+    """Events over _FOLD_PATHS, and sorted points at which to fold them in steps."""
+    events = []
+    for time, op in enumerate(draw(st.lists(st.sampled_from(list(Operation)), max_size=60))):
+        path = draw(st.sampled_from(_FOLD_PATHS))
+        old = draw(st.one_of(st.none(), st.sampled_from(_FOLD_PATHS))) if op is Operation.RENAME else None
+        events.append(_ev(op, path, time=time, old=old))
+    cuts = sorted(draw(st.lists(st.integers(min_value=0, max_value=len(events)), max_size=6)))
+    return events, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_fold_events())
+def test_folding_in_steps_gives_the_row_and_edges_of_one_fold_and_the_oracles(split):
+    events, cuts = split
+    once = WindowFold()
+    once.add(events)
+    steps = WindowFold()
+    for cut in cuts + [len(events)]:  # a window that grows, read at each step as the engine reads it
+        window = _window(events[:cut])
+        assert extract_features(window, steps).tobytes() == extract_features(window).tobytes()
+        assert list(build_graph(window, steps).items()) == list(build_graph(window).items())
+        assert steps.n == cut
+    assert steps.row().tobytes() == once.row().tobytes()
+    assert once.row().tolist() == _oracle_features(events)
+    assert list(steps.edges().items()) == list(once.edges().items())
+    assert list(once.edges().items()) == list(_edges_event_by_event(events).items())
+    # each (op, label triple) is counted in first-event order, with the labels event_params gives
+    pairs = {}
+    for ev in events:
+        key = (ev.operation.value, *event_params(ev.file_name, ev.file_type))
+        pairs[key] = pairs.get(key, 0) + 1
+    assert list(steps.pairs.items()) == list(once.pairs.items()) == list(pairs.items())
+
+
+def test_a_fold_of_more_events_than_its_window_is_refused():
+    events = [_ev(Operation.WRITE, "C:/a/x.txt", time=i) for i in range(3)]
+    fold = WindowFold()
+    row = pipeline.featurize(_window(events), 64, 7, fold)
+    with pytest.raises(ValueError, match="^a fold of 3 events for a window of 2 events$"):
+        extract_features(_window(events[:2]), fold)
+    with pytest.raises(ValueError, match="^a fold of 3 events for a window of 2 events$"):
+        build_graph(_window(events[:2]), fold)
+    assert fold.n == 3 and pipeline.featurize(_window(events), 64, 7, fold).tobytes() == row.tobytes()

@@ -10,9 +10,9 @@ import pytest
 
 from ransomwatch import graph as graph_mod
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
+from ransomwatch.features import build_graph
 from ransomwatch.graph import (
     BadDim,
-    build_graph,
     encode,
     event_params,
     name_pattern_class,
@@ -65,43 +65,6 @@ def test_edges_match_brute_force_enumeration():
             brute[(ev.operation.value, param)] += 1
     assert edges == dict(brute)
     assert {op for op, _ in edges} == {ev.operation.value for ev in events}
-
-
-def _edges_event_by_event(events):
-    edges = {}
-    for ev in events:
-        for param in event_params(ev.file_name, ev.file_type):
-            key = (ev.operation.value, param)
-            edges[key] = edges.get(key, 0) + 1
-    return edges
-
-
-def test_kept_labels_give_the_graph_and_edge_order_from_scratch():
-    rng = random.Random(12)
-    paths = ["C:/u/a.txt", "C:/u/deep/dir/b.docx", "D:\\x\\HOW_TO_PAY.txt", "C:/u/8f2c9a1db4.bin", "x.k3xq7"]
-    ops = list(Operation)
-    events = [_ev(rng.choice(ops), rng.choice(paths), time=i) for i in range(400)]
-    # build_graph splits each path once: no separator, a separator first,
-    # mixed separators, an empty basename and a bare drive
-    split_paths = ["x.txt", "/x", "\\x", "a/b\\c.docx", "dir/", "C:", "/readme.md", "\\8f2c9a1db4e7"]
-    events += [_ev(rng.choice(ops), path, time=400 + i) for i, path in enumerate(split_paths * 2)]
-    labels = []
-    for end in (0, 1, 2, 50, 51, 200, 400, 400, 403, 416):  # the window grows, the list is kept
-        window = _window(events[:end])
-        kept = build_graph(window, labels)
-        assert labels == [event_params(ev.file_name, ev.file_type) for ev in window.events]
-        fresh = build_graph(window)
-        assert kept == fresh
-        assert list(kept.items()) == list(_edges_event_by_event(window.events).items())
-        assert np.array_equal(encode(kept, 64), encode(fresh, 64))
-
-
-def test_labels_longer_than_window_rejected():
-    events = [_ev(Operation.WRITE, "C:/a/x.txt", time=i) for i in range(3)]
-    labels = []
-    build_graph(_window(events), labels)
-    with pytest.raises(ValueError):
-        build_graph(_window(events[:2]), labels)
 
 
 def test_bipartite_by_construction():
@@ -188,6 +151,14 @@ def test_encode_rejects_bad_dims():
         with pytest.raises(BadDim):
             encode({}, dims)
     encode({}, 8)  # smallest legal width
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**70)])
+def test_encode_refuses_a_seed_outside_64_bits_in_one_line(seed):
+    for edges in ({}, {("Create", "ext:txt"): 1}):
+        with pytest.raises(ValueError, match=rf"^hash_seed must be in \[0, 2\*\*64\), got {seed}$"):
+            encode(edges, 64, seed)
+    encode({("Create", "ext:txt"): 1}, 64, 2**64 - 1)  # the largest seed
 
 
 def test_norm_capped_at_sqrt_dims():

@@ -19,8 +19,7 @@ from ransomwatch.events import (
     FileEvent, Level, Operation, ParseIssueKind, ProcessWindow, Response, TriggerKind, parse_event_log,
     serialize_events,
 )
-from ransomwatch.features import Mode, extract_features
-from ransomwatch.graph import build_graph
+from ransomwatch.features import Mode, WindowFold
 from ransomwatch.notes import similarity, tokenize
 from ransomwatch.pipeline import (
     DirectoryWatcher,
@@ -786,6 +785,8 @@ def test_featurize_layers_called_once_per_classification(tmp_path, trained_fores
     for name in names:
         def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
             calls[_name] += 1
+            if _name != "encode":  # the tracer sizes a window from the one positional argument
+                assert len(args) == 1 and "fold" in kwargs
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counted)
@@ -803,7 +804,7 @@ def test_featurize_layers_called_once_per_classification(tmp_path, trained_fores
     assert calls == dict.fromkeys(names, result.metrics.classifier_calls)
 
 
-@pytest.mark.parametrize("fn", [extract_features, build_graph, pipeline.Engine.process],
+@pytest.mark.parametrize("fn", [WindowFold.add, pipeline.Engine.process],
                          ids=lambda fn: fn.__qualname__)
 def test_hot_loops_read_no_operation_member(fn):
     # These bodies run once per event or per window event.
@@ -837,7 +838,7 @@ def _mode_mix():
     return results, decoys
 
 
-def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
+def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
     results, decoys = _mode_mix()
     events, notes = merge_results(results)
     real = pipeline.featurize
@@ -845,25 +846,25 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
     boundaries = []
     slides_by_window = {}
 
-    labeled_by_window = {}
+    folded_by_window = {}
 
     def decide(self, state, boundary):
         boundaries.append(boundary)
         return real_decide(self, state, boundary)
 
-    def checked(window, dims, hash_seed, labels=None):
+    def checked(window, dims, hash_seed, fold=None):
         # the engine scores the window it keeps, so its events are checked here
         trigger = window.trigger
         key = (trigger.pid, trigger.time)
-        assert window is engine._windows[trigger.pid] and labels is window.labels
+        assert window is engine._windows[trigger.pid] and fold is window.fold
         events = tuple(window.events)
         assert all(ev.pid == trigger.pid and trigger.time <= ev.time < boundaries[-1] for ev in events)
-        assert len(labels) == labeled_by_window.get(key, 0)  # labeled at the window's earlier slides
-        row = real(window, dims, hash_seed, labels)
-        assert len(labels) == len(events)
+        assert fold.n == folded_by_window.get(key, 0)  # folded at the window's earlier slides
+        row = real(window, dims, hash_seed, fold)
+        assert fold.n == len(events)
         fresh = ProcessWindow(trigger.pid, window.pid_name, trigger.time, boundaries[-1], events)
         assert row.tobytes() == real(fresh, dims, hash_seed).tobytes()
-        labeled_by_window[key] = len(labels)
+        folded_by_window[key] = fold.n
         slides_by_window[key] = slides_by_window.get(key, 0) + 1
         return row
 
@@ -883,14 +884,14 @@ def test_kept_labels_give_the_row_from_scratch_at_every_slide(trained_forest, ge
             assert len(state.events) == 1
             stale += 1
         for state in engine._windows.values():
-            assert len(state.labels) <= len(state.events)
+            assert state.fold.n <= len(state.events)
     engine.finish()
     assert not engine._windows
     assert stale == engine.metrics.windows_opened == len(results)
     assert len(slides_by_window) == len(results)
     # a slide whose window gained no event is decided without a classification
     assert sum(slides_by_window.values()) == engine.metrics.classifier_calls <= len(boundaries)
-    assert max(slides_by_window.values()) >= 2  # a kept list was extended, not only filled
+    assert max(slides_by_window.values()) >= 2  # a kept fold was extended, not only filled
 
 
 # sha256 over the replay of the _mode_mix() trace plus three noisy lines:
