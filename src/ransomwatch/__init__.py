@@ -41,8 +41,7 @@ from .notes import (
     sweep_window,
     tokenize,
 )
-from .features import Mode, build_graph, extract_features
-from .graph import encode
+from .features import Mode, build_graph, encode, extract_features
 from .gbdt import BoostedForest, BoostParams, best_split, fit, grow_tree
 from .pipeline import Engine, PipelineConfig, ReplayResult, metrics_report, run_live, run_replay
 from .simulator import (

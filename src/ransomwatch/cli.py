@@ -21,9 +21,8 @@ from .decoys import (
     deploy,
 )
 from .events import parse_event_log, window_events
-from .features import FEATURE_NAMES, N_EXPERT_FEATURES
+from .features import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, FEATURE_NAMES, N_EXPERT_FEATURES
 from .gbdt import BoostParams, BoostedForest, WidthMismatch, fit
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
 from .jsontypes import FEATURES, columns
 from .notes import DEFAULT_NGRAM_SIZE, DEFAULT_POOL_CAPACITY, DEFAULT_TAU_SIM, GenePool, build_pool, decode_note, similarity, tokenize
 from .pipeline import (

@@ -348,20 +348,21 @@ def window_events(
     trigger_time: int,
     delta_us: int,
 ) -> ProcessWindow:
-    """Collect the pid's events inside [trigger_time, trigger_time + delta_us).
+    """Collect the pid's events inside [trigger_time, trigger_time + delta_us)
+    under the image name (``pid_name``) of its first one, as the engine's
+    window keeps only the image that opened it.
 
-    An empty window is valid; delta_us must be positive.
+    An empty window is valid, and named ""; delta_us must be positive.
     """
     if delta_us <= 0:
         raise ValueError("delta_us must be positive")
     end = trigger_time + delta_us
     selected = []
-    pid_name = ""
+    pid_name = None
     for ev in events:
-        if ev.pid != pid:
-            continue
-        if not pid_name:
-            pid_name = ev.pid_name
-        if trigger_time <= ev.time < end:
-            selected.append(ev)
-    return ProcessWindow(pid, pid_name, trigger_time, end, tuple(selected))
+        if ev.pid == pid and trigger_time <= ev.time < end:
+            if pid_name is None:
+                pid_name = ev.pid_name
+            if ev.pid_name == pid_name:
+                selected.append(ev)
+    return ProcessWindow(pid, pid_name or "", trigger_time, end, tuple(selected))

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, BadDim, check_dims, check_hash_seed
+from .features import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, BadDim, check_dims, check_hash_seed
 
 MODEL_MAGIC = b"RWF1"
 MODEL_VERSION = 1

@@ -36,9 +36,8 @@ from .events import (
     iter_events,
     parse_event_line,
 )
-from .features import N_EXPERT_FEATURES, WindowFold, build_graph, extract_features
+from .features import N_EXPERT_FEATURES, WindowFold, build_graph, encode, extract_features, name_pattern_class
 from .gbdt import BoostedForest, WidthMismatch
-from .graph import encode, name_pattern_class
 from .jsontypes import OBJECT, STRING, check
 from .notes import DEFAULT_TAU_SIM, GenePool, decode_note, similarity, tokenize
 
@@ -235,7 +234,7 @@ class Engine:
         self._decoy_paths = frozenset(registry.entries())
         self._windows: dict[int, _WindowState] = {}
         self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
-        self._terminated: dict[int, str] = {}  # pid -> the pid_name it was terminated under
+        self._terminated: dict[int, tuple[str, int]] = {}  # pid -> (its pid_name then, its last event's time)
         self._scored_paths: set[str] = set()
 
     # -- monitors ------------------------------------------------------------
@@ -277,7 +276,9 @@ class Engine:
         The row reads only the window's events, so the window is classified only
         when it has gained events since its last classification. High closes it
         at once and terminates its pid under its name, unless the pid is 0;
-        otherwise it closes Low at its last slide.
+        otherwise it closes Low at its last slide. A terminated pid's events
+        under that name are skipped until one comes ``window_total_us`` or more
+        after the last: that one is a new process.
         """
         trigger = state.trigger
         pid = trigger.pid
@@ -293,7 +294,7 @@ class Engine:
         if prob is not None and prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
             if pid:  # pid 0 is no process to stop: the idle task, and every live event's pid
-                self._terminated[pid] = state.pid_name
+                self._terminated[pid] = (state.pid_name, state.events[-1].time)
             metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
@@ -317,8 +318,11 @@ class Engine:
         if due and due[0][0] <= ev.time:
             self.advance_time(ev.time)
         pid = ev.pid
-        if pid in self._terminated and self._terminated[pid] == ev.pid_name:
-            return
+        if pid in self._terminated and self._terminated[pid][0] == ev.pid_name:
+            if ev.time - self._terminated[pid][1] < self.config.window_total_us:
+                self._terminated[pid] = (ev.pid_name, ev.time)
+                return
+            del self._terminated[pid]
         state = self._windows.get(pid)
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:

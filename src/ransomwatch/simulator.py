@@ -20,8 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
-from .features import N_EXPERT_FEATURES, Mode
-from .graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, check_dims, check_hash_seed
+from .features import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, N_EXPERT_FEATURES, Mode, check_dims, check_hash_seed
 from .jsontypes import BENIGN_SPEC, CORPUS_META, OBJECT, RANSOMWARE_SPEC, TREE, check, columns
 from .pipeline import US, PipelineConfig, featurize
 

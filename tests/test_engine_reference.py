@@ -14,13 +14,12 @@ import hashlib
 import math
 from dataclasses import replace
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import check_event
-from ransomwatch.events import Alert, Level, ProcessWindow, Response, ThreatLevel
+from ransomwatch.events import Alert, FileEvent, Level, Operation, ProcessWindow, Response, ThreatLevel, window_events
 from ransomwatch.features import Mode
 from ransomwatch.simulator import BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, generate
 
@@ -30,7 +29,7 @@ from test_pipeline import _decoy_in_first_dir, _mode_mix, _registry_for
 def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
     """Alerts and threat levels of a trace replayed in event time, with decoy triggers only."""
     stream = sorted(events, key=lambda ev: ev.time)
-    alerts, threat, terminated = [], {}, {}  # terminated: pid -> the pid_name it was terminated under
+    alerts, threat, terminated = [], {}, {}  # terminated: pid -> [its pid_name then, the time of its last event]
     windows = {}  # pid -> [trigger, pid_name, index of the trigger event, next slide boundary]
 
     def decide(pid):
@@ -43,7 +42,7 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
         if prob >= config.decision_threshold:
             threat[pid] = Level.HIGH
             if pid:  # pid 0 is never terminated
-                terminated[pid] = pid_name
+                terminated[pid] = [pid_name, evs[-1].time]
             digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
             alerts.append(Alert(boundary, pid, pid_name, ThreatLevel(Level.HIGH, trigger.kind, prob),
                                 evidence + (f"classifier_p={prob:.4f}", f"feature_digest={digest}"),
@@ -66,7 +65,13 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
 
     for i, ev in enumerate(stream):
         advance(ev.time)
-        if terminated.get(ev.pid) == ev.pid_name or ev.pid in windows:
+        if ev.pid in terminated and terminated[ev.pid][0] == ev.pid_name:
+            # an event window_total_us or more after the last one is a new process under the same name
+            if ev.time - terminated[ev.pid][1] < config.window_total_us:
+                terminated[ev.pid][1] = ev.time
+                continue
+            del terminated[ev.pid]
+        if ev.pid in windows:
             continue
         trigger = check_event(ev, decoys)
         if trigger is not None:
@@ -156,16 +161,29 @@ def test_engine_decides_as_the_reference_on_the_mode_mix(trained_forest):
     assert {Level.HIGH, Level.LOW} <= levels  # not a vacuous match
 
 
-def _two_attacks_under_one_pid(forest, names, gap_us=12_000_000, pid=7):
-    """An M3 attack under ``pid`` and each name in turn, gap_us apart, replayed as the reference does."""
+def _two_attack_trace(names, gap_us, pid, write_every_us=None):
+    """Events and decoys of an M3 attack under ``pid`` and each name in turn, gap_us apart.
+
+    With write_every_us, the first attack goes on writing one file that often until the second starts.
+    """
     events, decoys = [], []
     for i, name in enumerate(names):
         tree = TreeSpec(depth=2, fanout=2, files=60, root=f"C:/Users/u{i}")
         decoy = _decoy_in_first_dir(70 + i, tree)
         result = generate(ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80), seed=70 + i,
                                        tree=tree, decoy_paths=decoy, start_us=gap_us * i))
+        if i and write_every_us:
+            last = events[-1].time
+            events.extend(FileEvent(t, pid, names[0], Operation.WRITE, "C:/Users/u0/log.txt", "txt")
+                          for t in range(last + write_every_us, gap_us * i, write_every_us))
         events.extend(replace(ev, pid=pid, pid_name=name) for ev in result.events)
         decoys.extend(decoy)
+    return events, decoys
+
+
+def _two_attacks_under_one_pid(forest, names, gap_us=12_000_000, pid=7, write_every_us=None):
+    """The High alerts' (pid, pid_name) and the trigger count of ``_two_attack_trace``, replayed as the reference does."""
+    events, decoys = _two_attack_trace(names, gap_us, pid, write_every_us)
     engine = _assert_engine_matches_reference(events, decoys, forest)
     return [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH], engine.metrics.triggers
 
@@ -190,8 +208,29 @@ def test_pid_0_touching_a_second_decoy_after_its_high_opens_a_second_window(trai
     assert triggers == 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: termination is keyed by pid and name, and never expires")
 def test_a_reused_pid_with_the_same_name_is_detected_again(trained_forest):
+    # the first attack's last event is over window_total_us before the second's first, so that one is a new process
     highs, triggers = _two_attacks_under_one_pid(trained_forest, ("same.exe", "same.exe"))
     assert highs == [(7, "same.exe"), (7, "same.exe")]
     assert triggers == 2
+
+
+def test_a_terminated_pid_that_keeps_writing_stays_skipped(trained_forest):
+    # writes 2 s apart never leave window_total_us quiet, so the second attack's decoy touch is skipped too
+    highs, triggers = _two_attacks_under_one_pid(trained_forest, ("same.exe", "same.exe"), write_every_us=2_000_000)
+    assert highs == [(7, "same.exe")]
+    assert triggers == 1
+
+
+def test_window_events_rebuilds_a_high_row_under_a_reused_pid(trained_forest):
+    # the second image writes inside the first one's window; the engine's row holds only the first image's events
+    events, decoys = _two_attack_trace(("first.exe", "second.exe"), 500_000, 7)
+    engine = _assert_engine_matches_reference(events, decoys, trained_forest)
+    (alert,) = [a for a in engine.alerts if a.pid_name == "first.exe"]
+    assert alert.threat.level is Level.HIGH
+    fields = dict(e.split("=", 1) for e in alert.evidence[1:])  # after the trigger detail
+    trigger_time = int(fields["trigger_time_us"])
+    window = window_events(sorted(events, key=lambda ev: ev.time), 7, trigger_time, alert.created_at - trigger_time)
+    assert {ev.pid_name for ev in events if trigger_time <= ev.time < alert.created_at} == {"first.exe", "second.exe"}
+    row = pipeline.featurize(window, trained_forest.dims, trained_forest.hash_seed)
+    assert hashlib.sha256(row.tobytes()).hexdigest()[:12] == fields["feature_digest"]

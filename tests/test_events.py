@@ -349,8 +349,10 @@ def test_window_matches_brute_force_filter_bulk():
 )
 def test_window_equals_brute_force_property(events, pid, t0, dt):
     window = window_events(events, pid, t0, dt)
-    brute = [ev for ev in events if ev.pid == pid and t0 <= ev.time < t0 + dt]
+    inside = [ev for ev in events if ev.pid == pid and t0 <= ev.time < t0 + dt]
+    brute = [ev for ev in inside if ev.pid_name == inside[0].pid_name]  # the image of the first one
     assert list(window.events) == brute
+    assert window.pid_name == (inside[0].pid_name if inside else "")
 
 
 def test_process_window_validates_members():

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
-from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, extract_features
-from ransomwatch.graph import event_params
+from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, event_params, extract_features
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,

@@ -29,7 +29,7 @@ from ransomwatch.gbdt import (
     split_sse_decomposed,
     split_sse_direct,
 )
-from ransomwatch.graph import BadDim
+from ransomwatch.features import BadDim
 
 
 def test_best_split_simple():

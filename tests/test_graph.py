@@ -8,11 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ransomwatch import graph as graph_mod
+from ransomwatch import features
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, extension_of
-from ransomwatch.features import build_graph
-from ransomwatch.graph import (
+from ransomwatch.features import (
     BadDim,
+    build_graph,
     encode,
     event_params,
     name_pattern_class,
@@ -133,16 +133,16 @@ def test_one_edge_difference_touches_at_most_two_buckets():
 def test_memoized_edge_hash_gives_bit_identical_embeddings(monkeypatch):
     rng = random.Random(17)
     ops = [op.value for op in Operation]
-    params = list(graph_mod._EXT_LABELS.values()) + list(graph_mod._DEPTH_LABELS)
-    params += list(graph_mod._NAME_LABELS.values()) + ["ext:#rare", "ext:", "name:\u00e9t\u00e9", "x|y", "\u6587"]
+    params = list(features._EXT_LABELS.values()) + list(features._DEPTH_LABELS)
+    params += list(features._NAME_LABELS.values()) + ["ext:#rare", "ext:", "name:\u00e9t\u00e9", "x|y", "\u6587"]
     graphs = []
     for _ in range(200):
         edges = {(rng.choice(ops), rng.choice(params) if rng.random() < 0.8 else f"ext:q{rng.randrange(10**6)}"):
                  rng.randrange(1, 1000) for _ in range(rng.randrange(0, 60))}
         graphs.append((edges, rng.choice((8, 64, 256)), rng.randrange(2**64)))
     cached = [encode(*args).tobytes() for args in graphs + graphs]  # the second pass hits the memo
-    assert graph_mod._edge_hash.cache_info().currsize <= graph_mod._edge_hash.cache_info().maxsize == 4096
-    monkeypatch.setattr(graph_mod, "_edge_hash", graph_mod._edge_hash.__wrapped__)
+    assert features._edge_hash.cache_info().currsize <= features._edge_hash.cache_info().maxsize == 4096
+    monkeypatch.setattr(features, "_edge_hash", features._edge_hash.__wrapped__)
     assert cached == [encode(*args).tobytes() for args in graphs + graphs]
 
 

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from ransomwatch import cli, jsontypes
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import window_events
-from ransomwatch.features import N_EXPERT_FEATURES, Mode
-from ransomwatch.graph import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED
+from ransomwatch.features import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, N_EXPERT_FEATURES, Mode
 from ransomwatch.notes import GenePool, build_pool, tokenize
 from ransomwatch.pipeline import MappingContentProvider, featurize
 from ransomwatch.simulator import (

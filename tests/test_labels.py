@@ -11,8 +11,8 @@ import re
 import string
 
 from ransomwatch.events import basename_of, dirname_of, extension_of
-from ransomwatch import graph
-from ransomwatch.graph import MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
+from ransomwatch import features
+from ransomwatch.features import MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -208,18 +208,18 @@ def test_classes_do_not_tell_ascii_digits_apart():
 def test_memoized_classes_equal_reference_cold_and_warm():
     names = _memo_names()
     expected = [_ref_name_pattern_class(name) for name in names]
-    graph._CLASS_BY_FOLDED_STEM.clear()
+    features._CLASS_BY_FOLDED_STEM.clear()
     assert [name_pattern_class(name) for name in names] == expected
     assert [name_pattern_class(name) for name in reversed(names)] == expected[::-1]
 
 
 def test_class_memo_is_bounded():
     rng = random.Random(15)
-    stems = list(dict.fromkeys(f"{rng.getrandbits(64):016x}" for _ in range(3 * graph._CLASS_MEMO_SIZE)))
-    assert len(stems) == 3 * graph._CLASS_MEMO_SIZE
-    graph._CLASS_BY_FOLDED_STEM.clear()
+    stems = list(dict.fromkeys(f"{rng.getrandbits(64):016x}" for _ in range(3 * features._CLASS_MEMO_SIZE)))
+    assert len(stems) == 3 * features._CLASS_MEMO_SIZE
+    features._CLASS_BY_FOLDED_STEM.clear()
     largest = 0
     for stem in stems:
         assert name_pattern_class(f"C:/u/{stem}.bin") == _ref_name_pattern_class(f"C:/u/{stem}.bin")
-        largest = max(largest, len(graph._CLASS_BY_FOLDED_STEM))
-    assert largest == graph._CLASS_MEMO_SIZE == 4096
+        largest = max(largest, len(features._CLASS_BY_FOLDED_STEM))
+    assert largest == features._CLASS_MEMO_SIZE == 4096
