@@ -48,10 +48,12 @@ from .simulator import (
     BenignProfile,
     BenignSpec,
     Corpus,
+    Mix,
     RansomwareSpec,
     ScenarioSpec,
     TreeSpec,
     build_corpus,
     generate,
+    mix,
     write_scenario,
 )

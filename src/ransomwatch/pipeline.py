@@ -235,7 +235,7 @@ class Engine:
         self._windows: dict[int, _WindowState] = {}
         self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
         self._terminated: dict[int, tuple[str, int]] = {}  # pid -> (its pid_name then, its last event's time)
-        self._scored_paths: set[str] = set()
+        self._scored_paths: set[tuple[int, str]] = set()  # (pid, path): one pid's scored note never blocks another's
 
     # -- monitors ------------------------------------------------------------
 
@@ -246,12 +246,13 @@ class Engine:
         if ev.file_type not in TEXT_EXTENSIONS:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
                 return None
-        if ev.file_name in self._scored_paths:
+        key = (ev.pid, ev.file_name)
+        if key in self._scored_paths:
             return None
         blob = self.content.get(ev.file_name)
         if not blob:  # an empty note may be filled by a later Write
             return None
-        self._scored_paths.add(ev.file_name)
+        self._scored_paths.add(key)
         bound = self.pool.score_bound(blob[: self.config.max_note_bytes])
         if bound is not None and bound < self.config.tau_sim:  # cannot reach tau: skip the full scorer
             return None

@@ -12,13 +12,14 @@ import math
 import random
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .decoys import DecoyKind, DecoyRegistry
 from .events import FileEvent, Operation, ProcessWindow, extension_of, serialize_events, window_events
 from .features import DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED, N_EXPERT_FEATURES, Mode, check_dims, check_hash_seed
 from .jsontypes import BENIGN_SPEC, CORPUS_META, OBJECT, RANSOMWARE_SPEC, TREE, check, columns
@@ -267,6 +268,11 @@ def tree_layout(spec: TreeSpec, seed: int) -> TreeLayout:
     return TreeLayout(tuple(dirs), ordered_files, {d: tuple(v) for d, v in files_by_dir.items()})
 
 
+def first_dir_decoy(spec: TreeSpec, seed: int) -> str:
+    """A decoy in the first directory of the tree that ``seed`` lays out, the one an attack reaches first."""
+    return f"{tree_layout(spec, seed).dirs[0]}/family_budget.docx"
+
+
 # --------------------------------------------------------------------------
 # Scenario specs
 # --------------------------------------------------------------------------
@@ -493,7 +499,7 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     else:
         files, notes = [], {}
         decoys_touched = _benign_body(spec, layout, rng, emit, events)
-    events.sort(key=lambda ev: ev.time)  # merge_results needs time order; stable, so ties keep emission order
+    events.sort(key=lambda ev: ev.time)  # mix needs time order; stable, so ties keep emission order
     truth = {
         "pid": pid,
         "pid_name": pid_name,
@@ -509,13 +515,38 @@ def generate(spec: ScenarioSpec) -> ScenarioResult:
     return ScenarioResult(spec, tuple(events), truth, notes)
 
 
-def merge_results(results: Sequence[ScenarioResult]) -> tuple[tuple[FileEvent, ...], dict[str, str]]:
-    """Interleave several scenarios into one global event stream sorted by time."""
-    merged = tuple(heapq.merge(*(r.events for r in results), key=lambda ev: ev.time))
-    notes: dict[str, str] = {}
-    for r in results:
-        notes.update(r.notes)
-    return merged, notes
+@dataclass(frozen=True)
+class Mix:
+    """Several scenarios merged into one replay: the events in time order, a
+    registry of every scenario's decoys, their notes and each pid's ground truth."""
+
+    events: tuple[FileEvent, ...]
+    registry: DecoyRegistry
+    notes: dict[str, str]
+    truth: dict[int, dict]
+
+
+def mix(specs: Sequence[ScenarioSpec], pids: Optional[Sequence[int]] = None) -> Mix:
+    """Generate each spec and merge them into one stream, equal times in spec order.
+
+    Without ``pids`` each scenario keeps the pid the simulator drew; with
+    them, each scenario's events and truth take its pid. Raises BadSpec
+    unless there is one pid per spec and no two are alike.
+    """
+    if pids is not None and len(pids) != len(specs):
+        raise BadSpec(f"mix takes one pid per spec: {len(pids)} pids for {len(specs)} specs")
+    results = [generate(spec) for spec in specs]
+    pids = [result.ground_truth["pid"] for result in results] if pids is None else list(pids)
+    if len(set(pids)) != len(pids):
+        raise BadSpec(f"mixed scenarios must have distinct pids, got {pids}")
+    streams, registry, notes, truth = [], DecoyRegistry(), {}, {}
+    for pid, result in zip(pids, results):
+        streams.append([replace(ev, pid=pid) for ev in result.events])
+        for path in result.spec.decoy_paths:
+            registry.register(path, "digest", DecoyKind.DOCUMENT)
+        notes.update(result.notes)
+        truth[pid] = {**result.ground_truth, "pid": pid}
+    return Mix(tuple(heapq.merge(*streams, key=lambda ev: ev.time)), registry, notes, truth)
 
 
 def write_scenario(result: ScenarioResult, out_dir: Union[str, Path]) -> dict[str, Path]:

@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import pytest
 
+from ransomwatch.features import Mode
 from ransomwatch.gbdt import BoostParams, fit
 from ransomwatch.notes import tokenize
-from ransomwatch.simulator import build_corpus, make_benign_doc_corpus, make_note_corpus
+from ransomwatch.simulator import (
+    BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, build_corpus, first_dir_decoy,
+    make_benign_doc_corpus, make_note_corpus, mix,
+)
 
 TRAIN_SEED = 11
 HELDOUT_SEED = 99
@@ -41,3 +45,14 @@ def gene_pool():
 
     notes = [tokenize(t) for t in make_note_corpus(100, seed=31)]
     return build_pool(notes, n=3, top_k=300)
+
+
+@pytest.fixture(scope="session")
+def mode_mix():
+    """One run of each mode M1-M6 and an office decoy-toucher under one root, overlapping in time."""
+    tree = TreeSpec(depth=2, fanout=2, files=60)
+    return mix([ScenarioSpec(kind=RansomwareSpec(mode=mode, files_per_second=40 + 30 * i), seed=90 + i, tree=tree,
+                             decoy_paths=(first_dir_decoy(tree, 90 + i),), start_us=150_000 * i)
+                for i, mode in enumerate(Mode)]
+               + [ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True), seed=99, tree=tree,
+                               decoy_paths=(first_dir_decoy(tree, 99),), start_us=200_000)])

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from ransomwatch.simulator import (
     ScenarioSpec,
     TreeSpec,
     build_corpus,
+    first_dir_decoy,
     generate,
-    merge_results,
+    mix,
     scenario_windows,
     tree_layout,
 )
@@ -323,40 +325,21 @@ def test_criterion_8_model_economy(train_corpus):
 
 def test_criterion_9_alert_fatigue(tmp_path, trained_forest, gene_pool):
     tree = TreeSpec(depth=2, fanout=3, files=120)
-    results = []
-    registry = DecoyRegistry()
-    ransom_pids = set()
     # 12 benign decoy touchers and 4 ransomware runs: 75% of triggers benign
-    for i in range(12):
-        decoy = f"C:/Users/alice/Documents/family_budget_{i:02d}.docx"
-        registry.register(decoy, "digest", DecoyKind.DOCUMENT)
-        profile = (BenignProfile.OFFICE, BenignProfile.BACKUP, BenignProfile.EDITOR)[i % 3]
-        spec = ScenarioSpec(
-            kind=BenignSpec(profile=profile, touch_decoy=True),
-            seed=9000 + i, tree=tree, decoy_paths=(decoy,),
-        )
-        results.append(generate(spec))
+    profiles = (BenignProfile.OFFICE, BenignProfile.BACKUP, BenignProfile.EDITOR)
+    specs = [ScenarioSpec(kind=BenignSpec(profile=profiles[i % 3], touch_decoy=True), seed=9000 + i, tree=tree,
+                          decoy_paths=(f"C:/Users/alice/Documents/family_budget_{i:02d}.docx",)) for i in range(12)]
     # create+delete/smash modes touch a decoy exactly once, so the benign
     # share of triggers is exactly 12 of 16
-    for i, mode in enumerate((Mode.M3, Mode.M4, Mode.M5, Mode.M6)):
-        layout = tree_layout(tree, seed=9500 + i)
-        decoy = f"{layout.dirs[0]}/family_budget_r{i}.docx"
-        registry.register(decoy, "digest", DecoyKind.DOCUMENT)
-        spec = ScenarioSpec(
-            kind=RansomwareSpec(mode=mode, files_per_second=90, note_every_k_dirs=50),
-            seed=9500 + i, tree=tree, decoy_paths=(decoy,),
-        )
-        result = generate(spec)
-        ransom_pids.add(result.ground_truth["pid"])
-        results.append(result)
-
-    pids = [r.ground_truth["pid"] for r in results]
-    assert len(set(pids)) == len(pids), "scenario pids must be distinct"
-
-    merged, _ = merge_results(results)
+    specs += [ScenarioSpec(kind=RansomwareSpec(mode=mode, files_per_second=90, note_every_k_dirs=50),
+                           seed=9500 + i, tree=tree,
+                           decoy_paths=(f"{tree_layout(tree, seed=9500 + i).dirs[0]}/family_budget_r{i}.docx",))
+              for i, mode in enumerate((Mode.M3, Mode.M4, Mode.M5, Mode.M6))]
+    m = mix(specs)  # refuses two scenarios under one pid
+    ransom_pids = {pid for pid, truth in m.truth.items() if truth["label"] == "ransomware"}
     trace = tmp_path / "mixed.jsonl"
-    trace.write_text(serialize_events(merged), encoding="utf-8")
-    result = run_replay(trace, registry, gene_pool, trained_forest)
+    trace.write_text(serialize_events(m.events), encoding="utf-8")
+    result = run_replay(trace, m.registry, gene_pool, trained_forest)
 
     triggers = result.metrics.triggers
     high_alerts = [a for a in result.alerts if a.threat.level is Level.HIGH]
@@ -393,20 +376,13 @@ def test_criterion_10_artifact_determinism(tmp_path, note_corpus):
     trace_b = serialize_events(generate(spec).events)
     assert trace_a == trace_b
 
-    layout = tree_layout(TreeSpec(depth=2, fanout=2, files=60), seed=1234)
-    decoy = f"{layout.dirs[0]}/family_budget.docx"
-    spec_d = ScenarioSpec(kind=RansomwareSpec(mode=Mode.M2, files_per_second=80),
-                          seed=1234, tree=TreeSpec(depth=2, fanout=2, files=60),
-                          decoy_paths=(decoy,))
-    sim = generate(spec_d)
+    sim = mix([replace(spec, decoy_paths=(first_dir_decoy(spec.tree, 1234),))])
     trace = tmp_path / "det.jsonl"
     trace.write_text(serialize_events(sim.events), encoding="utf-8")
-    registry = DecoyRegistry()
-    registry.register(decoy, "digest", DecoyKind.DOCUMENT)
     forest = fit(corpus_a.X, corpus_a.y, BoostParams(n_trees=25))
     pool = build_pool(notes, n=3, top_k=300)
     alerts = [
-        run_replay(trace, registry, pool, forest,
+        run_replay(trace, sim.registry, pool, forest,
                    content_provider=MappingContentProvider(sim.notes)).alerts_jsonl()
         for _ in range(2)
     ]

@@ -9,18 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ransomwatch import pipeline
-from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
 from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, event_params, extract_features
 from ransomwatch.simulator import (
-    BenignProfile,
-    BenignSpec,
-    RansomwareSpec,
-    ScenarioSpec,
-    TreeSpec,
-    generate,
-    merge_results,
-    tree_layout,
+    BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, mix,
 )
 
 
@@ -285,21 +277,11 @@ def _extract_features_before(window):
 
 def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, gene_pool, monkeypatch):
     tree = TreeSpec(depth=2, fanout=2, files=60)
-    results, decoys = [], []
-    for i, mode in enumerate(Mode):
-        decoy = f"{tree_layout(tree, 120 + i).dirs[0]}/family_budget.docx"
-        decoys.append(decoy)
-        results.append(generate(ScenarioSpec(
-            kind=RansomwareSpec(mode=mode, files_per_second=50 + 40 * i),
-            seed=120 + i, tree=tree, decoy_paths=(decoy,), start_us=100_000 * i)))
-    decoy = f"{tree_layout(tree, 129).dirs[0]}/family_budget.docx"
-    decoys.append(decoy)
-    results.append(generate(ScenarioSpec(
-        kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
-        seed=129, tree=tree, decoy_paths=(decoy,), start_us=250_000)))
-    registry = DecoyRegistry()
-    for path in decoys:
-        registry.register(path, "digest", DecoyKind.DOCUMENT)
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=mode, files_per_second=50 + 40 * i), seed=120 + i, tree=tree,
+                          decoy_paths=(first_dir_decoy(tree, 120 + i),), start_us=100_000 * i)
+             for i, mode in enumerate(Mode)]
+            + [ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True), seed=129, tree=tree,
+                            decoy_paths=(first_dir_decoy(tree, 129),), start_us=250_000)])
     windows = []
 
     def checked(window, fold=None):
@@ -309,15 +291,14 @@ def test_every_window_of_a_mixed_replay_matches_the_reference(trained_forest, ge
         return vec
 
     monkeypatch.setattr(pipeline, "extract_features", checked)
-    events, notes = merge_results(results)
-    engine = pipeline.Engine(registry, gene_pool, trained_forest,
-                             content_provider=pipeline.MappingContentProvider(notes))
-    for ev in events:
+    engine = pipeline.Engine(m.registry, gene_pool, trained_forest,
+                             content_provider=pipeline.MappingContentProvider(m.notes))
+    for ev in m.events:
         engine.process(ev)
     engine.finish()
     assert len(windows) == engine.metrics.classifier_calls
-    assert engine.metrics.windows_opened == len(results)
-    assert {window.pid for window in windows} == {r.ground_truth["pid"] for r in results}
+    assert engine.metrics.windows_opened == len(m.truth)
+    assert {window.pid for window in windows} == set(m.truth)
     vectors = [_named(window) for window in windows]
     # creates, renames and a note spread across folders all reached the check
     assert any(v["n_create"] for v in vectors) and any(v["n_renamed"] for v in vectors)

@@ -29,46 +29,30 @@ from ransomwatch.pipeline import (
     run_replay,
 )
 from ransomwatch.simulator import (
-    BenignProfile,
-    BenignSpec,
-    RansomwareSpec,
-    ScenarioSpec,
-    TreeSpec,
-    generate,
-    make_note_corpus,
-    merge_results,
-    tree_layout,
+    BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, make_note_corpus, mix,
 )
 
 TREE = TreeSpec(depth=2, fanout=2, files=60)
 
 
-def _write_trace(tmp_path, results, name="trace.jsonl"):
-    merged, notes = merge_results(results)
+def _write_trace(tmp_path, events, name="trace.jsonl"):
     path = tmp_path / name
-    path.write_text(serialize_events(merged), encoding="utf-8")
-    return path, notes
+    path.write_text(serialize_events(events), encoding="utf-8")
+    return path
 
 
 def _registry_for(paths):
+    """A registry of the decoys of a hand-built trace; ``mix`` registers a generated trace's own."""
     registry = DecoyRegistry()
     for p in paths:
         registry.register(p, "digest", DecoyKind.DOCUMENT)
     return registry
 
 
-def _decoy_in_first_dir(seed, tree=TREE):
-    layout = tree_layout(tree, seed)
-    return (f"{layout.dirs[0]}/family_budget.docx",)
-
-
 def test_pure_benign_replay_has_empty_funnel(tmp_path, trained_forest, gene_pool):
-    results = [
-        generate(ScenarioSpec(kind=BenignSpec(profile=p), seed=50 + i, tree=TREE))
-        for i, p in enumerate((BenignProfile.OFFICE, BenignProfile.BACKUP, BenignProfile.INDEXER))
-    ]
-    trace, _ = _write_trace(tmp_path, results)
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    m = mix([ScenarioSpec(kind=BenignSpec(profile=p), seed=50 + i, tree=TREE)
+             for i, p in enumerate((BenignProfile.OFFICE, BenignProfile.BACKUP, BenignProfile.INDEXER))])
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest)
     assert result.metrics.windows_opened == 0
     assert result.metrics.classifier_calls == 0
     assert result.metrics.triggers == 0
@@ -79,22 +63,15 @@ def test_pure_benign_replay_has_empty_funnel(tmp_path, trained_forest, gene_pool
 
 
 def test_ransomware_with_decoys_high_alert(tmp_path, trained_forest, gene_pool):
-    decoys = _decoy_in_first_dir(seed=60)
-    spec = ScenarioSpec(
-        kind=RansomwareSpec(mode=Mode.M3, files_per_second=80),
-        seed=60, tree=TREE, decoy_paths=decoys,
-    )
-    result_sim = generate(spec)
-    trace, notes = _write_trace(tmp_path, [result_sim])
-    result = run_replay(
-        trace, _registry_for(decoys), gene_pool, trained_forest,
-        content_provider=MappingContentProvider(notes),
-    )
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80),
+                          seed=60, tree=TREE, decoy_paths=(first_dir_decoy(TREE, 60),))])
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest,
+                        content_provider=MappingContentProvider(m.notes))
     assert result.metrics.windows_opened == 1
     assert result.metrics.alerts_high == 1
     (alert,) = [a for a in result.alerts if a.threat.level is Level.HIGH]
     assert alert.response_taken is Response.TERMINATE_SIMULATED
-    assert alert.pid == result_sim.ground_truth["pid"]
+    assert [alert.pid] == list(m.truth)
     assert alert.threat.score >= 0.5
     assert any("trigger_time_us=" in e for e in alert.evidence)
     (latency,) = result.metrics.decision_latencies_us
@@ -102,13 +79,9 @@ def test_ransomware_with_decoys_high_alert(tmp_path, trained_forest, gene_pool):
 
 
 def test_decoy_touch_then_benign_gets_low_trackonly(tmp_path, trained_forest, gene_pool):
-    decoys = ("C:/Users/alice/Documents/family_budget.docx",)
-    spec = ScenarioSpec(
-        kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
-        seed=61, tree=TREE, decoy_paths=decoys,
-    )
-    trace, _ = _write_trace(tmp_path, [generate(spec)])
-    result = run_replay(trace, _registry_for(decoys), gene_pool, trained_forest)
+    m = mix([ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
+                          seed=61, tree=TREE, decoy_paths=("C:/Users/alice/Documents/family_budget.docx",))])
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest)
     assert result.metrics.windows_opened == 1
     assert result.metrics.classifier_calls >= 1
     assert result.metrics.alerts_high == 0
@@ -119,19 +92,13 @@ def test_decoy_touch_then_benign_gets_low_trackonly(tmp_path, trained_forest, ge
 
 
 def test_note_trigger_path_without_decoys(tmp_path, trained_forest, gene_pool):
-    spec = ScenarioSpec(
-        kind=RansomwareSpec(mode=Mode.M4, files_per_second=80, avoid_decoys=True, note_every_k_dirs=1),
-        seed=62, tree=TREE,
-    )
-    sim = generate(spec)
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M4, files_per_second=80, avoid_decoys=True,
+                                              note_every_k_dirs=1), seed=62, tree=TREE)])
     # ensure at least one dropped note clears the similarity threshold
-    best = max(similarity(tokenize(t), gene_pool).score for t in sim.notes.values())
+    best = max(similarity(tokenize(t), gene_pool).score for t in m.notes.values())
     assert best >= 0.21
-    trace, notes = _write_trace(tmp_path, [sim])
-    result = run_replay(
-        trace, _registry_for([]), gene_pool, trained_forest,
-        content_provider=MappingContentProvider(notes),
-    )
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest,
+                        content_provider=MappingContentProvider(m.notes))
     assert result.metrics.triggers >= 1
     assert result.metrics.alerts_high == 1
     (alert,) = [a for a in result.alerts if a.threat.level is Level.HIGH]
@@ -142,10 +109,9 @@ def test_note_only_pid_low_alert_carries_note_score(tmp_path, trained_forest, ge
     note_path = "C:/Users/bob/Documents/HOW_TO_RECOVER_FILES.txt"
     text = make_note_corpus(1, seed=31)[0]
     events = [FileEvent(1_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt")]
-    trace = tmp_path / "note.jsonl"
-    trace.write_text(serialize_events(events), encoding="utf-8")
+    trace = _write_trace(tmp_path, events, "note.jsonl")
     result = run_replay(
-        trace, _registry_for([]), gene_pool, trained_forest,
+        trace, DecoyRegistry(), gene_pool, trained_forest,
         content_provider=MappingContentProvider({note_path: text}),
     )
     (alert,) = result.alerts
@@ -172,9 +138,8 @@ def test_empty_note_at_create_is_scored_when_written(tmp_path, trained_forest, g
         FileEvent(1_000, 7, "notepad.exe", Operation.CREATE, note_path, "txt"),
         FileEvent(2_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt"),
     ]
-    trace = tmp_path / "note.jsonl"
-    trace.write_text(serialize_events(events), encoding="utf-8")
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, content_provider=FilledLater())
+    trace = _write_trace(tmp_path, events, "note.jsonl")
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest, content_provider=FilledLater())
     assert result.metrics.triggers == 1
     (alert,) = result.alerts
     assert alert.threat.source is TriggerKind.RANSOM_NOTE
@@ -193,7 +158,7 @@ class _CountingContent:
 
 def test_only_creates_and_writes_ask_for_note_content(trained_forest, gene_pool):
     content = _CountingContent()
-    engine = pipeline.Engine(_registry_for([]), gene_pool, trained_forest, content_provider=content)
+    engine = pipeline.Engine(DecoyRegistry(), gene_pool, trained_forest, content_provider=content)
     path = "C:/Users/bob/Documents/minutes.txt"
     for t, op in enumerate((Operation.READ, Operation.DELETE, Operation.RENAME, Operation.OVERWRITE, Operation.SMASH)):
         engine.process(FileEvent(t, 7, "editor.exe", op, path, "txt", path if op is Operation.RENAME else None))
@@ -229,8 +194,7 @@ def test_event_before_trigger_time_stays_out_of_window(tmp_path, trained_forest,
         FileEvent(4_000_000, 7, "x.exe", Operation.WRITE, "C:/Users/alice/Documents/a.txt", "txt"),
         FileEvent(7_500_000, 7, "x.exe", Operation.READ, "C:/Users/alice/Documents/b.txt", "txt"),
     ]
-    trace = tmp_path / "disorder.jsonl"
-    trace.write_text(serialize_events(events), encoding="utf-8")
+    trace = _write_trace(tmp_path, events, "disorder.jsonl")
     result = run_replay(trace, _registry_for([decoy]), gene_pool, trained_forest)
     assert [(i.kind, i.line_no) for i in result.issues] == [(ParseIssueKind.NON_MONOTONIC_TIME, 2)]
     assert result.metrics.windows_opened == 1
@@ -279,7 +243,7 @@ def _noisy_trace(tmp_path):
 
 def test_replay_and_parse_event_log_agree_on_noisy_trace(tmp_path, trained_forest, gene_pool):
     trace = _noisy_trace(tmp_path)
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest)
     parsed = parse_event_log(trace.read_bytes())
     issues = [(i.kind, i.line_no, i.detail) for i in parsed.issues]
     assert [(i.kind, i.line_no, i.detail) for i in result.issues] == issues
@@ -297,7 +261,7 @@ def test_replay_reports_a_line_that_is_not_utf8_and_goes_on(tmp_path, trained_fo
     line = '{{"time":{0},"pid":1,"pid_name":"x.exe","operation":"Write","file_name":"C:/u/f{0}.txt","file_type":"txt"}}\n'
     trace = tmp_path / "bad_byte.jsonl"
     trace.write_bytes(b"".join(line.format(t).encode() for t in (1, 2, 3)).replace(b"/f2", b"/f\xff2"))
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest)
     parsed = parse_event_log(trace.read_bytes())
     assert result.metrics.events == len(parsed.events) == 2
     assert [(i.kind, i.line_no, i.detail) for i in result.issues] == [
@@ -315,7 +279,7 @@ def test_replay_parses_through_the_module_global(tmp_path, trained_forest, gene_
         return original(line, line_no, issues)
 
     monkeypatch.setattr(pipeline, "parse_event_line", counting)
-    run_replay(trace, _registry_for([]), gene_pool, trained_forest)
+    run_replay(trace, DecoyRegistry(), gene_pool, trained_forest)
     non_empty = [n for n, raw in enumerate(trace.read_text(encoding="utf-8").splitlines(), 1) if raw.strip()]
     assert calls == non_empty == [1, 4, 5, 6, 7, 9, 10, 11]
 
@@ -331,14 +295,11 @@ def test_notes_map_must_map_paths_to_text(tmp_path, mapping):
 
 
 def test_note_scoring_skips_binary_content(tmp_path, trained_forest, gene_pool):
-    spec = ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE), seed=63, tree=TREE)
-    sim = generate(spec)
-    txt_event_paths = {
-        ev.file_name for ev in sim.events if ev.file_type == "txt"
-    }
-    trace, _ = _write_trace(tmp_path, [sim])
+    m = mix([ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE), seed=63, tree=TREE)])
+    txt_event_paths = {ev.file_name for ev in m.events if ev.file_type == "txt"}
     provider = MappingContentProvider({p: b"\xff\xfe\x00binary" for p in txt_event_paths})
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, content_provider=provider)
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest,
+                        content_provider=provider)
     assert result.metrics.triggers == 0
 
 
@@ -347,20 +308,19 @@ def test_note_cut_inside_a_character_is_scored(tmp_path, trained_forest, gene_po
     note_path = "C:/Users/bob/Documents/HOW_TO_RECOVER_FILES.txt"
     note = make_note_corpus(1, seed=31)[0]
     events = [FileEvent(1_000, 7, "notepad.exe", Operation.WRITE, note_path, "txt")]
-    trace = tmp_path / "note.jsonl"
-    trace.write_text(serialize_events(events), encoding="utf-8")
+    trace = _write_trace(tmp_path, events, "note.jsonl")
     config = pipeline.PipelineConfig(max_note_bytes=len(note.encode("utf-8")) + 1)
     provider = MappingContentProvider({note_path: note + tail})
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest, config, provider)
     assert result.metrics.triggers == 1
     # an invalid byte before the cut still makes the content unscorable
     provider = MappingContentProvider({note_path: b"\xff" + note.encode("utf-8")})
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest, config, provider)
     assert result.metrics.triggers == 0
     # content under the limit that ends in a partial character was not cut
     provider = MappingContentProvider({note_path: (note + tail).encode("utf-8")[:-1]})
     config = pipeline.PipelineConfig(max_note_bytes=len(note.encode("utf-8")) + 8)
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest, config, provider)
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest, config, provider)
     assert result.metrics.triggers == 0
 
 
@@ -375,7 +335,7 @@ def test_notes_map_text_that_is_not_unicode_is_not_scored(tmp_path, trained_fore
         FileEvent(1_000, 1, "notepad.exe", Operation.CREATE, readme, "txt"),
         FileEvent(2_000, 2, "x.exe", Operation.CREATE, note_path, "txt"),
     ]), encoding="utf-8")
-    result = run_replay(trace, _registry_for([]), gene_pool, trained_forest,
+    result = run_replay(trace, DecoyRegistry(), gene_pool, trained_forest,
                         content_provider=MappingContentProvider.from_json_file(notes))
     assert result.metrics.triggers == 1
     assert {a.pid for a in result.alerts} == {2}
@@ -393,26 +353,19 @@ def test_pipeline_config_refuses_values_the_engine_cannot_run(field, value):
 
 
 def test_funnel_and_metrics_consistency_on_mixed_trace(tmp_path, trained_forest, gene_pool):
-    decoys = _decoy_in_first_dir(seed=70)
-    results = [
-        generate(ScenarioSpec(
-            kind=RansomwareSpec(mode=Mode.M5, files_per_second=60),
-            seed=70, tree=TREE, decoy_paths=decoys)),
-        generate(ScenarioSpec(kind=BenignSpec(profile=BenignProfile.BACKUP), seed=71, tree=TREE)),
-        generate(ScenarioSpec(
-            kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
-            seed=72, tree=TREE, decoy_paths=decoys)),
-    ]
-    trace, notes = _write_trace(tmp_path, results)
-    result = run_replay(
-        trace, _registry_for(decoys), gene_pool, trained_forest,
-        content_provider=MappingContentProvider(notes),
-    )
+    decoys = (first_dir_decoy(TREE, 70),)  # the attack's and the office toucher's
+    mixed = mix([
+        ScenarioSpec(kind=RansomwareSpec(mode=Mode.M5, files_per_second=60), seed=70, tree=TREE, decoy_paths=decoys),
+        ScenarioSpec(kind=BenignSpec(profile=BenignProfile.BACKUP), seed=71, tree=TREE),
+        ScenarioSpec(kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
+                     seed=72, tree=TREE, decoy_paths=decoys),
+    ])
+    result = run_replay(_write_trace(tmp_path, mixed.events), mixed.registry, gene_pool, trained_forest,
+                        content_provider=MappingContentProvider(mixed.notes))
     m = result.metrics
     assert len(result.alerts) <= m.windows_opened <= m.triggers
     assert m.alerts_low + m.alerts_high == len(result.alerts)
-    ransom_pid = results[0].ground_truth["pid"]
-    benign_toucher_pid = results[2].ground_truth["pid"]
+    ransom_pid, _, benign_toucher_pid = mixed.truth
     assert result.threat_by_pid[ransom_pid] is Level.HIGH
     assert result.threat_by_pid[benign_toucher_pid] is Level.LOW
     # response idempotence: one simulated termination per pid at most
@@ -421,16 +374,9 @@ def test_funnel_and_metrics_consistency_on_mixed_trace(tmp_path, trained_forest,
 
 
 def test_latency_percentiles_match_recomputation(tmp_path, trained_forest, gene_pool):
-    results = []
-    all_decoys = []
-    for i in range(4):
-        decoys = _decoy_in_first_dir(seed=80 + i)
-        all_decoys.extend(decoys)
-        results.append(generate(ScenarioSpec(
-            kind=RansomwareSpec(mode=Mode.M1, files_per_second=40 + 20 * i),
-            seed=80 + i, tree=TREE, decoy_paths=decoys)))
-    trace, _ = _write_trace(tmp_path, results)
-    result = run_replay(trace, _registry_for(all_decoys), gene_pool, trained_forest)
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M1, files_per_second=40 + 20 * i),
+                          seed=80 + i, tree=TREE, decoy_paths=(first_dir_decoy(TREE, 80 + i),)) for i in range(4)])
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest)
     highs = [a for a in result.alerts if a.threat.level is Level.HIGH]
     assert highs
     recomputed = []
@@ -445,14 +391,12 @@ def test_latency_percentiles_match_recomputation(tmp_path, trained_forest, gene_
 
 
 def test_replay_deterministic_alert_bytes(tmp_path, trained_forest, gene_pool):
-    decoys = _decoy_in_first_dir(seed=90)
-    sim = generate(ScenarioSpec(
-        kind=RansomwareSpec(mode=Mode.M2, files_per_second=70),
-        seed=90, tree=TREE, decoy_paths=decoys))
-    trace, notes = _write_trace(tmp_path, [sim])
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M2, files_per_second=70),
+                          seed=90, tree=TREE, decoy_paths=(first_dir_decoy(TREE, 90),))])
+    trace = _write_trace(tmp_path, m.events)
     runs = [
-        run_replay(trace, _registry_for(decoys), gene_pool, trained_forest,
-                   content_provider=MappingContentProvider(notes)).alerts_jsonl()
+        run_replay(trace, m.registry, gene_pool, trained_forest,
+                   content_provider=MappingContentProvider(m.notes)).alerts_jsonl()
         for _ in range(2)
     ]
     assert runs[0] == runs[1] and runs[0]
@@ -460,20 +404,13 @@ def test_replay_deterministic_alert_bytes(tmp_path, trained_forest, gene_pool):
 
 def test_window_reopens_after_trackonly_close(tmp_path, trained_forest, gene_pool):
     # two touches far apart: first window closes TrackOnly, second reopens
-    decoys = ("C:/Users/alice/Documents/family_budget.docx",)
-    spec = ScenarioSpec(
-        kind=BenignSpec(profile=BenignProfile.EDITOR, touch_decoy=True),
-        seed=91, tree=TREE, decoy_paths=decoys,
-    )
-    sim = generate(spec)
-    from ransomwatch.events import FileEvent, Operation
-
-    last = sim.events[-1]
-    late_touch = FileEvent(last.time + 10_000_000, last.pid, last.pid_name,
-                           Operation.WRITE, decoys[0], "docx")
-    trace = tmp_path / "reopen.jsonl"
-    trace.write_text(serialize_events(list(sim.events) + [late_touch]), encoding="utf-8")
-    result = run_replay(trace, _registry_for(decoys), gene_pool, trained_forest)
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    m = mix([ScenarioSpec(kind=BenignSpec(profile=BenignProfile.EDITOR, touch_decoy=True),
+                          seed=91, tree=TREE, decoy_paths=(decoy,))])
+    last = m.events[-1]
+    late_touch = FileEvent(last.time + 10_000_000, last.pid, last.pid_name, Operation.WRITE, decoy, "docx")
+    trace = _write_trace(tmp_path, m.events + (late_touch,), "reopen.jsonl")
+    result = run_replay(trace, m.registry, gene_pool, trained_forest)
     assert result.metrics.windows_opened == 2
     assert result.metrics.alerts_high == 0
     assert all(a.threat.level is Level.LOW for a in result.alerts)
@@ -630,8 +567,7 @@ def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, tra
         FileEvent(1_200_000, 2, "editor.exe", Operation.WRITE, "C:/Users/bob/Documents/r.docx", "docx"),
         FileEvent(900_000, 1, "x.exe", Operation.WRITE, "C:/Users/alice/Documents/a.docx", "docx"),
     ]
-    trace = tmp_path / "late.jsonl"
-    trace.write_text(serialize_events(events), encoding="utf-8")
+    trace = _write_trace(tmp_path, events, "late.jsonl")
     real_decide = pipeline.Engine._decide
     decided = []
 
@@ -790,16 +726,10 @@ def test_featurize_layers_called_once_per_classification(tmp_path, trained_fores
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counted)
-    decoys = _decoy_in_first_dir(seed=60)
-    spec = ScenarioSpec(
-        kind=RansomwareSpec(mode=Mode.M3, files_per_second=80),
-        seed=60, tree=TREE, decoy_paths=decoys,
-    )
-    trace, notes = _write_trace(tmp_path, [generate(spec)])
-    result = run_replay(
-        trace, _registry_for(decoys), gene_pool, trained_forest,
-        content_provider=MappingContentProvider(notes),
-    )
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=80),
+                          seed=60, tree=TREE, decoy_paths=(first_dir_decoy(TREE, 60),))])
+    result = run_replay(_write_trace(tmp_path, m.events), m.registry, gene_pool, trained_forest,
+                        content_provider=MappingContentProvider(m.notes))
     assert result.metrics.classifier_calls >= 1
     assert calls == dict.fromkeys(names, result.metrics.classifier_calls)
 
@@ -821,26 +751,8 @@ def test_hot_loops_read_no_operation_member(fn):
     )
 
 
-def _mode_mix():
-    """One run of each mode M1-M6 and an office decoy-toucher, overlapping in time."""
-    results, decoys = [], []
-    for i, mode in enumerate(Mode):
-        decoy = _decoy_in_first_dir(seed=90 + i)
-        decoys.extend(decoy)
-        results.append(generate(ScenarioSpec(
-            kind=RansomwareSpec(mode=mode, files_per_second=40 + 30 * i),
-            seed=90 + i, tree=TREE, decoy_paths=decoy, start_us=150_000 * i)))
-    decoy = _decoy_in_first_dir(seed=99)
-    decoys.extend(decoy)
-    results.append(generate(ScenarioSpec(
-        kind=BenignSpec(profile=BenignProfile.OFFICE, touch_decoy=True),
-        seed=99, tree=TREE, decoy_paths=decoy, start_us=200_000)))
-    return results, decoys
-
-
-def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch):
-    results, decoys = _mode_mix()
-    events, notes = merge_results(results)
+def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gene_pool, monkeypatch, mode_mix):
+    m = mode_mix
     real = pipeline.featurize
     real_decide = pipeline.Engine._decide
     boundaries = []
@@ -870,10 +782,9 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
 
     monkeypatch.setattr(pipeline.Engine, "_decide", decide)
     monkeypatch.setattr(pipeline, "featurize", checked)
-    engine = pipeline.Engine(_registry_for(decoys), gene_pool, trained_forest,
-                             content_provider=MappingContentProvider(notes))
+    engine = pipeline.Engine(m.registry, gene_pool, trained_forest, content_provider=MappingContentProvider(m.notes))
     stale = 0
-    for ev in events:
+    for ev in m.events:
         opened = engine.metrics.windows_opened
         engine.process(ev)
         if engine.metrics.windows_opened > opened:
@@ -887,34 +798,35 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
             assert state.fold.n <= len(state.events)
     engine.finish()
     assert not engine._windows
-    assert stale == engine.metrics.windows_opened == len(results)
-    assert len(slides_by_window) == len(results)
+    assert stale == engine.metrics.windows_opened == len(m.truth)
+    assert len(slides_by_window) == len(m.truth)
     # a slide whose window gained no event is decided without a classification
     assert sum(slides_by_window.values()) == engine.metrics.classifier_calls <= len(boundaries)
     assert max(slides_by_window.values()) >= 2  # a kept fold was extended, not only filled
 
 
-# sha256 over the replay of the _mode_mix() trace plus three noisy lines:
+# sha256 over the replay of the mode_mix trace plus three noisy lines:
 # alert bytes, parse issues and the metrics report without its timings. The
 # out-of-order line is a decoy touch at the end of the stream, so the window
 # it opens is classified once, at its first slide, and finish() runs the
-# clock on to close it Low at its last slide.
-_REPLAY_GOLDEN = "5fbf03cd2998d7616d372e88aa13412ee567d55fd98641a01fed72f9abd63130"
+# clock on to close it Low at its last slide. The M4 and M5 runs share three
+# note paths under one root; each pid's notes are scored for that pid, so the
+# M5 run's window opens at its first note, not at its decoy smash 8.3 ms later.
+_REPLAY_GOLDEN = "a5497bc6587b1dfa47a4233d1c987257a5cc8ea2e0aa37f456cb1898998f89f9"
 
 
-def test_replay_matches_golden_digest(tmp_path, trained_forest, gene_pool):
-    results, decoys = _mode_mix()
-    events, notes = merge_results(results)
-    last = events[-1]
-    assert last.pid == results[-1].ground_truth["pid"]  # the office decoy-toucher
-    text = serialize_events(events) + "{not json\n" + serialize_events([
+def test_replay_matches_golden_digest(tmp_path, trained_forest, gene_pool, mode_mix):
+    m = mode_mix
+    last = m.events[-1]
+    assert last.pid == list(m.truth)[-1]  # the office decoy-toucher
+    (decoy,) = m.truth[last.pid]["decoys_touched"]
+    text = serialize_events(m.events) + "{not json\n" + serialize_events([
         replace(last, operation=Operation.WRITE),
-        replace(last, time=last.time - 1, operation=Operation.WRITE, file_name=decoys[-1], file_type="docx"),
+        replace(last, time=last.time - 1, operation=Operation.WRITE, file_name=decoy, file_type="docx"),
     ]).replace('"Write"', '"Explode"', 1)
     trace = tmp_path / "golden.jsonl"
     trace.write_text(text, encoding="utf-8")
-    result = run_replay(trace, _registry_for(decoys), gene_pool, trained_forest,
-                        content_provider=MappingContentProvider(notes))
+    result = run_replay(trace, m.registry, gene_pool, trained_forest, content_provider=MappingContentProvider(m.notes))
     report = metrics_report(result.metrics)
     del report["wall_seconds"], report["events_per_second"]
     issues = [(i.kind.value, i.line_no, i.detail) for i in result.issues]

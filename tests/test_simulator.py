@@ -23,10 +23,11 @@ from ransomwatch.simulator import (
     ScenarioSpec,
     TreeSpec,
     build_corpus,
+    first_dir_decoy,
     generate,
     make_benign_doc_corpus,
     make_note_corpus,
-    merge_results,
+    mix,
     scenario_windows,
     spec_from_json,
     spec_from_kind,
@@ -198,13 +199,32 @@ def test_ground_truth_consistency():
     assert event_times == sorted(event_times)
 
 
-def test_merge_results_sorted_with_distinct_pids():
-    a = generate(_ransom_spec(Mode.M1, seed=1))
-    b = generate(ScenarioSpec(kind=BenignSpec(), seed=2, tree=TreeSpec(files=30)))
-    merged, notes = merge_results([a, b])
-    assert [ev.time for ev in merged] == sorted(ev.time for ev in merged)
-    assert len(merged) == len(a.events) + len(b.events)
-    assert notes == a.notes
+def test_mix_merges_scenarios_in_time_order_under_their_pids():
+    tree = TreeSpec(depth=2, fanout=2, files=40)
+    ransom = ScenarioSpec(RansomwareSpec(Mode.M1, 80.0), seed=1, tree=tree, decoy_paths=(first_dir_decoy(tree, 1),))
+    benign = ScenarioSpec(BenignSpec(touch_decoy=True), seed=2, tree=TreeSpec(files=30),
+                          decoy_paths=("C:/Users/alice/Documents/family_budget.docx",))
+    other = _ransom_spec(Mode.M3, seed=3)
+    # the first spec twice: its events tie in time, and its decoy and notes are shared
+    specs, pids = [ransom, benign, ransom, other], (7, 8, 9, 10)
+    results = [generate(spec) for spec in specs]
+    m = mix(specs, pids)
+    keyed = [(ev.time, k, replace(ev, pid=pid)) for k, (pid, r) in enumerate(zip(pids, results)) for ev in r.events]
+    assert m.events == tuple(ev for _, _, ev in sorted(keyed, key=lambda item: item[:2]))
+    assert any(a.time == b.time and a.pid != b.pid for a, b in zip(m.events, m.events[1:]))
+    assert m.registry.paths() == sorted(ransom.decoy_paths + benign.decoy_paths)
+    assert results[0].notes and results[3].notes
+    assert m.notes == {**results[0].notes, **results[3].notes}
+    assert m.truth == {pid: {**r.ground_truth, "pid": pid} for pid, r in zip(pids, results)}
+    assert list(m.truth) == list(pids)
+
+    drawn = mix([ransom, other])  # the simulator's pids
+    assert list(drawn.truth) == [results[0].ground_truth["pid"], results[3].ground_truth["pid"]]
+    assert {ev.pid for ev in drawn.events} == set(drawn.truth)
+    for bad in (dict(specs=[ransom, ransom]), dict(specs=[ransom, other], pids=(7, 7)),
+                dict(specs=[ransom, other], pids=(7,))):
+        with pytest.raises(BadSpec):
+            mix(**bad)
 
 
 def test_scenario_windows_prefix_growth():
