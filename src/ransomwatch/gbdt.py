@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
@@ -199,11 +199,6 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
-    p = np.clip(prob, 1e-12, 1.0 - 1e-12)
-    return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-
-
 @dataclass
 class BoostedForest:
     """Trained ensemble plus the embedding contract it was fitted against.
@@ -221,7 +216,6 @@ class BoostedForest:
     n_features: int
     dims: int = DEFAULT_EMBEDDING_DIMS
     hash_seed: int = DEFAULT_HASH_SEED
-    training_loss: tuple[float, ...] = field(default=(), repr=False, compare=False)
 
     @cached_property
     def _list_trees(self):
@@ -365,7 +359,6 @@ def fit(
     base = math.log(pos / (1.0 - pos))
     margin = np.full(X.shape[0], base, dtype=np.float64)
     trees: list[FlatTree] = []
-    losses: list[float] = []
     for _ in range(params.n_trees):
         prob = _sigmoid(margin)
         grad = prob - y
@@ -373,7 +366,6 @@ def fit(
         tree, weights = grow_tree(X, grad, hess, params)
         trees.append(tree)
         margin += params.eta * weights
-        losses.append(log_loss(y, _sigmoid(margin)))
     return BoostedForest(
         trees=tuple(trees),
         eta=params.eta,
@@ -383,5 +375,4 @@ def fit(
         n_features=X.shape[1],
         dims=dims,
         hash_seed=hash_seed,
-        training_loss=tuple(losses),
     )

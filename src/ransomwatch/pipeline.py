@@ -205,8 +205,9 @@ class ReplayResult:
 class Engine:
     """Streaming MDR core shared by trace replay and live watching.
 
-    Single ingestion sequence; per-pid window state lives in a keyed map with
-    one writer (this engine). Alert emission is serialized through the
+    Single ingestion sequence, with one writer (this engine). Per-process
+    state lives in maps keyed by ``(pid, pid_name)``, so a reused pid's new
+    image is another process. Alert emission is serialized through the
     result list. Raises WidthMismatch for a forest that does not score the
     rows ``featurize`` builds with its embedding width.
     """
@@ -232,10 +233,10 @@ class Engine:
         self.alerts: list[Alert] = []
         self.threat_by_pid: dict[int, Level] = {}
         self._decoy_paths = frozenset(registry.entries())
-        self._windows: dict[int, _WindowState] = {}
-        self._due: list[tuple[int, int]] = []  # min-heap of (next slide boundary, pid), one per open window
-        self._terminated: dict[int, tuple[str, int]] = {}  # pid -> (its pid_name then, its last event's time)
-        self._scored_paths: set[tuple[int, str]] = set()  # (pid, path): one pid's scored note never blocks another's
+        self._windows: dict[tuple[int, str], _WindowState] = {}
+        self._due: list[tuple[int, tuple[int, str]]] = []  # min-heap of (next slide boundary, process), one per window
+        self._terminated: dict[tuple[int, str], int] = {}  # process -> the time of its last event
+        self._scored_paths: set[tuple[int, str, str]] = set()  # (pid, pid_name, path): scored once per process
 
     # -- monitors ------------------------------------------------------------
 
@@ -246,7 +247,7 @@ class Engine:
         if ev.file_type not in TEXT_EXTENSIONS:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
                 return None
-        key = (ev.pid, ev.file_name)
+        key = (ev.pid, ev.pid_name, ev.file_name)
         if key in self._scored_paths:
             return None
         blob = self.content.get(ev.file_name)
@@ -276,13 +277,14 @@ class Engine:
         Every window closes and every alert is raised here, dated at ``boundary``.
         The row reads only the window's events, so the window is classified only
         when it has gained events since its last classification. High closes it
-        at once and terminates its pid under its name, unless the pid is 0;
-        otherwise it closes Low at its last slide. A terminated pid's events
-        under that name are skipped until one comes ``window_total_us`` or more
-        after the last: that one is a new process.
+        at once and terminates its process, unless the pid is 0; otherwise it
+        closes Low at its last slide. A terminated process's events are skipped
+        until one comes ``window_total_us`` or more after the last: that one is
+        a new process.
         """
         trigger = state.trigger
         pid = trigger.pid
+        key = (pid, state.pid_name)
         metrics = self.metrics
         latency = boundary - trigger.time
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
@@ -295,7 +297,7 @@ class Engine:
         if prob is not None and prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
             if pid:  # pid 0 is no process to stop: the idle task, and every live event's pid
-                self._terminated[pid] = (state.pid_name, state.events[-1].time)
+                self._terminated[key] = state.events[-1].time
             metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
@@ -308,7 +310,7 @@ class Engine:
             threat = ThreatLevel(Level.LOW, trigger.kind, min(1.0, round(trigger.score, 3)))
             response = Response.TRACK_ONLY
         self.alerts.append(Alert(boundary, pid, state.pid_name, threat, evidence, response))
-        del self._windows[pid]
+        del self._windows[key]
         return True
 
     # -- ingestion -------------------------------------------------------------
@@ -318,13 +320,13 @@ class Engine:
         due = self._due
         if due and due[0][0] <= ev.time:
             self.advance_time(ev.time)
-        pid = ev.pid
-        if pid in self._terminated and self._terminated[pid][0] == ev.pid_name:
-            if ev.time - self._terminated[pid][1] < self.config.window_total_us:
-                self._terminated[pid] = (ev.pid_name, ev.time)
+        key = (ev.pid, ev.pid_name)
+        if key in self._terminated:
+            if ev.time - self._terminated[key] < self.config.window_total_us:
+                self._terminated[key] = ev.time
                 return
-            del self._terminated[pid]
-        state = self._windows.get(pid)
+            del self._terminated[key]
+        state = self._windows.get(key)
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
             op = ev.operation
@@ -334,19 +336,19 @@ class Engine:
             self.metrics.triggers += 1
             if state is None:  # the one place a window opens
                 self.metrics.windows_opened += 1
-                self.threat_by_pid.setdefault(pid, Level.LOW)
-                state = self._windows[pid] = _WindowState(trigger, ev.pid_name)
-                heappush(due, (trigger.time + self.config.slide_us, pid))
-        if state is not None and ev.time >= state.trigger.time and ev.pid_name == state.pid_name:
+                self.threat_by_pid.setdefault(ev.pid, Level.LOW)
+                state = self._windows[key] = _WindowState(trigger, ev.pid_name)
+                heappush(due, (trigger.time + self.config.slide_us, key))
+        if state is not None and ev.time >= state.trigger.time:
             state.events.append(ev)
 
     def advance_time(self, now: float) -> None:
         """The engine's one clock: decide every slide boundary at or before ``now``, earliest first."""
         due = self._due
         while due and due[0][0] <= now:
-            boundary, pid = heappop(due)
-            if not self._decide(self._windows[pid], boundary):
-                heappush(due, (boundary + self.config.slide_us, pid))
+            boundary, key = heappop(due)
+            if not self._decide(self._windows[key], boundary):
+                heappush(due, (boundary + self.config.slide_us, key))
 
     def finish(self) -> None:
         """End of stream: the clock runs out, so every open window is decided to its close."""

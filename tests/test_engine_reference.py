@@ -1,21 +1,23 @@
-"""The engine against a batch reference: the same decisions across pids, checked on generated traces.
+"""The engine against a batch reference: the same decisions across processes, checked on generated traces.
 
-The reference decides every open window at each of its slide boundaries as
-soon as the stream's time reaches it, whichever pid's event moves the time;
-at the end of the stream the time runs on until every window has closed. It
-scores each window from scratch at every boundary, so it also checks the
-engine's skip of a window that gained no event. It is the event-time
-contract, written for plainness rather than speed (QuickCheck-style
-differential testing, Claessen and Hughes, ICFP 2000).
+A process is a (pid, pid_name) pair. The reference decides every open window
+at each of its slide boundaries as soon as the stream's time reaches it,
+whichever process's event moves the time; at the end of the stream the time
+runs on until every window has closed. It scores each window from scratch at
+every boundary, so it also checks the engine's skip of a window that gained
+no event. It is the event-time contract, written for plainness rather than
+speed (QuickCheck-style differential testing, Claessen and Hughes, ICFP 2000).
 
 Metamorphic relations check the engine against itself on two related traces,
-with the note monitor on (Chen et al., ACM Computing Surveys 2018): a pid's
-alerts do not depend on other pids' events, and shifting every time shifts
-only the alerts' times.
+with the note monitor on (Chen et al., ACM Computing Surveys 2018): a
+process's alerts do not depend on other processes' events, shifting every
+time shifts only the alerts' times, renaming pids renames only the alerts'
+pids, and reordering different processes' events at one time changes nothing.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import replace
 
@@ -27,19 +29,20 @@ from ransomwatch.decoys import DecoyKind, DecoyRegistry, check_event
 from ransomwatch.events import Alert, FileEvent, Level, Operation, ProcessWindow, Response, ThreatLevel, window_events
 from ransomwatch.features import Mode
 from ransomwatch.simulator import (
-    BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, generate, mix,
+    BenignProfile, BenignSpec, Mix, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, generate, mix,
 )
 
 
 def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
     """Alerts and threat levels of a trace replayed in event time, with decoy triggers only."""
     stream = sorted(events, key=lambda ev: ev.time)
-    alerts, threat, terminated = [], {}, {}  # terminated: pid -> [its pid_name then, the time of its last event]
-    windows = {}  # pid -> [trigger, pid_name, index of the trigger event, next slide boundary]
+    alerts, threat, terminated = [], {}, {}  # terminated: (pid, pid_name) -> the time of its last event
+    windows = {}  # (pid, pid_name) -> [trigger, index of the trigger event, next slide boundary]
 
-    def decide(pid):
-        trigger, pid_name, start, boundary = windows[pid]
-        evs = tuple(ev for ev in stream[start:] if ev.pid == pid and ev.pid_name == pid_name and ev.time < boundary)
+    def decide(process):
+        pid, pid_name = process
+        trigger, start, boundary = windows[process]
+        evs = tuple(ev for ev in stream[start:] if (ev.pid, ev.pid_name) == process and ev.time < boundary)
         row = pipeline.featurize(ProcessWindow(pid, pid_name, trigger.time, boundary, evs),
                                  forest.dims, forest.hash_seed)
         prob = forest.predict_row(row)
@@ -47,7 +50,7 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
         if prob >= config.decision_threshold:
             threat[pid] = Level.HIGH
             if pid:  # pid 0 is never terminated
-                terminated[pid] = [pid_name, evs[-1].time]
+                terminated[process] = evs[-1].time
             digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
             alerts.append(Alert(boundary, pid, pid_name, ThreatLevel(Level.HIGH, trigger.kind, prob),
                                 evidence + (f"classifier_p={prob:.4f}", f"feature_digest={digest}"),
@@ -57,30 +60,31 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
             alerts.append(Alert(boundary, pid, pid_name,
                                 ThreatLevel(Level.LOW, trigger.kind, score), evidence, Response.TRACK_ONLY))
         else:
-            windows[pid][3] += config.slide_us
+            windows[process][2] += config.slide_us
             return
-        del windows[pid]
+        del windows[process]
 
     def advance(now):
         while windows:
-            boundary, pid = min((window[3], pid) for pid, window in windows.items())
+            boundary, process = min((window[2], process) for process, window in windows.items())
             if boundary > now:
                 return
-            decide(pid)
+            decide(process)
 
     for i, ev in enumerate(stream):
         advance(ev.time)
-        if ev.pid in terminated and terminated[ev.pid][0] == ev.pid_name:
+        process = (ev.pid, ev.pid_name)
+        if process in terminated:
             # an event window_total_us or more after the last one is a new process under the same name
-            if ev.time - terminated[ev.pid][1] < config.window_total_us:
-                terminated[ev.pid][1] = ev.time
+            if ev.time - terminated[process] < config.window_total_us:
+                terminated[process] = ev.time
                 continue
-            del terminated[ev.pid]
-        if ev.pid in windows:
+            del terminated[process]
+        if process in windows:
             continue
         trigger = check_event(ev, decoys)
         if trigger is not None:
-            windows[ev.pid] = [trigger, ev.pid_name, i, trigger.time + config.slide_us]
+            windows[process] = [trigger, i, trigger.time + config.slide_us]
             threat.setdefault(ev.pid, Level.LOW)
     advance(math.inf)
     return alerts, threat
@@ -111,10 +115,13 @@ def _mixes(draw, max_scenarios=6):
 
     A scenario gets its own root, or by a drawn flag reuses an earlier one's
     root and seed, so that the two share their tree, their decoy and, for
-    two attacks, their note paths.
+    two attacks, their note paths. By another drawn flag it reuses an
+    earlier one's pid; its events keep their own pid_name, so under the same
+    name the two are one process. The truth keeps the pids ``mix`` gave.
     """
-    specs = []
+    specs, pids = [], []
     for i in range(draw(st.integers(min_value=2, max_value=max_scenarios))):
+        pids.append(draw(st.sampled_from(pids)) if pids and draw(st.booleans()) else i + 1)
         if specs and draw(st.booleans()):
             tree, seed = draw(st.sampled_from([(spec.tree, spec.seed) for spec in specs]))
         else:
@@ -128,7 +135,8 @@ def _mixes(draw, max_scenarios=6):
         start_us = draw(st.integers(min_value=0, max_value=6_000_000))
         specs.append(ScenarioSpec(kind=kind, seed=seed, tree=tree, decoy_paths=(first_dir_decoy(tree, seed),),
                                   start_us=start_us))
-    return mix(specs, pids=range(1, len(specs) + 1))
+    m = mix(specs, pids=range(1, len(specs) + 1))  # mix refuses a pid twice, so reuse is relabelled after it
+    return replace(m, events=tuple(replace(ev, pid=pids[ev.pid - 1]) for ev in m.events))
 
 
 @st.composite
@@ -169,7 +177,7 @@ def test_engine_decides_as_the_reference_on_the_mode_mix(trained_forest, mode_mi
 
 
 def _two_attack_trace(names, gap_us, pid, write_every_us=None):
-    """Events and decoy registry of an M3 attack under ``pid`` and each name in turn, gap_us apart.
+    """A mix of an M3 attack under ``pid`` and each name in turn, gap_us apart, without notes or truth.
 
     With write_every_us, the first attack goes on writing one file that often until the second starts.
     Built by hand, because ``mix`` gives each scenario a pid of its own.
@@ -186,12 +194,13 @@ def _two_attack_trace(names, gap_us, pid, write_every_us=None):
             events.extend(FileEvent(t, pid, names[0], Operation.WRITE, "C:/Users/u0/log.txt", "txt")
                           for t in range(last + write_every_us, gap_us * i, write_every_us))
         events.extend(replace(ev, pid=pid, pid_name=name) for ev in result.events)
-    return events, registry
+    return Mix(tuple(sorted(events, key=lambda ev: ev.time)), registry, {}, {})
 
 
 def _two_attacks_under_one_pid(forest, names, gap_us=12_000_000, pid=7, write_every_us=None):
     """The High alerts' (pid, pid_name) and the trigger count of ``_two_attack_trace``, replayed as the reference does."""
-    engine = _assert_engine_matches_reference(*_two_attack_trace(names, gap_us, pid, write_every_us), forest)
+    m = _two_attack_trace(names, gap_us, pid, write_every_us)
+    engine = _assert_engine_matches_reference(m.events, m.registry, forest)
     return [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH], engine.metrics.triggers
 
 
@@ -230,15 +239,18 @@ def test_a_terminated_pid_that_keeps_writing_stays_skipped(trained_forest):
 
 
 def test_window_events_rebuilds_a_high_row_under_a_reused_pid(trained_forest):
-    # the second image writes inside the first one's window; the engine's row holds only the first image's events
-    events, registry = _two_attack_trace(("first.exe", "second.exe"), 500_000, 7)
-    engine = _assert_engine_matches_reference(events, registry, trained_forest)
+    # the second image starts inside the first one's window: it opens its own,
+    # and the first one's row holds only the first image's events
+    m = _two_attack_trace(("first.exe", "second.exe"), 500_000, 7)
+    engine = _assert_engine_matches_reference(m.events, m.registry, trained_forest)
+    highs = [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH]
+    assert highs == [(7, "first.exe"), (7, "second.exe")]
+    assert engine.metrics.triggers == engine.metrics.windows_opened == 2
     (alert,) = [a for a in engine.alerts if a.pid_name == "first.exe"]
-    assert alert.threat.level is Level.HIGH
     fields = dict(e.split("=", 1) for e in alert.evidence[1:])  # after the trigger detail
     trigger_time = int(fields["trigger_time_us"])
-    window = window_events(sorted(events, key=lambda ev: ev.time), 7, trigger_time, alert.created_at - trigger_time)
-    assert {ev.pid_name for ev in events if trigger_time <= ev.time < alert.created_at} == {"first.exe", "second.exe"}
+    window = window_events(m.events, 7, trigger_time, alert.created_at - trigger_time)
+    assert {ev.pid_name for ev in m.events if trigger_time <= ev.time < alert.created_at} == {"first.exe", "second.exe"}
     row = pipeline.featurize(window, trained_forest.dims, trained_forest.hash_seed)
     assert hashlib.sha256(row.tobytes()).hexdigest()[:12] == fields["feature_digest"]
 
@@ -254,12 +266,13 @@ _REINFECTION = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_sec
 @settings(max_examples=25, deadline=None)
 @given(_mixes(max_scenarios=4))
 @example(_REINFECTION)
-def test_a_pids_alerts_depend_on_its_own_events_alone(trained_forest, gene_pool, m):
+@example(_two_attack_trace(("first.exe", "second.exe"), 500_000, 7))
+def test_a_process_alerts_depend_on_its_own_events_alone(trained_forest, gene_pool, m):
     alerts = _engine_replay(m.events, m.registry, trained_forest, pool=gene_pool, notes=m.notes).alerts
-    for pid in m.truth:
-        events = [ev for ev in m.events if ev.pid == pid]
+    for process in dict.fromkeys((ev.pid, ev.pid_name) for ev in m.events):
+        events = [ev for ev in m.events if (ev.pid, ev.pid_name) == process]
         alone = _engine_replay(events, m.registry, trained_forest, pool=gene_pool, notes=m.notes).alerts
-        assert [a.to_json_line() for a in alone] == [a.to_json_line() for a in alerts if a.pid == pid]
+        assert [a.to_json_line() for a in alone] == [a.to_json_line() for a in alerts if (a.pid, a.pid_name) == process]
 
 
 @settings(max_examples=25, deadline=None)
@@ -276,3 +289,41 @@ def test_shifting_every_time_shifts_only_the_alert_times(trained_forest, gene_po
 
     assert shifted.alerts == [moved(alert) for alert in engine.alerts]
     assert shifted.threat_by_pid == engine.threat_by_pid
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mixes(max_scenarios=4), st.lists(st.integers(1, 2 ** 31), min_size=4, max_size=4, unique=True))
+def test_renaming_pids_renames_only_the_alerts_pids(trained_forest, gene_pool, m, new_pids):
+    rename = dict(zip(range(1, 5), new_pids))  # pid 0, which is never terminated, is left out
+    engine = _engine_replay(m.events, m.registry, trained_forest, pool=gene_pool, notes=m.notes)
+    events = [replace(ev, pid=rename[ev.pid]) for ev in m.events]
+    renamed = _engine_replay(events, m.registry, trained_forest, pool=gene_pool, notes=m.notes)
+
+    def by_date(alerts):  # windows decided at one slide boundary are decided in pid order
+        return sorted(alerts, key=lambda alert: (alert.created_at, alert.to_json_line()))
+
+    assert by_date(renamed.alerts) == by_date([replace(alert, pid=rename[alert.pid]) for alert in engine.alerts])
+    assert renamed.threat_by_pid == {rename[pid]: level for pid, level in engine.threat_by_pid.items()}
+
+
+def _shuffle_ties(events, rnd):
+    """``events`` with the events of different processes at one time in an order ``rnd`` draws; each process's own
+    events keep theirs."""
+    shuffled = []
+    for _, tied in itertools.groupby(events, key=lambda ev: ev.time):
+        tied = list(tied)
+        slots = [(ev.pid, ev.pid_name) for ev in tied]
+        rnd.shuffle(slots)
+        own = {process: iter([ev for ev in tied if (ev.pid, ev.pid_name) == process]) for process in set(slots)}
+        shuffled.extend(next(own[process]) for process in slots)
+    return shuffled
+
+
+@settings(max_examples=25, deadline=None)
+@given(_mixes(max_scenarios=4), st.sampled_from((1, 1_000, 100_000)), st.randoms(use_true_random=False))
+def test_reordering_processes_events_at_one_time_changes_no_alert(trained_forest, gene_pool, m, tick, rnd):
+    events = [replace(ev, time=ev.time - ev.time % tick) for ev in m.events]  # a coarser clock, for more ties
+    engine = _engine_replay(events, m.registry, trained_forest, pool=gene_pool, notes=m.notes)
+    shuffled = _engine_replay(_shuffle_ties(events, rnd), m.registry, trained_forest, pool=gene_pool, notes=m.notes)
+    assert shuffled.alerts == engine.alerts
+    assert shuffled.threat_by_pid == engine.threat_by_pid

@@ -287,8 +287,8 @@ def test_fit_margins_are_base_plus_eta_times_the_leaves_predict_row_reaches(data
     margins = [np.full(m, forest.base_score)]
     for tree in forest.trees:
         margins.append(margins[-1] + eta * tree[1][_leaf_slots(tree, X)])
-    # each margin but the first and last is scored twice: for the loss, then the next gradients
-    assert scored == [margins[(i + 1) // 2].tolist() for i in range(2 * n_trees)]
+    # each margin but the last is scored once, for the next tree's gradients
+    assert scored == [margin.tolist() for margin in margins[:-1]]
 
 
 def test_fit_separable_data_perfect_training_accuracy():
@@ -363,8 +363,13 @@ def test_fit_rejects_a_hash_seed_that_a_model_file_cannot_hold(hash_seed):
 
 
 def test_training_loss_monotone(train_corpus):
-    forest = fit(train_corpus.X, train_corpus.y, BoostParams(n_trees=40))
-    losses = forest.training_loss
+    # each tree boosts the log-loss of the forest cut before it down on the training rows
+    X, y = train_corpus.X, train_corpus.y
+    forest = fit(X, y, BoostParams(n_trees=40))
+    losses = []
+    for k in range(1, len(forest.trees) + 1):
+        prob = np.clip(replace(forest, trees=forest.trees[:k]).predict(X), 1e-12, 1.0 - 1e-12)
+        losses.append(float(-(y * np.log(prob) + (1.0 - y) * np.log(1.0 - prob)).mean()))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

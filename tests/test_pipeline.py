@@ -208,7 +208,7 @@ def test_a_reused_pid_stays_out_of_the_open_window_of_its_old_image(trained_fore
     first = FileEvent(0, 7, "a.exe", Operation.WRITE, decoy, "docx")
     engine.process(first)
     engine.process(FileEvent(500_000, 7, "b.exe", Operation.WRITE, "C:/Users/alice/Documents/a.txt", "txt"))
-    assert engine._windows[7].events == [first]
+    assert engine._windows[(7, "a.exe")].events == [first]
     engine.finish()
     assert [alert.pid_name for alert in engine.alerts] == ["a.exe"]
     assert engine.metrics.windows_opened == 1
@@ -417,64 +417,14 @@ def test_window_reopens_after_trackonly_close(tmp_path, trained_forest, gene_poo
     assert result.threat_by_pid[last.pid] is Level.LOW  # never decreased
 
 
-def test_run_live_detects_scripted_encryptor(tmp_path, trained_forest, gene_pool, monkeypatch):
-    # The encryptor starts only once the watcher holds its first snapshot: a
-    # write that lands before that snapshot is never seen as a change.
-    snapshot_taken = threading.Event()
-
-    class SignallingWatcher(DirectoryWatcher):
-        def _scan(self):
-            snap = super()._scan()
-            snapshot_taken.set()
-            return snap
-
-    monkeypatch.setattr(pipeline, "DirectoryWatcher", SignallingWatcher)
-    workdir = tmp_path / "user_docs"
-    workdir.mkdir()
-    for i in range(40):
-        (workdir / f"report_{i:03d}.docx").write_bytes(b"content" * 30)
-    registry = DecoyRegistry()
-    decoy_paths = deploy(DecoySpec(str(workdir), count=2), registry, seed=4)
-
-    alerts = []
-    got_high = threading.Event()
-
-    def on_alert(alert):
-        alerts.append((time.monotonic(), alert))
-        if alert.threat.level is Level.HIGH:
-            got_high.set()
-
-    runner = threading.Thread(
-        target=run_live,
-        args=([str(workdir)], registry, gene_pool, trained_forest),
-        kwargs=dict(duration_s=8.0, on_alert=on_alert, poll_interval=0.02),
-        daemon=True,
-    )
-    runner.start()
-    assert snapshot_taken.wait(timeout=6.0), "the live watcher never scanned"
-
-    touch_time = time.monotonic()
-    with open(decoy_paths[0], "ab") as fp:  # the tripwire
-        fp.write(b"ENCRYPTED!")
-    for path in sorted(workdir.iterdir()):
-        if path.suffix == ".docx":
-            path.with_name(path.name + ".locked").write_bytes(b"garbage")
-            path.unlink()
-    note = workdir / "HOW_TO_RECOVER_FILES.txt"
-    note.write_text(make_note_corpus(1, seed=31)[0], encoding="utf-8")
-
-    assert got_high.wait(timeout=6.0), "no High alert from live encryptor"
-    when, alert = next(x for x in alerts if x[1].threat.level is Level.HIGH)
-    assert when - touch_time <= 3.0
-    assert alert.response_taken is Response.TERMINATE_SIMULATED
-    runner.join(timeout=10)
-
-
 class _ScriptedClock:
-    """Stands in for the pipeline's time module: sleep advances the clock."""
+    """Stands in for the pipeline's time module: sleep advances the clock, then
+    runs each scripted (time in seconds, action) pair, given in time order,
+    whose time it has reached."""
 
-    def __init__(self):
+    def __init__(self, actions=()):
         self.now = 0.0
+        self._actions = list(actions)
 
     def perf_counter(self):
         return self.now
@@ -483,6 +433,37 @@ class _ScriptedClock:
 
     def sleep(self, seconds):
         self.now += seconds
+        while self._actions and self._actions[0][0] <= self.now:
+            self._actions.pop(0)[1]()
+
+
+def test_run_live_detects_scripted_encryptor(tmp_path, trained_forest, gene_pool, monkeypatch):
+    workdir = tmp_path / "user_docs"
+    workdir.mkdir()
+    for i in range(40):
+        (workdir / f"report_{i:03d}.docx").write_bytes(b"content" * 30)
+    registry = DecoyRegistry()
+    decoy_paths = deploy(DecoySpec(str(workdir), count=2), registry, seed=4)
+    touch_time = 0.5
+
+    def encrypt():  # after the watcher's first snapshot: a write before it is never seen as a change
+        with open(decoy_paths[0], "ab") as fp:  # the tripwire
+            fp.write(b"ENCRYPTED!")
+        for path in sorted(workdir.iterdir()):
+            if path.suffix == ".docx":
+                path.with_name(path.name + ".locked").write_bytes(b"garbage")
+                path.unlink()
+        note = workdir / "HOW_TO_RECOVER_FILES.txt"
+        note.write_text(make_note_corpus(1, seed=31)[0], encoding="utf-8")
+
+    clock = _ScriptedClock([(touch_time, encrypt)])
+    monkeypatch.setattr(pipeline, "time_mod", clock)
+    alerts = []
+    run_live([str(workdir)], registry, gene_pool, trained_forest, duration_s=5.0,
+             on_alert=lambda alert: alerts.append((clock.now, alert)), poll_interval=0.02)
+    when, alert = next(x for x in alerts if x[1].threat.level is Level.HIGH)
+    assert when - touch_time <= 3.0
+    assert alert.response_taken is Response.TERMINATE_SIMULATED
 
 
 def test_run_live_keeps_detecting_after_a_high(tmp_path, trained_forest, monkeypatch):
@@ -585,7 +566,7 @@ def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, tra
     assert [(a.pid, a.threat.level, a.created_at) for a in result.alerts] == [(1, Level.LOW, 3_000_000)]
 
 
-def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool):
+def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_pool, monkeypatch):
     workdir = tmp_path / "user_docs"
     hidden = tmp_path / "app_config"
     workdir.mkdir()
@@ -597,24 +578,20 @@ def test_run_live_watches_decoys_outside_dirs(tmp_path, trained_forest, gene_poo
         with open(decoy, "ab") as fp:
             fp.write(b"ENCRYPTED!")
 
-    timer = threading.Timer(0.3, tamper)
-    timer.start()
-    try:
-        result = run_live([str(workdir)], registry, gene_pool, trained_forest,
-                          duration_s=1.5, poll_interval=0.02)
-    finally:
-        timer.join(timeout=5.0)
+    monkeypatch.setattr(pipeline, "time_mod", _ScriptedClock([(0.3, tamper)]))
+    result = run_live([str(workdir)], registry, gene_pool, trained_forest, duration_s=1.5, poll_interval=0.02)
     decoy_alerts = [a for a in result.alerts if a.threat.source is TriggerKind.DECOY_TOUCH]
     assert decoy_alerts, "write to a decoy outside --dirs raised no alert"
     assert decoy_alerts[0].evidence[0] == f"decoy write {decoy}"
 
 
-def test_run_live_idle_quiet(tmp_path, trained_forest, gene_pool):
+def test_run_live_idle_quiet(tmp_path, trained_forest, gene_pool, monkeypatch):
     workdir = tmp_path / "quiet"
     workdir.mkdir()
     (workdir / "untouched.docx").write_text("still")
     registry = DecoyRegistry()
     deploy(DecoySpec(str(workdir), count=1), registry, seed=5)
+    monkeypatch.setattr(pipeline, "time_mod", _ScriptedClock())
     cpu_before = time.process_time()
     result = run_live([str(workdir)], registry, gene_pool, trained_forest,
                       duration_s=2.0, poll_interval=0.05)
@@ -768,7 +745,7 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
         # the engine scores the window it keeps, so its events are checked here
         trigger = window.trigger
         key = (trigger.pid, trigger.time)
-        assert window is engine._windows[trigger.pid] and fold is window.fold
+        assert window is engine._windows[(trigger.pid, window.pid_name)] and fold is window.fold
         events = tuple(window.events)
         assert all(ev.pid == trigger.pid and trigger.time <= ev.time < boundaries[-1] for ev in events)
         assert fold.n == folded_by_window.get(key, 0)  # folded at the window's earlier slides
@@ -789,7 +766,7 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
         engine.process(ev)
         if engine.metrics.windows_opened > opened:
             # a line out of time order, from before the trigger, stays out of the open window
-            state = engine._windows[ev.pid]
+            state = engine._windows[(ev.pid, ev.pid_name)]
             engine.process(replace(ev, time=state.trigger.time - 1, operation=Operation.WRITE,
                                    file_name="C:/stale/a.bin", file_type="bin", old_file_name=None))
             assert len(state.events) == 1
