@@ -37,8 +37,6 @@ from .notes import (
     build_pool,
     ngrams,
     similarity,
-    sweep_threshold,
-    sweep_window,
     tokenize,
 )
 from .features import Mode, build_graph, encode, extract_features

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
+from .events import FileEvent, Operation, ProcessWindow, basename_of, extension_of
 
 FEATURE_NAMES = (
     "n_create",
@@ -126,23 +126,9 @@ def _directory_depth(directory: str) -> int:
     return min(depth, MAX_DEPTH_BUCKET)
 
 
-def path_depth_bucket(file_name: str) -> int:
-    """Directory depth of a path, clamped to MAX_DEPTH_BUCKET."""
-    return _directory_depth(dirname_of(file_name))
-
-
 _EXT_LABELS = {ext: f"ext:{ext}" for ext in EXTENSION_VOCABULARY}
 _DEPTH_LABELS = tuple(f"depth:{depth}" for depth in range(MAX_DEPTH_BUCKET + 1))
 _NAME_LABELS = {name: f"name:{name}" for name in ("note", "hash", "word", "other")}
-
-
-def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
-    """The (extension, depth, name-pattern) parameter labels of one event."""
-    return (
-        _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL),
-        _DEPTH_LABELS[path_depth_bucket(file_name)],
-        _NAME_LABELS[name_pattern_class(file_name)],
-    )
 
 
 # Unpacked into locals by WindowFold.add: a class attribute read such as
@@ -191,7 +177,7 @@ class WindowFold:
             depth = depth_by_dir.get(directory)
             if depth is None:
                 depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
-            # event_params, keyed with ev.operation.value without the enum property
+            # op and its three labels; op._value_ is ev.operation.value without the enum property
             key = (op._value_, _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL), depth, _NAME_LABELS[_base_class(name)])
             pairs[key] = pairs.get(key, 0) + 1
 

@@ -42,27 +42,6 @@ class CorruptModel(ValueError):
     """Model file failed magic, version, checksum, embedding-width or node-table validation."""
 
 
-def split_sse_direct(values: np.ndarray, response: np.ndarray, threshold: float) -> float:
-    """Squared error of a split evaluated literally: both sides' deviation sums."""
-    mask = values <= threshold
-    left, right = response[mask], response[~mask]
-    if len(left) == 0 or len(right) == 0:
-        return math.inf
-    return float(((left - left.mean()) ** 2).sum() + ((right - right.mean()) ** 2).sum())
-
-
-def split_sse_decomposed(values: np.ndarray, response: np.ndarray, threshold: float) -> float:
-    """The same objective via sum(y^2) - (sum_L y)^2/m_L - (sum_R y)^2/m_R."""
-    mask = values <= threshold
-    m_left = int(mask.sum())
-    m_right = len(values) - m_left
-    if m_left == 0 or m_right == 0:
-        return math.inf
-    s_left = float(response[mask].sum())
-    s_right = float(response.sum()) - s_left
-    return float((response**2).sum()) - s_left * s_left / m_left - s_right * s_right / m_right
-
-
 @dataclass(frozen=True, slots=True)
 class BestSplit:
     feature: int

@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .jsontypes import POOL, POOL_FRAGMENT, columns
 
@@ -25,10 +25,6 @@ Fragment = tuple[str, ...]
 
 class EmptyCorpus(ValueError):
     """No note contributed a single fragment."""
-
-
-class DegenerateLabels(ValueError):
-    """A sweep needs both classes present."""
 
 
 # The category-P characters among the 128 ASCII code points (23 of them);
@@ -252,76 +248,3 @@ def similarity(doc: tuple[str, ...], pool: GenePool, tau: float = DEFAULT_TAU_SI
     matched = tuple((frag, score) for frag, score in fragments.items() if frag in hits) if hits else ()
     score = sum(s for _, s in matched)
     return SimilarityVerdict(score, matched, score >= tau)
-
-
-def match_count(doc: tuple[str, ...], pool: GenePool) -> int:
-    """Number of distinct pool fragments present in the document."""
-    return len(pool.fragments.keys() & _fragments(doc, pool.n))
-
-
-@dataclass(frozen=True, slots=True)
-class ThresholdPoint:
-    tau: float
-    precision: float
-    recall: float
-    fpr: float
-
-
-def sweep_threshold(
-    pool: GenePool,
-    labeled_docs: Sequence[tuple[tuple[str, ...], bool]],
-    taus: Iterable[float],
-) -> list[ThresholdPoint]:
-    """Classification metrics per candidate threshold.
-
-    Scores are computed once; each tau reclassifies. Precision is reported
-    as 1.0 when nothing is flagged. Raises DegenerateLabels unless both
-    classes are present.
-    """
-    positives = sum(1 for _, is_note in labeled_docs if is_note)
-    negatives = len(labeled_docs) - positives
-    if positives == 0 or negatives == 0:
-        raise DegenerateLabels("labeled docs must contain both classes")
-    scored = [(similarity(doc, pool, tau=0.0).score, is_note) for doc, is_note in labeled_docs]
-    points = []
-    for tau in taus:
-        tp = sum(1 for s, is_note in scored if is_note and s >= tau)
-        fp = sum(1 for s, is_note in scored if not is_note and s >= tau)
-        precision = tp / (tp + fp) if (tp + fp) > 0 else 1.0
-        points.append(ThresholdPoint(tau, precision, tp / positives, fp / negatives))
-    return points
-
-
-@dataclass(frozen=True, slots=True)
-class WindowPoint:
-    n: int
-    threshold: int
-    recall: float
-
-
-def sweep_window(
-    notes: Sequence[tuple[str, ...]],
-    benign_docs: Sequence[tuple[str, ...]],
-    n_values: Iterable[int] = range(1, 7),
-    top_k: Optional[int] = DEFAULT_POOL_CAPACITY,
-) -> list[WindowPoint]:
-    """Window-size sensitivity: per n, the zero-false-positive count threshold.
-
-    For each n a pool is built from the notes; a document is flagged when its
-    distinct matched-fragment count exceeds the threshold, and the threshold
-    is the smallest value producing zero flags on the benign corpus (i.e. the
-    maximum benign match count). Recall is then measured on the notes.
-    """
-    if not notes or not benign_docs:
-        raise DegenerateLabels("both corpora must be non-empty")
-    points = []
-    for n in n_values:
-        try:
-            pool = build_pool(notes, n=n, top_k=top_k)
-        except EmptyCorpus:
-            points.append(WindowPoint(n, 0, 0.0))
-            continue
-        threshold = max(match_count(doc, pool) for doc in benign_docs)
-        hits = sum(1 for note in notes if match_count(note, pool) > threshold)
-        points.append(WindowPoint(n, threshold, hits / len(notes)))
-    return points

@@ -185,11 +185,6 @@ def make_note_corpus(count: int, seed: int) -> list[str]:
     return [make_note_text(rng) for _ in range(count)]
 
 
-def make_benign_doc_corpus(count: int, seed: int) -> list[str]:
-    rng = random.Random(seed)
-    return [make_benign_text(rng) for _ in range(count)]
-
-
 # --------------------------------------------------------------------------
 # Directory tree layout
 # --------------------------------------------------------------------------

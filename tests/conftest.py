@@ -1,6 +1,8 @@
 """Shared fixtures: synthetic corpora and a trained classifier."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from ransomwatch.features import Mode
@@ -8,7 +10,7 @@ from ransomwatch.gbdt import BoostParams, fit
 from ransomwatch.notes import tokenize
 from ransomwatch.simulator import (
     BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, build_corpus, first_dir_decoy,
-    make_benign_doc_corpus, make_note_corpus, mix,
+    make_benign_text, make_note_corpus, mix,
 )
 
 TRAIN_SEED = 11
@@ -19,7 +21,8 @@ HELDOUT_SEED = 99
 def note_corpus():
     """158 synthetic ransom notes and 110 benign docs, tokenized."""
     notes = [tokenize(t) for t in make_note_corpus(158, seed=21)]
-    benign = [tokenize(t) for t in make_benign_doc_corpus(110, seed=22)]
+    rng = random.Random(22)
+    benign = [tokenize(make_benign_text(rng)) for _ in range(110)]
     return notes, benign
 
 

@@ -16,8 +16,8 @@ import pytest
 from ransomwatch.decoys import DecoyKind, DecoyRegistry
 from ransomwatch.events import FileEvent, Level, Operation, serialize_events, window_events
 from ransomwatch.features import Mode, extract_features
-from ransomwatch.gbdt import BoostParams, fit, grow_tree, split_sse_decomposed, split_sse_direct
-from ransomwatch.notes import build_pool, ngrams, similarity, sweep_threshold, sweep_window, tokenize
+from ransomwatch.gbdt import BoostParams, fit, grow_tree
+from ransomwatch.notes import build_pool, ngrams, similarity, tokenize
 from ransomwatch.pipeline import MappingContentProvider, featurize, run_replay
 from ransomwatch.simulator import (
     BenignProfile,
@@ -33,6 +33,7 @@ from ransomwatch.simulator import (
     tree_layout,
 )
 
+from oracles import split_sse_decomposed, split_sse_direct
 from test_features import _oracle_features, _random_events, _window
 
 US = 1_000_000
@@ -179,19 +180,29 @@ def test_criterion_4_sensitivity_shape(note_corpus):
     notes, benign = note_corpus
     assert len(notes) >= 150 and len(benign) >= 100
 
-    window_points = {p.n: p for p in sweep_window(notes, benign, n_values=(1, 2, 3))}
-    assert window_points[3].recall > window_points[1].recall
+    # window size: per n, a document is flagged when it matches more distinct
+    # fragments than any benign document does; recall is measured on the notes
+    recall = {}
+    for n in (1, 3):
+        pool = build_pool(notes, n=n, top_k=300)
+        matches = [len(similarity(doc, pool, tau=0.0).matched) for doc in notes + benign]
+        threshold = max(matches[len(notes):])
+        recall[n] = sum(count > threshold for count in matches[: len(notes)]) / len(notes)
+    assert recall[3] > recall[1]
 
+    # score threshold: the first tau that flags no benign document and at least 80 % of held-out notes
     pool = build_pool(notes[:100], n=3, top_k=300)
-    labeled = [(d, True) for d in notes[100:]] + [(d, False) for d in benign]
-    points = sweep_threshold(pool, labeled, [i / 100 for i in range(0, 101)])
-    good = [p for p in points if p.fpr == 0.0 and p.recall >= 0.80]
+    note_scores = [similarity(doc, pool, tau=0.0).score for doc in notes[100:]]
+    benign_top = max(similarity(doc, pool, tau=0.0).score for doc in benign)
+    recall_at = {tau: sum(s >= tau for s in note_scores) / len(note_scores)
+                 for tau in (i / 100 for i in range(0, 101)) if tau > benign_top}
+    good = [tau for tau, tau_recall in recall_at.items() if tau_recall >= 0.80]
     assert good, "no threshold with zero FPs and recall >= 0.80"
 
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    _report(4, f"recall(n=3)={window_points[3].recall:.2f} > recall(n=1)={window_points[1].recall:.2f}; "
-               f"tau={good[0].tau:.2f} gives 0 FPs at recall {good[0].recall:.2f} >= 0.80; {elapsed:.1f}s < 60s")
+    _report(4, f"recall(n=3)={recall[3]:.2f} > recall(n=1)={recall[1]:.2f}; "
+               f"tau={good[0]:.2f} gives 0 FPs at recall {recall_at[good[0]]:.2f} >= 0.80; {elapsed:.1f}s < 60s")
 
 
 # -- 5. end-to-end desk-scale detection ----------------------------------------

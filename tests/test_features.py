@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from ransomwatch import pipeline
 from ransomwatch.events import FileEvent, Operation, ProcessWindow, basename_of, dirname_of, extension_of
-from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, event_params, extract_features
+from ransomwatch.features import FEATURE_NAMES, Mode, WindowFold, build_graph, extract_features
 from ransomwatch.simulator import (
     BenignProfile, BenignSpec, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, mix,
 )
+
+from oracles import event_params
 
 
 def _ev(op, path, time=0, pid=4, old=None):

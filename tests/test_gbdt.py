@@ -26,10 +26,10 @@ from ransomwatch.gbdt import (
     best_split,
     fit,
     grow_tree,
-    split_sse_decomposed,
-    split_sse_direct,
 )
 from ransomwatch.features import BadDim
+
+from oracles import split_sse_decomposed, split_sse_direct
 
 
 def test_best_split_simple():
@@ -77,6 +77,15 @@ def test_direct_and_decomposed_objectives_agree():
             direct = split_sse_direct(values, response, threshold)
             fast = split_sse_decomposed(values, response, threshold)
             assert math.isclose(direct, fast, rel_tol=0, abs_tol=1e-9)
+
+
+def test_both_objectives_refuse_a_split_with_an_empty_side():
+    values = np.array([1.0, 2.0, 3.0])
+    response = np.array([0.0, 1.0, 1.0])
+    for threshold in (0.5, 3.0, 9.0):  # every row on one side
+        assert split_sse_direct(values, response, threshold) == math.inf
+        assert split_sse_decomposed(values, response, threshold) == math.inf
+    assert split_sse_direct(values, response, 1.5) == split_sse_decomposed(values, response, 1.5) == 0.0
 
 
 def test_best_split_respects_min_leaf():

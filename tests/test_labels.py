@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import hashlib
 import random
-import re
 import string
 
-from ransomwatch.events import basename_of, dirname_of, extension_of
+from ransomwatch.events import FileEvent, Operation, extension_of
 from ransomwatch import features
-from ransomwatch.features import MAX_DEPTH_BUCKET, event_params, name_pattern_class, path_depth_bucket
+from ransomwatch.features import WindowFold, name_pattern_class
 from ransomwatch.simulator import (
     BenignProfile,
     BenignSpec,
@@ -23,40 +22,15 @@ from ransomwatch.simulator import (
     generate,
 )
 
-# The labels' first formulation: an IGNORECASE note search and a regex split.
-_REF_NOTE_RE = re.compile(
-    r"how[\s_-]*to|read[\s_-]*me|readme|decrypt|encrypt|recover|restore|unlock"
-    r"|ransom|instruction|important|attention|warning|help",
-    re.IGNORECASE,
-)
-_REF_WORDS_RE = re.compile(r"[a-z]+(?:[ _\-][a-z]+)*")
-_REF_HEX_RE = re.compile(r"[0-9a-f]{8,}")
+from oracles import event_params, ref_name_pattern_class
 
 
-def _ref_name_pattern_class(file_name: str) -> str:
-    stem = basename_of(file_name)
-    dot = stem.rfind(".")
-    if dot > 0:
-        stem = stem[:dot]
-    low = stem.lower()
-    if _REF_NOTE_RE.search(low):
-        return "note"
-    if _REF_HEX_RE.fullmatch(low):
-        return "hash"
-    compact = low.replace("-", "").replace("_", "")
-    if len(compact) >= 10 and compact.isalnum() and sum(c.isdigit() for c in compact) >= 3:
-        return "hash"
-    if _REF_WORDS_RE.fullmatch(low):
-        return "word"
-    return "other"
-
-
-def _ref_path_depth_bucket(file_name: str) -> int:
-    directory = dirname_of(file_name)
-    if not directory:
-        return 0
-    parts = [p for p in re.split(r"[/\\]+", directory) if p and not p.endswith(":")]
-    return min(len(parts), MAX_DEPTH_BUCKET)
+def fold_labels(file_name: str, file_type: str) -> tuple[str, str, str]:
+    """The (extension, depth, name-pattern) labels that a fold of one event on the path writes."""
+    fold = WindowFold()
+    fold.add([FileEvent(0, 4, "p.exe", Operation.WRITE, file_name, file_type)])
+    ((_op, *labels),) = fold.pairs
+    return tuple(labels)
 
 
 def _label_corpus() -> list[tuple[str, str]]:
@@ -158,10 +132,9 @@ def test_labels_equal_reference_formulation():
     names = [name for name, _ in _label_corpus()] + ADVERSARIAL_NAMES + _random_names(3000, seed=8)
     classes = set()
     for name in names:
-        pattern, depth = _ref_name_pattern_class(name), _ref_path_depth_bucket(name)
+        pattern = ref_name_pattern_class(name)
         assert name_pattern_class(name) == pattern, name
-        assert path_depth_bucket(name) == depth, name
-        assert event_params(name, extension_of(name))[1:] == (f"depth:{depth}", f"name:{pattern}"), name
+        assert fold_labels(name, extension_of(name)) == event_params(name, extension_of(name)), name
         classes.add(pattern)
     assert classes == {"note", "hash", "word", "other"}
     assert name_pattern_class("C:/u/ran\u017fom.html") == "note"
@@ -180,7 +153,8 @@ def test_label_triples_match_golden_digest():
     pairs = _label_corpus()
     corpus = hashlib.sha256("".join(f"{n}\t{t}\n" for n, t in pairs).encode("utf-8")).hexdigest()
     assert (len(pairs), corpus) == (CORPUS_SIZE, CORPUS_DIGEST), "the simulator's paths changed, not the labels"
-    labels = "".join("\t".join(event_params(n, t)) + "\n" for n, t in pairs)
+    labels = "".join("\t".join(fold_labels(n, t)) + "\n" for n, t in pairs)
+    assert labels == "".join("\t".join(event_params(n, t)) + "\n" for n, t in pairs)
     assert hashlib.sha256(labels.encode("utf-8")).hexdigest() == LABELS_DIGEST, (
         "graph labels changed: every saved model reads different rows"
     )
@@ -197,17 +171,17 @@ def test_classes_do_not_tell_ascii_digits_apart():
     for name in _memo_names():
         if not any(c in string.digits for c in name):
             continue
-        expected = _ref_name_pattern_class(name)
+        expected = ref_name_pattern_class(name)
         for _ in range(4):
             other = "".join(rng.choice(string.digits) if c in string.digits else c for c in name)
-            assert _ref_name_pattern_class(other) == expected, (name, other)
+            assert ref_name_pattern_class(other) == expected, (name, other)
         checked += 1
     assert checked > 1000
 
 
 def test_memoized_classes_equal_reference_cold_and_warm():
     names = _memo_names()
-    expected = [_ref_name_pattern_class(name) for name in names]
+    expected = [ref_name_pattern_class(name) for name in names]
     features._CLASS_BY_FOLDED_STEM.clear()
     assert [name_pattern_class(name) for name in names] == expected
     assert [name_pattern_class(name) for name in reversed(names)] == expected[::-1]
@@ -220,6 +194,6 @@ def test_class_memo_is_bounded():
     features._CLASS_BY_FOLDED_STEM.clear()
     largest = 0
     for stem in stems:
-        assert name_pattern_class(f"C:/u/{stem}.bin") == _ref_name_pattern_class(f"C:/u/{stem}.bin")
+        assert name_pattern_class(f"C:/u/{stem}.bin") == ref_name_pattern_class(f"C:/u/{stem}.bin")
         largest = max(largest, len(features._CLASS_BY_FOLDED_STEM))
     assert largest == features._CLASS_MEMO_SIZE == 4096

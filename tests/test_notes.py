@@ -1,4 +1,4 @@
-"""Note analyzer: tokenization, n-grams, gene pool laws, similarity, sweeps."""
+"""Note analyzer: tokenization, n-grams, gene pool laws, similarity."""
 from __future__ import annotations
 
 import hashlib
@@ -16,20 +16,16 @@ from ransomwatch.decoys import DecoyRegistry
 from ransomwatch.events import FileEvent, Operation
 from ransomwatch.notes import (
     DEFAULT_TAU_SIM,
-    DegenerateLabels,
     EmptyCorpus,
     GenePool,
     SimilarityVerdict,
     build_pool,
-    match_count,
     ngrams,
     similarity,
-    sweep_threshold,
-    sweep_window,
     tokenize,
 )
 from ransomwatch.pipeline import Engine, MappingContentProvider
-from ransomwatch.simulator import make_benign_doc_corpus, make_benign_text, make_note_corpus
+from ransomwatch.simulator import make_benign_text, make_note_corpus
 
 
 def test_tokenize_normalizes():
@@ -245,69 +241,47 @@ def test_default_threshold_value():
     assert DEFAULT_TAU_SIM == 0.21
 
 
-def _labeled(note_corpus, pool_notes=100):
+# -- what criterion 4's inline curves read from similarity ------------------------
+
+def _held_out(note_corpus, pool_notes=100):
+    """A pool from the first notes, the held-out notes, and the benign docs."""
     notes, benign = note_corpus
-    pool = build_pool(notes[:pool_notes], n=3, top_k=300)
-    labeled = [(doc, True) for doc in notes[pool_notes:]] + [(doc, False) for doc in benign]
-    return pool, labeled
+    return build_pool(notes[:pool_notes], n=3, top_k=300), notes[pool_notes:], benign
 
 
-def test_sweep_threshold_monotone_and_matches_brute_force(note_corpus):
-    pool, labeled = _labeled(note_corpus)
-    taus = [i / 20 for i in range(21)]
-    points = sweep_threshold(pool, labeled, taus)
-    for prev, cur in zip(points, points[1:]):
-        assert cur.recall <= prev.recall + 1e-12
-        assert cur.fpr <= prev.fpr + 1e-12
-    # brute-force reclassification per tau
-    for point in points:
-        tp = fp = 0
-        for doc, is_note in labeled:
-            flagged = similarity(doc, pool, tau=point.tau).is_note
-            tp += flagged and is_note
-            fp += flagged and not is_note
-        positives = sum(1 for _, is_note in labeled if is_note)
-        negatives = len(labeled) - positives
-        assert point.recall == pytest.approx(tp / positives)
-        assert point.fpr == pytest.approx(fp / negatives)
+def test_verdict_at_every_tau_is_the_score_cut(note_corpus):
+    # criterion 4 scores each document once at tau=0 and cuts the scores per tau
+    pool, held_out, benign = _held_out(note_corpus)
+    docs = held_out + benign
+    base = [similarity(doc, pool, tau=0.0) for doc in docs]
+    flagged = []
+    for tau in (i / 20 for i in range(21)):
+        verdicts = [similarity(doc, pool, tau=tau) for doc in docs]
+        assert [(v.score, v.matched) for v in verdicts] == [(v.score, v.matched) for v in base]
+        assert [v.is_note for v in verdicts] == [v.score >= tau for v in base]
+        notes_flagged = sum(v.is_note for v in verdicts[: len(held_out)])
+        flagged.append((notes_flagged, sum(v.is_note for v in verdicts) - notes_flagged))
+    # recall and false positives only fall as tau rises
+    for (prev_notes, prev_benign), (notes, benign_flagged) in zip(flagged, flagged[1:]):
+        assert notes <= prev_notes and benign_flagged <= prev_benign
 
 
-def test_sweep_threshold_extremes(note_corpus):
-    pool, labeled = _labeled(note_corpus)
-    scores = [similarity(doc, pool, tau=0.0).score for doc, is_note in labeled if is_note]
+def test_threshold_extremes_flag_every_held_out_note_or_none(note_corpus):
+    pool, held_out, benign = _held_out(note_corpus)
+    scores = [similarity(doc, pool, tau=0.0).score for doc in held_out]
     assert min(scores) > 0  # every held-out note matches at least one fragment
-    lo, hi = sweep_threshold(pool, labeled, [0.0, max(scores) + 1e-6])
-    assert lo.recall == 1.0
-    assert hi.recall == 0.0
+    assert all(similarity(doc, pool, tau=0.0).is_note for doc in held_out + benign)
+    assert not any(similarity(doc, pool, tau=max(scores) + 1e-6).is_note for doc in held_out)
 
 
-def test_sweep_threshold_needs_both_classes(note_corpus):
-    notes, _ = note_corpus
-    pool = build_pool(notes, n=3)
-    with pytest.raises(DegenerateLabels):
-        sweep_threshold(pool, [(notes[0], True)], [0.1])
-
-
-def test_sweep_window_shape(note_corpus):
+@pytest.mark.parametrize("n", [1, 3])
+def test_match_count_is_the_distinct_pool_fragments_in_the_doc(note_corpus, n):
+    # criterion 4 counts a document's matches as len(verdict.matched)
     notes, benign = note_corpus
-    points = {p.n: p for p in sweep_window(notes, benign, n_values=(1, 3))}
-    assert points[3].recall > points[1].recall
-    # zero-FP threshold: no benign doc exceeds it by construction
-    pool3 = build_pool(notes, n=3, top_k=300)
-    assert max(match_count(d, pool3) for d in benign) == points[3].threshold
-
-
-def test_sweep_window_short_notes_zero_recall():
-    notes = [("pay", "now", "please")] * 5
-    benign = [("hello", "world")]
-    (point,) = sweep_window(notes, benign, n_values=(6,))
-    assert point.recall == 0.0
-
-
-def test_sweep_window_needs_corpora(note_corpus):
-    notes, _ = note_corpus
-    with pytest.raises(DegenerateLabels):
-        sweep_window(notes, [], n_values=(3,))
+    pool = build_pool(notes, n=n, top_k=300)
+    for doc in notes + benign:
+        matched = similarity(doc, pool, tau=0.0).matched
+        assert len(matched) == len(set(ngrams(doc, n)) & pool.fragments.keys())
 
 
 # -- exactness of the fast tokenizer and similarity ------------------------------
@@ -339,11 +313,6 @@ def _reference_similarity(doc: tuple[str, ...], pool: GenePool, tau: float = DEF
     return SimilarityVerdict(score, matched, score >= tau)
 
 
-def _reference_match_count(doc: tuple[str, ...], pool: GenePool) -> int:
-    doc_fragments = set(ngrams(doc, pool.n))
-    return sum(1 for frag in pool.fragments if frag in doc_fragments)
-
-
 def _non_ascii_variant(text: str) -> str:
     """The same text dressed in non-ASCII punctuation and letters."""
     return (
@@ -353,8 +322,8 @@ def _non_ascii_variant(text: str) -> str:
 
 
 def _simulator_texts() -> list[str]:
-    rng = random.Random(5)
-    texts = make_note_corpus(80, seed=41) + make_benign_doc_corpus(80, seed=42)
+    benign_rng, rng = random.Random(42), random.Random(5)
+    texts = make_note_corpus(80, seed=41) + [make_benign_text(benign_rng) for _ in range(80)]
     texts += [make_benign_text(rng) for _ in range(80)]
     return texts + [_non_ascii_variant(t) for t in texts]
 
@@ -431,7 +400,6 @@ def test_similarity_and_match_count_equal_reference_on_random_pools():
         assert got.matched == want.matched
         assert repr(got.score) == repr(want.score) and type(got.score) is type(want.score)
         assert got.is_note == want.is_note
-        assert match_count(doc, pool) == _reference_match_count(doc, pool)
     assert short_docs > 100
 
 
@@ -448,19 +416,6 @@ def test_similarity_rejects_empty_pool_and_bad_n():
         similarity(doc, GenePool(2, None, {}, 0))
     with pytest.raises(ValueError):
         similarity(doc, GenePool(0, None, {(): 1.0}, 1))
-    with pytest.raises(ValueError):
-        match_count(doc, GenePool(0, None, {(): 1.0}, 1))
-
-
-def test_sweeps_equal_reference(note_corpus, monkeypatch):
-    pool, labeled = _labeled(note_corpus)
-    notes_docs, benign = note_corpus
-    taus = [i / 20 for i in range(21)]
-    fast = (sweep_threshold(pool, labeled, taus), sweep_window(notes_docs, benign, n_values=range(1, 7)))
-    monkeypatch.setattr(notes_module, "similarity", _reference_similarity)
-    monkeypatch.setattr(notes_module, "match_count", _reference_match_count)
-    reference = (sweep_threshold(pool, labeled, taus), sweep_window(notes_docs, benign, n_values=range(1, 7)))
-    assert fast == reference
 
 
 # sha256 over repr((score, matched)) of every text of _simulator_texts()

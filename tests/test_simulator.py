@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import random
 import warnings
 from dataclasses import replace
 
@@ -25,7 +26,7 @@ from ransomwatch.simulator import (
     build_corpus,
     first_dir_decoy,
     generate,
-    make_benign_doc_corpus,
+    make_benign_text,
     make_note_corpus,
     mix,
     scenario_windows,
@@ -338,8 +339,25 @@ def test_corpus_feature_distributions_separate_classes():
 
 def test_note_and_doc_corpora_deterministic():
     assert make_note_corpus(10, seed=4) == make_note_corpus(10, seed=4)
-    assert make_benign_doc_corpus(10, seed=4) == make_benign_doc_corpus(10, seed=4)
+    first, second = random.Random(4), random.Random(4)
+    assert [make_benign_text(first) for _ in range(10)] == [make_benign_text(second) for _ in range(10)]
     assert make_note_corpus(10, seed=4) != make_note_corpus(10, seed=5)
+
+
+def test_benign_texts_follow_the_rng_they_are_given():
+    # make_benign_text draws from its rng alone, so a seed fixes a corpus and another seed changes it
+    first, second = random.Random(4), random.Random(5)
+    assert [make_benign_text(first) for _ in range(10)] != [make_benign_text(second) for _ in range(10)]
+    state = random.getstate()
+    try:
+        texts = []
+        for global_seed in (0, 1):  # the module-level generator plays no part
+            random.seed(global_seed)
+            rng = random.Random(4)
+            texts.append([make_benign_text(rng) for _ in range(10)])
+    finally:
+        random.setstate(state)
+    assert texts[0] == texts[1]
 
 
 def test_bad_specs_rejected():
