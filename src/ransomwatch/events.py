@@ -73,13 +73,6 @@ def basename_of(path: str) -> str:
     return path[cut + 1 :]
 
 
-def dirname_of(path: str) -> str:
-    cut = max(path.rfind("/"), path.rfind("\\"))
-    if cut < 0:
-        return ""
-    return path[:cut]
-
-
 @dataclass(frozen=True, slots=True)
 class FileEvent:
     """One file-system operation record.

@@ -170,7 +170,7 @@ class WindowFold:
             op = ev.operation
             path = ev.file_name
             file_type = ev.file_type
-            # basename_of and dirname_of from one split
+            # the directory as written and the basename, from one split
             cut = max(path.rfind("/"), path.rfind("\\"))
             directory = path[:cut] if cut > 0 else ""
             name = path[cut + 1 :]

@@ -236,24 +236,26 @@ class Engine:
         self._windows: dict[tuple[int, str], _WindowState] = {}
         self._due: list[tuple[int, tuple[int, str]]] = []  # min-heap of (next slide boundary, process), one per window
         self._terminated: dict[tuple[int, str], int] = {}  # process -> the time of its last event
-        self._scored_paths: set[tuple[int, str, str]] = set()  # (pid, pid_name, path): scored once per process
+        self._scored_paths: dict[tuple[int, str], set[str]] = {}  # process -> its note paths, each scored once
 
     # -- monitors ------------------------------------------------------------
 
-    def _note_trigger(self, ev: FileEvent) -> Optional[Trigger]:
-        """Score a Create or Write for ransom-note content; ``process`` checks the op."""
+    def _note_trigger(self, ev: FileEvent, key: tuple[int, str]) -> Optional[Trigger]:
+        """Score a Create or Write by the process ``key`` for ransom-note content; ``process`` checks the op."""
         if self.pool is None:
             return None
         if ev.file_type not in TEXT_EXTENSIONS:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
                 return None
-        key = (ev.pid, ev.pid_name, ev.file_name)
-        if key in self._scored_paths:
+        scored = self._scored_paths.get(key)
+        if scored is not None and ev.file_name in scored:
             return None
         blob = self.content.get(ev.file_name)
         if not blob:  # an empty note may be filled by a later Write
             return None
-        self._scored_paths.add(key)
+        if scored is None:
+            scored = self._scored_paths[key] = set()
+        scored.add(ev.file_name)
         bound = self.pool.score_bound(blob[: self.config.max_note_bytes])
         if bound is not None and bound < self.config.tau_sim:  # cannot reach tau: skip the full scorer
             return None
@@ -326,12 +328,13 @@ class Engine:
                 self._terminated[key] = ev.time
                 return
             del self._terminated[key]
+            self._scored_paths.pop(key, None)  # a new process: its notes are scored afresh
         state = self._windows.get(key)
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
             op = ev.operation
             if op is _CREATE or op is _WRITE:
-                trigger = self._note_trigger(ev)
+                trigger = self._note_trigger(ev, key)
         if trigger is not None:
             self.metrics.triggers += 1
             if state is None:  # the one place a window opens

@@ -33,8 +33,7 @@ from ransomwatch.simulator import (
     tree_layout,
 )
 
-from oracles import split_sse_decomposed, split_sse_direct
-from test_features import _oracle_features, _random_events, _window
+from oracles import random_events, ref_features, split_sse_decomposed, split_sse_direct, window_of
 
 US = 1_000_000
 
@@ -69,8 +68,8 @@ def test_criterion_1_equation_identities():
 
     rng_py = random.Random(1002)
     for _ in range(1000):
-        events = _random_events(rng_py, rng_py.randint(0, 50))
-        onehot = extract_features(_window(events))[3:7]
+        events = random_events(rng_py, rng_py.randint(0, 50))
+        onehot = extract_features(window_of(events))[3:7]
         assert sorted(onehot.tolist()) == [0.0, 0.0, 0.0, 1.0]
 
     elapsed = time.perf_counter() - started
@@ -129,8 +128,8 @@ def test_criterion_2_oracle_equivalence():
 
     rng_py = random.Random(2002)
     for _ in range(1000):
-        events = _random_events(rng_py, rng_py.randint(0, 60))
-        assert extract_features(_window(events)).tolist() == _oracle_features(events)
+        events = random_events(rng_py, rng_py.randint(0, 60))
+        assert extract_features(window_of(events)).tolist() == ref_features(events)
 
     for _ in range(200):
         events = [

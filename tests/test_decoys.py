@@ -18,13 +18,11 @@ from ransomwatch.decoys import (
     deploy,
     generate_decoy,
 )
-from ransomwatch.events import FileEvent, MUTATING_OPS, Operation, TriggerKind, extension_of
+from ransomwatch.events import MUTATING_OPS, Operation, TriggerKind
 from ransomwatch.pipeline import DirectoryWatcher
 from ransomwatch.simulator import BenignProfile, BenignSpec, ScenarioSpec, TreeSpec, generate
 
-
-def _ev(op, path, time=0, pid=4, old=None):
-    return FileEvent(time, pid, "p.exe", op, path, extension_of(path), old)
+from oracles import file_event
 
 
 def test_mimic_neighbors_name_pattern():
@@ -120,26 +118,26 @@ def test_mimic_uses_directory_neighbors(tmp_path):
 def test_check_event_rules():
     registry = DecoyRegistry()
     registry.register("C:/u/decoy.docx", "d", DecoyKind.DOCUMENT)
-    hit = check_event(_ev(Operation.WRITE, "C:/u/decoy.docx", time=5), registry)
+    hit = check_event(file_event(Operation.WRITE, "C:/u/decoy.docx", time=5), registry)
     assert hit is not None and hit.kind is TriggerKind.DECOY_TOUCH and hit.time == 5
-    assert check_event(_ev(Operation.WRITE, "C:/u/other.docx"), registry) is None
-    assert check_event(_ev(Operation.READ, "C:/u/decoy.docx"), registry) is None
-    renamed = _ev(Operation.RENAME, "C:/u/decoy.docx.locked", old="C:/u/decoy.docx")
+    assert check_event(file_event(Operation.WRITE, "C:/u/other.docx"), registry) is None
+    assert check_event(file_event(Operation.READ, "C:/u/decoy.docx"), registry) is None
+    renamed = file_event(Operation.RENAME, "C:/u/decoy.docx.locked", old="C:/u/decoy.docx")
     assert check_event(renamed, registry) is not None
     for op in (Operation.DELETE, Operation.OVERWRITE, Operation.SMASH):
-        assert check_event(_ev(op, "C:/u/decoy.docx"), registry) is not None
+        assert check_event(file_event(op, "C:/u/decoy.docx"), registry) is not None
 
 
 def test_trigger_completeness_one_per_qualifying_event():
     registry = DecoyRegistry()
     registry.register("C:/u/decoy.docx", "d", DecoyKind.DOCUMENT)
     events = [
-        _ev(Operation.READ, "C:/u/decoy.docx", 0),
-        _ev(Operation.WRITE, "C:/u/decoy.docx", 1),
-        _ev(Operation.WRITE, "C:/u/other.docx", 2),
-        _ev(Operation.RENAME, "C:/u/decoy.docx.crypt", 3, old="C:/u/decoy.docx"),
-        _ev(Operation.DELETE, "C:/u/decoy.docx", 4),
-        _ev(Operation.CREATE, "C:/u/decoy.docx", 5),
+        file_event(Operation.READ, "C:/u/decoy.docx", 0),
+        file_event(Operation.WRITE, "C:/u/decoy.docx", 1),
+        file_event(Operation.WRITE, "C:/u/other.docx", 2),
+        file_event(Operation.RENAME, "C:/u/decoy.docx.crypt", 3, old="C:/u/decoy.docx"),
+        file_event(Operation.DELETE, "C:/u/decoy.docx", 4),
+        file_event(Operation.CREATE, "C:/u/decoy.docx", 5),
     ]
     qualifying = [
         ev for ev in events

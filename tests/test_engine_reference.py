@@ -26,18 +26,48 @@ from hypothesis import strategies as st
 
 from ransomwatch import pipeline
 from ransomwatch.decoys import DecoyKind, DecoyRegistry, check_event
-from ransomwatch.events import Alert, FileEvent, Level, Operation, ProcessWindow, Response, ThreatLevel, window_events
-from ransomwatch.features import Mode
+from ransomwatch.events import (
+    Alert, FileEvent, Level, Operation, ProcessWindow, Response, ThreatLevel, Trigger, TriggerKind, window_events,
+)
+from ransomwatch.features import Mode, name_pattern_class
+from ransomwatch.notes import decode_note, similarity, tokenize
 from ransomwatch.simulator import (
     BenignProfile, BenignSpec, Mix, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, generate, mix,
 )
 
 
-def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
-    """Alerts and threat levels of a trace replayed in event time, with decoy triggers only."""
+def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig(), pool=None, notes=None):
+    """Alerts and threat levels of a trace replayed in event time.
+
+    A decoy touch triggers; with a pool, so does a Create or Write that the
+    decoy rule did not trigger, of a note candidate whose content scores as
+    a note. A candidate is a text-extension path, or an extensionless one
+    whose name class is "note", not yet scored for the process, with
+    content; it is marked scored even while the process has a window open.
+    """
     stream = sorted(events, key=lambda ev: ev.time)
+    content = pipeline.MappingContentProvider(notes or {})
     alerts, threat, terminated = [], {}, {}  # terminated: (pid, pid_name) -> the time of its last event
     windows = {}  # (pid, pid_name) -> [trigger, index of the trigger event, next slide boundary]
+    scored = {}  # (pid, pid_name) -> the note paths scored for that process
+
+    def note_trigger(ev, process):
+        if pool is None or ev.operation not in (Operation.CREATE, Operation.WRITE):
+            return None
+        if ev.file_type not in pipeline.TEXT_EXTENSIONS and (ev.file_type or name_pattern_class(ev.file_name) != "note"):
+            return None
+        if ev.file_name in scored.get(process, ()):
+            return None
+        blob = content.get(ev.file_name)
+        if not blob:
+            return None
+        scored.setdefault(process, set()).add(ev.file_name)
+        text = decode_note(blob, config.max_note_bytes)
+        verdict = None if text is None else similarity(tokenize(text), pool, tau=config.tau_sim)
+        if verdict is None or not verdict.is_note:
+            return None
+        detail = f"ransom note {ev.file_name} sim={verdict.score:.3f} matched={len(verdict.matched)}"
+        return Trigger(TriggerKind.RANSOM_NOTE, ev.pid, ev.file_name, ev.time, detail, verdict.score)
 
     def decide(process):
         pid, pid_name = process
@@ -80,10 +110,9 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig()):
                 terminated[process] = ev.time
                 continue
             del terminated[process]
-        if process in windows:
-            continue
-        trigger = check_event(ev, decoys)
-        if trigger is not None:
+            scored.pop(process, None)
+        trigger = check_event(ev, decoys) or note_trigger(ev, process)
+        if trigger is not None and process not in windows:
             windows[process] = [trigger, i, trigger.time + config.slide_us]
             threat.setdefault(ev.pid, Level.LOW)
     advance(math.inf)
@@ -98,9 +127,9 @@ def _engine_replay(events, registry, forest, config=pipeline.PipelineConfig(), p
     return engine
 
 
-def _assert_engine_matches_reference(events, registry, forest, config=pipeline.PipelineConfig()):
-    engine = _engine_replay(events, registry, forest, config)
-    alerts, threat = reference_replay(events, registry, forest, config)
+def _assert_engine_matches_reference(events, registry, forest, config=pipeline.PipelineConfig(), pool=None, notes=None):
+    engine = _engine_replay(events, registry, forest, config, pool, notes)
+    alerts, threat = reference_replay(events, registry, forest, config, pool, notes)
     assert engine.alerts == alerts  # in the order they are raised
     assert engine.threat_by_pid == threat
     return engine
@@ -159,8 +188,8 @@ _CONFIGS = st.builds(
 
 @settings(max_examples=50, deadline=None)
 @given(_mixes() | _cut_mixes(), _CONFIGS)
-def test_engine_decides_as_the_reference(trained_forest, m, config):
-    _assert_engine_matches_reference(m.events, m.registry, trained_forest, config)
+def test_engine_decides_as_the_reference(trained_forest, gene_pool, m, config):
+    _assert_engine_matches_reference(m.events, m.registry, trained_forest, config, gene_pool, m.notes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,6 +282,18 @@ def test_window_events_rebuilds_a_high_row_under_a_reused_pid(trained_forest):
     assert {ev.pid_name for ev in m.events if trigger_time <= ev.time < alert.created_at} == {"first.exe", "second.exe"}
     row = pipeline.featurize(window, trained_forest.dims, trained_forest.hash_seed)
     assert hashlib.sha256(row.tobytes()).hexdigest()[:12] == fields["feature_digest"]
+
+
+def test_a_process_that_is_new_after_its_quiet_gap_is_scored_for_notes_again(trained_forest, gene_pool):
+    # two M3 attacks with one seed on one 200-file tree and no decoy, as one process 12 s apart; at 400
+    # files/s the first writes every note path before its High, and they are the second's note paths too
+    m = mix([ScenarioSpec(kind=RansomwareSpec(mode=Mode.M3, files_per_second=400), seed=5,
+                          tree=TreeSpec(depth=2, fanout=3, files=200), start_us=start_us)
+             for start_us in (0, 12_000_000)], pids=(1, 2))
+    events = [replace(ev, pid=7, pid_name="same.exe") for ev in m.events]
+    engine = _assert_engine_matches_reference(events, m.registry, trained_forest, pool=gene_pool, notes=m.notes)
+    highs = [(a.created_at, a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH]
+    assert highs == [(1_000_000, 7, "same.exe"), (13_000_000, 7, "same.exe")]
 
 
 # Two M3 attacks with one seed on one 200-file tree and no decoy, the second

@@ -9,6 +9,8 @@ import hashlib
 import random
 import string
 
+import pytest
+
 from ransomwatch.events import FileEvent, Operation, extension_of
 from ransomwatch import features
 from ransomwatch.features import WindowFold, name_pattern_class
@@ -126,6 +128,43 @@ def _random_names(count: int, seed: int) -> list[str]:
         parts = [rng.choice(words) if rng.random() < 0.3 else rng.choice(alphabet) for _ in range(rng.randint(0, 24))]
         names.append("".join(parts))
     return names
+
+
+@pytest.mark.parametrize(
+    "name,expected",
+    [
+        ("C:/a/HOW_TO_DECRYPT.txt", "note"),
+        ("C:/a/readme.md", "note"),
+        ("C:/a/8f2c9a1d4b7e.dat", "hash"),
+        ("C:/a/x7k2q9w8e1r4.pdf", "hash"),
+        ("C:/a/budget_report.docx", "word"),
+        ("C:/a/report-final.txt", "word"),
+        ("C:/a/a1!b.txt", "other"),
+    ],
+)
+def test_name_pattern_classes(name, expected):
+    assert name_pattern_class(name) == expected
+
+
+@pytest.mark.parametrize(
+    "path,bucket",
+    [
+        ("x.txt", 0),
+        ("C:/x.txt", 0),
+        ("C:/a/x.txt", 1),
+        ("C:/a/b/c/d/e/f/g/h/x.txt", 7),
+        ("C:\\a\\b\\x.txt", 2),
+    ],
+)
+def test_depth_buckets(path, bucket):
+    assert fold_labels(path, extension_of(path))[1] == f"depth:{bucket}"
+
+
+def test_rare_extension_collapses():
+    ext_a = fold_labels("C:/a/x.docx.k3xq7", "k3xq7")[0]
+    ext_b = fold_labels("C:/a/y.pdf.zz91m", "zz91m")[0]
+    assert ext_a == ext_b == "ext:#rare"
+    assert fold_labels("C:/a/x.txt", "txt")[0] == "ext:txt"
 
 
 def test_labels_equal_reference_formulation():

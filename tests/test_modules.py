@@ -4,18 +4,22 @@ A single-underscore name is its module's own business; a module that needs
 one from a sibling shows that the decision it encodes sits in the wrong
 module (Parnas, "On the Criteria To Be Used in Decomposing Systems into
 Modules", CACM 1972). Dunders such as ``__version__`` are public. The test
-oracles in ``oracles.py`` are held to the same rule, so that an oracle
-shares no private helper with the code it checks.
+oracles in ``oracles.py`` are held to the same rule, and import no function
+of the package either, so that an oracle shares no code with what it checks.
+Test modules share helpers only through ``oracles.py``.
 """
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import ransomwatch
 
 PACKAGE_DIR = Path(ransomwatch.__file__).resolve().parent
-ORACLES = Path(__file__).resolve().parent / "oracles.py"
+TESTS_DIR = Path(__file__).resolve().parent
+ORACLES = TESTS_DIR / "oracles.py"
 
 
 def _is_private(name: str) -> bool:
@@ -73,3 +77,58 @@ def test_the_oracle_guard_fails_on_an_oracle_that_reads_a_fold_helper():
     assert _private_imports(imported) == ["ransomwatch.features._directory_depth"]
     reached = source + "\nfrom ransomwatch import features\ndepth = features._directory_depth\n"
     assert _private_attributes(reached) == ["_directory_depth"]
+
+
+def _package_code_imports(source: str) -> list[str]:
+    """Every function or module that ``source`` imports from the package; a class or a constant is not listed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "ransomwatch"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ransomwatch":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(module, alias.name)
+                if not isinstance(value, type) and (callable(value) or isinstance(value, types.ModuleType)):
+                    found.append(f"{node.module}.{alias.name}")
+    return found
+
+
+def test_the_oracles_import_only_classes_and_constants_from_the_package():
+    assert _package_code_imports(ORACLES.read_text(encoding="utf-8")) == []
+
+
+def test_the_oracle_import_guard_fails_on_an_imported_function_or_module():
+    source = ORACLES.read_text(encoding="utf-8")
+    assert _package_code_imports(source + "\nfrom ransomwatch.events import extension_of\n") == [
+        "ransomwatch.events.extension_of"
+    ]
+    modules = source + "\nfrom ransomwatch import notes\nimport ransomwatch.features\n"
+    assert sorted(_package_code_imports(modules)) == ["ransomwatch.features", "ransomwatch.notes"]
+    assert _package_code_imports("from ransomwatch.features import MAX_DEPTH_BUCKET, WindowFold\n") == []
+
+
+def _test_module_imports(source: str) -> list[str]:
+    """Every module of ``tests/`` but ``oracles`` that ``source`` imports, conftest included."""
+    local = {path.stem for path in TESTS_DIR.glob("*.py")} - {"oracles"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] in local]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] in local:
+            found.append(node.module)
+    return found
+
+
+def test_no_test_module_imports_another_or_conftest():
+    sources = sorted(TESTS_DIR.glob("*.py"))
+    assert len(sources) > 5 and ORACLES in sources
+    offenders = {path.name: _test_module_imports(path.read_text(encoding="utf-8")) for path in sources}
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_the_test_import_guard_fails_on_a_test_module_or_conftest():
+    source = (TESTS_DIR / "test_acceptance.py").read_text(encoding="utf-8")
+    edited = source + "\nfrom test_features import _named\nfrom conftest import TRAIN_SEED\nimport test_labels\n"
+    assert sorted(_test_module_imports(edited)) == ["conftest", "test_features", "test_labels"]
+    assert _test_module_imports("from oracles import ref_features\nimport oracles\n") == []

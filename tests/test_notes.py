@@ -4,7 +4,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 import unicodedata
 
 import pytest
@@ -18,7 +17,6 @@ from ransomwatch.notes import (
     DEFAULT_TAU_SIM,
     EmptyCorpus,
     GenePool,
-    SimilarityVerdict,
     build_pool,
     ngrams,
     similarity,
@@ -26,6 +24,8 @@ from ransomwatch.notes import (
 )
 from ransomwatch.pipeline import Engine, MappingContentProvider
 from ransomwatch.simulator import make_benign_text, make_note_corpus
+
+from oracles import ref_similarity, ref_tokenize
 
 
 def test_tokenize_normalizes():
@@ -44,26 +44,12 @@ def test_tokenize_unicode_punctuation():
     assert tokenize("«quoted» “files” encrypted…") == ("quoted", "files", "encrypted")
 
 
-# ASCII punctuation in Unicode category P; $+<=>^`|~ are symbols and stay.
-_ASCII_P = re.escape("!\"#%&'()*,-./:;?@[\\]_{}")
-_STRIP_RE = re.compile(f"^[{_ASCII_P}]+|[{_ASCII_P}]+$")
-
-
-def _oracle_tokenize(text: str) -> tuple[str, ...]:
-    out = []
-    for raw in text.split():
-        tok = _STRIP_RE.sub("", raw).lower()
-        if tok:
-            out.append(tok)
-    return tuple(out)
-
-
 def test_tokenize_matches_regex_oracle_on_mixed_punctuation():
     rng = random.Random(3)
     pieces = ["files!", "(pay)", "us...", "$500", "now;", "--key--", "a+b", "don't", "#1", "[x]", "e.g.,", "OK?!"]
     for _ in range(200):
         text = " ".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
-        assert tokenize(text) == _oracle_tokenize(text)
+        assert tokenize(text) == ref_tokenize(text)
 
 
 def test_ngrams_trigram_example():
@@ -284,34 +270,7 @@ def test_match_count_is_the_distinct_pool_fragments_in_the_doc(note_corpus, n):
         assert len(matched) == len(set(ngrams(doc, n)) & pool.fragments.keys())
 
 
-# -- exactness of the fast tokenizer and similarity ------------------------------
-
-def _reference_strip_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
-
-
-def _reference_tokenize(text: str) -> tuple[str, ...]:
-    words = []
-    for raw in text.split():
-        tok = _reference_strip_punct(raw).lower()
-        if tok:
-            words.append(tok)
-    return tuple(words)
-
-
-def _reference_similarity(doc: tuple[str, ...], pool: GenePool, tau: float = DEFAULT_TAU_SIM) -> SimilarityVerdict:
-    if not pool.fragments:
-        raise ValueError("gene pool is empty")
-    doc_fragments = set(ngrams(doc, pool.n))
-    matched = tuple((frag, score) for frag, score in pool.fragments.items() if frag in doc_fragments)
-    score = sum(s for _, s in matched)
-    return SimilarityVerdict(score, matched, score >= tau)
-
+# -- exactness of the fast tokenizer and similarity against oracles.ref_tokenize and ref_similarity
 
 def _non_ascii_variant(text: str) -> str:
     """The same text dressed in non-ASCII punctuation and letters."""
@@ -348,18 +307,18 @@ _ADVERSARIAL_TEXTS = [
 
 @pytest.mark.parametrize("text", _ADVERSARIAL_TEXTS)
 def test_tokenize_equals_reference_on_adversarial_text(text):
-    assert tokenize(text) == _reference_tokenize(text)
+    assert tokenize(text) == ref_tokenize(text)
 
 
 def test_tokenize_equals_reference_on_simulator_corpora():
     for text in _simulator_texts():
-        assert tokenize(text) == _reference_tokenize(text)
+        assert tokenize(text) == ref_tokenize(text)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.text())
 def test_tokenize_equals_reference_on_any_text(text):
-    assert tokenize(text) == _reference_tokenize(text)
+    assert tokenize(text) == ref_tokenize(text)
 
 
 def test_ascii_lower_keeps_whitespace_and_punctuation():
@@ -396,7 +355,7 @@ def test_similarity_and_match_count_equal_reference_on_random_pools():
         doc = _random_doc(rng, vocab)
         short_docs += len(doc) < n
         tau = rng.choice([0.0, 0.21, 0.5])
-        got, want = similarity(doc, pool, tau), _reference_similarity(doc, pool, tau)
+        got, want = similarity(doc, pool, tau), ref_similarity(doc, pool, tau)
         assert got.matched == want.matched
         assert repr(got.score) == repr(want.score) and type(got.score) is type(want.score)
         assert got.is_note == want.is_note
