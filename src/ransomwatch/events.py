@@ -243,6 +243,7 @@ def _event_or_issue(obj: object, line_no: int) -> Union[FileEvent, ParseIssue]:
 def parse_event_line(line: str, line_no: int, issues: list[ParseIssue]) -> Optional[FileEvent]:
     """Parse one JSON event line; append issues instead of raising.
 
+    Whitespace around the value, as str.strip() counts it, is ignored.
     Returns None for malformed lines. Unknown extra fields are ignored.
     """
     if _fast_loads is not None and len(line) <= _FAST_MAX_CHARS:
@@ -253,6 +254,7 @@ def parse_event_line(line: str, line_no: int, issues: list[ParseIssue]) -> Optio
         else:
             if type(parsed) is FileEvent:
                 return parsed
+    line = line.strip()
     try:
         if not line.isascii():
             line.encode("utf-8")  # a lone surrogate: a byte that was not UTF-8, or bad input text
@@ -279,14 +281,13 @@ def iter_events(
     Blank lines are skipped. Malformed lines and unknown operations are
     reported with their 1-based line numbers and skipped; a timestamp below
     the pid's previous one is reported as NonMonotonicTime and the event is
-    kept. ``parse`` parses one stripped line.
+    kept. ``parse`` parses one non-blank line as read.
     """
     last_time_by_pid: dict[int, int] = {}
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+        if not raw or raw.isspace():
             continue
-        ev = parse(line, line_no, issues)
+        ev = parse(raw, line_no, issues)
         if ev is None:
             continue
         prev = last_time_by_pid.get(ev.pid)

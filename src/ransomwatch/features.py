@@ -13,7 +13,6 @@ inside model files.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import re
@@ -165,32 +164,46 @@ class WindowFold:
         del_types, create_types = self.del_types, self.create_types
         pairs, depth_by_dir = self.pairs, {}
         CREATE, DELETE, SMASH, RENAME, WRITE, OVERWRITE = _OPS
+        # bound once: a method read costs more than a local read, once per window event
+        ext_label, class_of = _EXT_LABELS.get, _CLASS_BY_FOLDED_STEM.get
+        count_of, depth_of = pairs.get, depth_by_dir.get
 
         for ev in events[n:]:
             op = ev.operation
             path = ev.file_name
             file_type = ev.file_type
             # the directory as written and the basename, from one split
-            cut = max(path.rfind("/"), path.rfind("\\"))
+            cut = path.rfind("/")
+            back = path.rfind("\\")
+            if back > cut:
+                cut = back
             directory = path[:cut] if cut > 0 else ""
             name = path[cut + 1 :]
-            depth = depth_by_dir.get(directory)
+            depth = depth_of(directory)
             if depth is None:
                 depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
+            # _base_class's memo read under its key; _base_class itself runs only on a miss
+            dot = name.rfind(".")
+            stem = name[:dot] if dot > 0 else name
+            cls = class_of(stem.lower().encode("utf-8", "surrogatepass").translate(_DIGITS_TO_ZERO)) or _base_class(name)
             # op and its three labels; op._value_ is ev.operation.value without the enum property
-            key = (op._value_, _EXT_LABELS.get(file_type, RARE_EXTENSION_LABEL), depth, _NAME_LABELS[_base_class(name)])
-            pairs[key] = pairs.get(key, 0) + 1
-
-            if op is CREATE or op is DELETE:
-                past_first_create_delete = True
-            elif not past_first_create_delete:
-                before_types.add(extension_of(ev.old_file_name or "") if op is RENAME else file_type)
+            key = (op._value_, ext_label(file_type, RARE_EXTENSION_LABEL), depth, _NAME_LABELS[cls])
+            pairs[key] = count_of(key, 0) + 1
 
             if op is CREATE:
+                past_first_create_delete = True
                 create_types.add(file_type)
                 paths[path] = file_type
                 created_dirs.setdefault(name, []).append(directory)
-            elif op is DELETE or op is SMASH:
+                continue
+            if op is DELETE:
+                past_first_create_delete = True
+                del_types.add(file_type)
+                paths[path] = None
+                continue
+            if not past_first_create_delete:
+                before_types.add(extension_of(ev.old_file_name or "") if op is RENAME else file_type)
+            if op is SMASH:
                 del_types.add(file_type)
                 paths[path] = None
             elif op is RENAME:
@@ -226,7 +239,7 @@ class WindowFold:
         nothing was created, r_file = 0 when no file was created.
         """
         n_op: dict[str, int] = {}  # events by operation
-        for (op, *_labels), count in self.pairs.items():
+        for (op, _ext, _depth, _name), count in self.pairs.items():
             n_op[op] = n_op.get(op, 0) + count
         before_types = self.before_types
         after_types = set(self.paths.values()) - {None}
@@ -262,10 +275,10 @@ class WindowFold:
         is reached, so the edges keep the order that encode sums them in.
         """
         edges: dict[tuple[str, str], int] = {}
-        for (op, *params), count in self.pairs.items():
-            for param in params:
-                key = (op, param)
-                edges[key] = edges.get(key, 0) + count
+        count_of = edges.get
+        for (op, ext, depth, name), count in self.pairs.items():
+            for key in ((op, ext), (op, depth), (op, name)):
+                edges[key] = count_of(key, 0) + count
         return edges
 
 
@@ -305,13 +318,17 @@ def check_hash_seed(seed: int) -> None:
         raise ValueError(f"hash_seed must be in [0, 2**64), got {seed}")
 
 
-# The label vocabulary bounds the edges of real windows to 7 ops times 70
-# parameter labels, 490 per seed; the cap bounds arbitrary graphs.
-@functools.lru_cache(maxsize=4096)
 def _edge_hash(op: str, param: str, seed: int) -> int:
     key = seed.to_bytes(8, "little", signed=False)
     digest = hashlib.blake2b(f"{op}|{param}".encode("utf-8"), digest_size=8, key=key).digest()
     return int.from_bytes(digest, "little")
+
+
+# (dims, seed) -> {(op, param): (bucket, sign)}, for the last (dims, seed) only.
+# The label vocabulary bounds the edges of real windows to 7 ops times 70
+# parameter labels, 490 per seed; the cap bounds arbitrary graphs.
+_BUCKETS_BY_WIDTH_AND_SEED: dict[tuple[int, int], dict[tuple[str, str], tuple[int, float]]] = {}
+_BUCKET_MEMO_SIZE = 4096
 
 
 def encode(
@@ -327,17 +344,28 @@ def encode(
     """
     check_dims(dims)
     check_hash_seed(seed)
-    values = np.zeros(dims, dtype=np.float64)
-    for (op, param), count in edges.items():
-        h = _edge_hash(op, param, seed)
-        bucket = h & (dims - 1)
-        sign = 1.0 if (h >> 63) & 1 else -1.0
-        values[bucket] += sign * math.log1p(count)
+    buckets = _BUCKETS_BY_WIDTH_AND_SEED.get((dims, seed))
+    if buckets is None:
+        _BUCKETS_BY_WIDTH_AND_SEED.clear()
+        buckets = _BUCKETS_BY_WIDTH_AND_SEED[(dims, seed)] = {}
+    bucket_of, log1p = buckets.get, math.log1p
+    # float adds in edge order, as a float64 array would make them
+    values = [0.0] * dims
+    for edge, count in edges.items():
+        hit = bucket_of(edge)
+        if hit is None:
+            h = _edge_hash(*edge, seed)
+            if len(buckets) >= _BUCKET_MEMO_SIZE:
+                buckets.clear()
+            hit = buckets[edge] = (h & (dims - 1), 1.0 if (h >> 63) & 1 else -1.0)
+        bucket, sign = hit
+        values[bucket] += sign * log1p(count)
+    embedding = np.array(values, dtype=np.float64)
     limit = math.sqrt(dims)
-    norm = float(np.linalg.norm(values))
+    norm = float(np.linalg.norm(embedding))
     if norm > limit:
-        values *= limit / norm
-    return values
+        embedding *= limit / norm
+    return embedding
 
 
 class Mode(str, Enum):

@@ -9,6 +9,7 @@ modules import from here and from no other test module.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 import unicodedata
@@ -215,6 +216,15 @@ def event_params(file_name: str, file_type: str) -> tuple[str, str, str]:
     return extension, f"depth:{ref_path_depth_bucket(file_name)}", f"name:{ref_name_pattern_class(file_name)}"
 
 
+def ref_pairs(events) -> dict[tuple[str, str, str, str], int]:
+    """Events by (op, extension, depth, name-pattern labels), enumerated event by event in first-event order."""
+    pairs = {}
+    for e in events:
+        key = (e.operation.value, *event_params(e.file_name, e.file_type))
+        pairs[key] = pairs.get(key, 0) + 1
+    return pairs
+
+
 def ref_edges(events) -> dict[tuple[str, str], int]:
     """The behavior graph's edge counts, ``{(op, param): count}``, enumerated event by event in first-event order."""
     edges = {}
@@ -223,6 +233,21 @@ def ref_edges(events) -> dict[tuple[str, str], int]:
             key = (e.operation.value, param)
             edges[key] = edges.get(key, 0) + 1
     return edges
+
+
+def ref_encode(edges, dims: int, seed: int) -> np.ndarray:
+    """The hashed embedding from its definition. An edge's hash h is the 64-bit BLAKE2b of "op|param", keyed
+    with the seed's 8 little-endian bytes, read little-endian. It adds log1p(count) to bucket h mod dims, with
+    the sign of h's top bit set, in edge order; a result longer than sqrt(dims) is scaled down to it."""
+    values = np.zeros(dims)
+    for (op, param), count in edges.items():
+        digest = hashlib.blake2b(f"{op}|{param}".encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little"))
+        h = int.from_bytes(digest.digest(), "little")
+        values[h % dims] += math.log1p(count) if h >> 63 else -math.log1p(count)
+    norm = np.linalg.norm(values)
+    if norm > math.sqrt(dims):
+        values *= math.sqrt(dims) / norm
+    return values
 
 
 # -- the note tokenizer and similarity ---------------------------------------------

@@ -223,6 +223,32 @@ def test_fast_decoder_matches_json_fallback(monkeypatch):
     assert len(exact.events) >= 10 and len(exact.issues) >= 30  # the corpus exercises both outcomes
 
 
+# Whitespace to str.strip() but not to JSON, which allows only space, tab, LF and CR around a value.
+_NON_JSON_SPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+
+
+@pytest.mark.parametrize("decoder", [
+    pytest.param("orjson", marks=pytest.mark.skipif(events_mod._fast_loads is None, reason="orjson not installed")),
+    "json",
+])
+def test_padding_a_line_with_whitespace_json_does_not_take_changes_no_event_or_issue(monkeypatch, decoder):
+    if decoder == "json":
+        monkeypatch.setattr(events_mod, "_fast_loads", None)
+    lines = [*EDGE_CORPUS, "", _field_line(time="9"), "  ", _field_line(time="3"), _field_line(time="5", pid="7")]
+    plain = parse_event_log("\n".join(lines))
+    assert len(plain.events) >= 10 and {i.kind for i in plain.issues} == set(ParseIssueKind)
+    for pad in _NON_JSON_SPACE:
+        assert pad.isspace()
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(pad + "1")
+        for padded in ([pad + line for line in lines], [line + pad for line in lines], [pad + line + pad for line in lines]):
+            result = parse_event_log("\n".join(padded))
+            assert result.events == plain.events, repr(pad)
+            assert [(i.kind, i.line_no, i.detail) for i in result.issues] == [
+                (i.kind, i.line_no, i.detail) for i in plain.issues
+            ], repr(pad)
+
+
 def test_fast_decoder_handles_valid_lines_alone(monkeypatch):
     pytest.importorskip("orjson")
 

@@ -18,7 +18,7 @@ from ransomwatch.simulator import (
     scenario_windows,
 )
 
-from oracles import event_params, file_event, random_events, ref_edges, ref_features, window_of
+from oracles import file_event, random_events, ref_edges, ref_encode, ref_features, ref_pairs, window_of
 
 
 def test_extract_features_matches_recount_oracle():
@@ -194,11 +194,7 @@ def test_folding_in_steps_gives_the_row_and_edges_of_one_fold_and_the_oracles(sp
     assert list(steps.edges().items()) == list(once.edges().items())
     assert list(once.edges().items()) == list(ref_edges(events).items())
     # each (op, label triple) is counted in first-event order, with the labels event_params gives
-    pairs = {}
-    for ev in events:
-        key = (ev.operation.value, *event_params(ev.file_name, ev.file_type))
-        pairs[key] = pairs.get(key, 0) + 1
-    assert list(steps.pairs.items()) == list(once.pairs.items()) == list(pairs.items())
+    assert list(steps.pairs.items()) == list(once.pairs.items()) == list(ref_pairs(events).items())
 
 
 def test_a_fold_of_more_events_than_its_window_is_refused():
@@ -262,20 +258,44 @@ def test_one_edge_difference_touches_at_most_two_buckets():
     assert int((a != b).sum()) <= 2
 
 
-def test_memoized_edge_hash_gives_bit_identical_embeddings(monkeypatch):
+def test_memoized_edge_hash_gives_bit_identical_embeddings():
     rng = random.Random(17)
     ops = [op.value for op in Operation]
     params = list(features._EXT_LABELS.values()) + list(features._DEPTH_LABELS)
     params += list(features._NAME_LABELS.values()) + ["ext:#rare", "ext:", "name:\u00e9t\u00e9", "x|y", "\u6587"]
+    widths_and_seeds = [(rng.choice((8, 64, 256, 4096)), rng.randrange(2**64)) for _ in range(12)]
+    widths_and_seeds += [(64, features.DEFAULT_HASH_SEED), (64, 0), (8, 2**64 - 1)]
     graphs = []
-    for _ in range(200):
-        edges = {(rng.choice(ops), rng.choice(params) if rng.random() < 0.8 else f"ext:q{rng.randrange(10**6)}"):
-                 rng.randrange(1, 1000) for _ in range(rng.randrange(0, 60))}
-        graphs.append((edges, rng.choice((8, 64, 256)), rng.randrange(2**64)))
-    cached = [encode(*args).tobytes() for args in graphs + graphs]  # the second pass hits the memo
-    assert features._edge_hash.cache_info().currsize <= features._edge_hash.cache_info().maxsize == 4096
-    monkeypatch.setattr(features, "_edge_hash", features._edge_hash.__wrapped__)
-    assert cached == [encode(*args).tobytes() for args in graphs + graphs]
+    for dims, seed in widths_and_seeds:  # a run of graphs per (dims, seed), so that later ones read the memo
+        for _ in range(15):
+            edges = {(rng.choice(ops), rng.choice(params) if rng.random() < 0.8 else f"ext:q{rng.randrange(10**6)}"):
+                     rng.randrange(1, 1000) for _ in range(rng.randrange(0, 60))}
+            graphs.append((edges, dims, seed))
+    expected = [ref_encode(*args).tobytes() for args in graphs]
+    cold = []
+    for args in graphs:
+        features._BUCKETS_BY_WIDTH_AND_SEED.clear()
+        cold.append(encode(*args).tobytes())
+    assert cold == expected
+    assert [encode(*args).tobytes() for args in graphs + graphs] == expected + expected
+    shuffled = rng.sample(range(len(graphs)), len(graphs))  # the memo changes (dims, seed) at nearly every call
+    assert [encode(*graphs[i]).tobytes() for i in shuffled] == [expected[i] for i in shuffled]
+    (held,) = features._BUCKETS_BY_WIDTH_AND_SEED
+    assert held == graphs[shuffled[-1]][1:]
+
+
+def test_the_edge_bucket_memo_stays_within_its_bound():
+    edges = [("Write", f"ext:q{i}") for i in range(10_000)]
+    features._BUCKETS_BY_WIDTH_AND_SEED.clear()
+    largest = 0
+    for start in range(0, len(edges), 512):  # eight graphs fill the memo, the ninth's first miss clears it
+        graph = dict.fromkeys(edges[start : start + 512], 3)
+        assert encode(graph, 64, 5).tobytes() == ref_encode(graph, 64, 5).tobytes()
+        largest = max(largest, len(features._BUCKETS_BY_WIDTH_AND_SEED[(64, 5)]))
+    whole = dict.fromkeys(edges, 1)
+    assert encode(whole, 64, 5).tobytes() == ref_encode(whole, 64, 5).tobytes()
+    largest = max(largest, len(features._BUCKETS_BY_WIDTH_AND_SEED[(64, 5)]))
+    assert largest == features._BUCKET_MEMO_SIZE == 4096
 
 
 def test_encode_rejects_bad_dims():

@@ -24,7 +24,7 @@ from ransomwatch.simulator import (
     generate,
 )
 
-from oracles import event_params, ref_name_pattern_class
+from oracles import event_params, file_event, ref_edges, ref_features, ref_name_pattern_class, ref_pairs
 
 
 def fold_labels(file_name: str, file_type: str) -> tuple[str, str, str]:
@@ -236,3 +236,46 @@ def test_class_memo_is_bounded():
         assert name_pattern_class(f"C:/u/{stem}.bin") == ref_name_pattern_class(f"C:/u/{stem}.bin")
         largest = max(largest, len(features._CLASS_BY_FOLDED_STEM))
     assert largest == features._CLASS_MEMO_SIZE == 4096
+    # the fold reads the memo itself and fills it only through a miss
+    events = [file_event(Operation.WRITE, f"C:/u/{stem}.bin", time=i) for i, stem in enumerate(stems)]
+    features._CLASS_BY_FOLDED_STEM.clear()
+    fold, largest = WindowFold(), 0
+    for end in range(256, len(events) + 256, 256):
+        fold.add(events[:end])
+        largest = max(largest, len(features._CLASS_BY_FOLDED_STEM))
+    assert features._CLASS_MEMO_SIZE - 256 < largest <= features._CLASS_MEMO_SIZE  # read once per 256 events
+    assert list(fold.pairs.items()) == list(ref_pairs(events).items())
+
+
+# Names whose class turns on case, ASCII digits, script or where the stem ends,
+# each in folders written with either separator.
+_CASE_AND_SCRIPT_NAMES = [
+    "README.TXT", "ReadMe.Txt", "rEaDmE", "HOW_TO_DECRYPT.HTML", "How-To-Restore.txt",
+    "DEADBEEF01.bin", "DeadBeef01.BIN", "deadbeef01.bin", "deadbeef92.bin",
+    "Report2023Q4Final.docx", "report2023q4final.docx", "REPORT1999Q1FINAL.DOCX",
+    "Budget_Report.xlsx", "BUDGET-REPORT.xlsx", "budget_report2.xlsx", "ABC123DEF456", "abc999def000",
+    "\u00c9t\u00e9.txt", "\u00e9T\u00c9.TXT", "\u6587\u4ef6.doc", "Stra\u00dfe.txt", "STRASSE.txt",
+    "\u0130MPORTANT.txt", "RAN\u017fOM.html", "\u03a9mega0123456789", "\u03c9MEGA9876543210",
+    b"caf\xe9.txt".decode("utf-8", "surrogateescape"), b"\xff\xfe12345678".decode("utf-8", "surrogateescape"),
+    "Makefile", "LICENSE", "1234567890", "x",
+    ".profile", ".PROFILE", ".bashrc", ".hidden.txt", "..", ".", "a.", "...txt", "archive.tar.gz",
+]
+_FOLDERS = ["", "/", "C:/u/docs/", "C:\\u\\docs\\", "D:/x\\y/", "\\\\server\\share\\"]
+
+
+def test_the_fold_equals_the_oracles_on_case_script_and_dot_names_cold_and_warm():
+    ops = list(Operation)
+    paths = [folder + name for name in _CASE_AND_SCRIPT_NAMES for folder in _FOLDERS]
+    events = []
+    for i, path in enumerate(paths):
+        op = ops[i % len(ops)]
+        events.append(file_event(op, path, time=i, old=paths[i - 1] if op is Operation.RENAME else None))
+    features._CLASS_BY_FOLDED_STEM.clear()
+    for _memo in ("cold", "warm"):
+        fold = WindowFold()
+        fold.add(events)
+        assert fold.row().tolist() == ref_features(events)
+        assert list(fold.edges().items()) == list(ref_edges(events).items())
+        assert list(fold.pairs.items()) == list(ref_pairs(events).items())
+    classes = {key[3] for key in fold.pairs}
+    assert classes == {"name:note", "name:hash", "name:word", "name:other"}
