@@ -180,21 +180,22 @@ def features() -> None:
 @features.command("extract")
 @click.option("--log", "log_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pid", required=True, type=int)
+@click.option("--pid-name", default=None, help="The pid's image name (default: that of its first event in the window).")
 @click.option("--start", default=None, type=int, help="Window start in microseconds (default: pid's first event).")
 @click.option("--dt", "delta_us", default=None, type=int, help="Window length in microseconds (default: whole trace).")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def features_extract(log_path, pid, start, delta_us, out_path) -> None:
+def features_extract(log_path, pid, pid_name, start, delta_us, out_path) -> None:
     parsed = parse_event_log(Path(log_path).read_bytes())
     for issue in parsed.issues:
         click.echo(f"warning: line {issue.line_no}: {issue.kind.value} {issue.detail}", err=True)
-    pid_events = [ev for ev in parsed.events if ev.pid == pid]
+    pid_events = [ev for ev in parsed.events if ev.pid == pid and pid_name in (None, ev.pid_name)]
     if not pid_events:
-        raise click.ClickException(f"no events for pid {pid}")
+        raise click.ClickException(f"no events for pid {pid}" + (f" named {pid_name}" if pid_name else ""))
     if start is None:
         start = pid_events[0].time
     if delta_us is None:
         delta_us = max(1, pid_events[-1].time - start + 1)
-    window = _checked(window_events, parsed.events, pid, start, delta_us)
+    window = _checked(window_events, parsed.events, pid, start, delta_us, pid_name)
     row = featurize(window, DEFAULT_EMBEDDING_DIMS, DEFAULT_HASH_SEED)
     payload = {
         "pid": pid,

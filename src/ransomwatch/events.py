@@ -341,18 +341,18 @@ def window_events(
     pid: int,
     trigger_time: int,
     delta_us: int,
+    pid_name: Optional[str] = None,
 ) -> ProcessWindow:
     """Collect the pid's events inside [trigger_time, trigger_time + delta_us)
-    under the image name (``pid_name``) of its first one, as the engine's
-    window keeps only the image that opened it.
+    under one image name, as the engine's window keeps only the image that
+    opened it: ``pid_name``, or by default the name of the first one.
 
-    An empty window is valid, and named ""; delta_us must be positive.
+    An empty window is valid, and named ``pid_name`` or ""; delta_us must be positive.
     """
     if delta_us <= 0:
         raise ValueError("delta_us must be positive")
     end = trigger_time + delta_us
     selected = []
-    pid_name = None
     for ev in events:
         if ev.pid == pid and trigger_time <= ev.time < end:
             if pid_name is None:

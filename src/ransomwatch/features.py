@@ -172,19 +172,15 @@ class WindowFold:
             op = ev.operation
             path = ev.file_name
             file_type = ev.file_type
-            # the directory as written and the basename, from one split
-            cut = path.rfind("/")
-            back = path.rfind("\\")
-            if back > cut:
-                cut = back
-            directory = path[:cut] if cut > 0 else ""
-            name = path[cut + 1 :]
+            # the directory as written and the basename, cut at the last separator of either kind
+            directory, _, name = path.rpartition("/")
+            if "\\" in name:
+                directory, _, name = path.rpartition("\\")
             depth = depth_of(directory)
             if depth is None:
                 depth = depth_by_dir[directory] = _DEPTH_LABELS[_directory_depth(directory)]
             # _base_class's memo read under its key; _base_class itself runs only on a miss
-            dot = name.rfind(".")
-            stem = name[:dot] if dot > 0 else name
+            stem = name.rpartition(".")[0] or name
             cls = class_of(stem.lower().encode("utf-8", "surrogatepass").translate(_DIGITS_TO_ZERO)) or _base_class(name)
             # op and its three labels; op._value_ is ev.operation.value without the enum property
             key = (op._value_, ext_label(file_type, RARE_EXTENSION_LABEL), depth, _NAME_LABELS[cls])

@@ -185,6 +185,16 @@ class _WindowState:
     fold: WindowFold = field(default_factory=WindowFold)  # the row state of a prefix of events
 
 
+@dataclass(slots=True)
+class _Process:
+    """All the engine keeps of one (pid, pid_name), until it is forgotten."""
+    last: int  # the time of its last event
+    due: int  # the time of its one live entry in the engine's due heap
+    window: Optional[_WindowState] = None
+    terminated: bool = False
+    scored: set[str] = field(default_factory=set)  # its note paths, each scored once
+
+
 @dataclass
 class ReplayResult:
     alerts: list[Alert]
@@ -205,11 +215,11 @@ class ReplayResult:
 class Engine:
     """Streaming MDR core shared by trace replay and live watching.
 
-    Single ingestion sequence, with one writer (this engine). Per-process
-    state lives in maps keyed by ``(pid, pid_name)``, so a reused pid's new
-    image is another process. Alert emission is serialized through the
-    result list. Raises WidthMismatch for a forest that does not score the
-    rows ``featurize`` builds with its embedding width.
+    Single ingestion sequence, with one writer (this engine). A process has
+    one record, keyed by ``(pid, pid_name)``, so a reused pid's new image is
+    another process. Alert emission is serialized through the result list.
+    Raises WidthMismatch for a forest that does not score the rows
+    ``featurize`` builds with its embedding width.
     """
 
     def __init__(
@@ -233,28 +243,23 @@ class Engine:
         self.alerts: list[Alert] = []
         self.threat_by_pid: dict[int, Level] = {}
         self._decoy_paths = frozenset(registry.entries())
-        self._windows: dict[tuple[int, str], _WindowState] = {}
-        self._due: list[tuple[int, tuple[int, str]]] = []  # min-heap of (next slide boundary, process), one per window
-        self._terminated: dict[tuple[int, str], int] = {}  # process -> the time of its last event
-        self._scored_paths: dict[tuple[int, str], set[str]] = {}  # process -> its note paths, each scored once
+        self._processes: dict[tuple[int, str], _Process] = {}
+        self._due: list[tuple[int, tuple[int, str]]] = []  # min-heap of (time, process): slide boundaries and expiries
 
     # -- monitors ------------------------------------------------------------
 
-    def _note_trigger(self, ev: FileEvent, key: tuple[int, str]) -> Optional[Trigger]:
-        """Score a Create or Write by the process ``key`` for ransom-note content; ``process`` checks the op."""
+    def _note_trigger(self, ev: FileEvent, scored: set[str]) -> Optional[Trigger]:
+        """Score a Create or Write for ransom-note content, each path once; ``process`` checks the op."""
         if self.pool is None:
             return None
         if ev.file_type not in TEXT_EXTENSIONS:
             if ev.file_type or name_pattern_class(ev.file_name) != "note":
                 return None
-        scored = self._scored_paths.get(key)
-        if scored is not None and ev.file_name in scored:
+        if ev.file_name in scored:
             return None
         blob = self.content.get(ev.file_name)
         if not blob:  # an empty note may be filled by a later Write
             return None
-        if scored is None:
-            scored = self._scored_paths[key] = set()
         scored.add(ev.file_name)
         bound = self.pool.score_bound(blob[: self.config.max_note_bytes])
         if bound is not None and bound < self.config.tau_sim:  # cannot reach tau: skip the full scorer
@@ -273,8 +278,8 @@ class Engine:
 
     # -- window lifecycle ------------------------------------------------------
 
-    def _decide(self, state: _WindowState, boundary: int) -> bool:
-        """Decide the window at ``boundary``; return True once it is closed.
+    def _decide(self, record: _Process, boundary: int) -> bool:
+        """Decide the process's open window at ``boundary``; return True once it is closed.
 
         Every window closes and every alert is raised here, dated at ``boundary``.
         The row reads only the window's events, so the window is classified only
@@ -284,9 +289,9 @@ class Engine:
         until one comes ``window_total_us`` or more after the last: that one is
         a new process.
         """
+        state = record.window
         trigger = state.trigger
         pid = trigger.pid
-        key = (pid, state.pid_name)
         metrics = self.metrics
         latency = boundary - trigger.time
         evidence = (trigger.detail, f"trigger_time_us={trigger.time}")
@@ -299,7 +304,8 @@ class Engine:
         if prob is not None and prob >= self.config.decision_threshold:
             self.threat_by_pid[pid] = Level.HIGH
             if pid:  # pid 0 is no process to stop: the idle task, and every live event's pid
-                self._terminated[key] = state.events[-1].time
+                record.terminated = True
+                record.last = state.events[-1].time
             metrics.decision_latencies_us[latency] = metrics.decision_latencies_us.get(latency, 0) + 1
             metrics.alerts_high += 1
             threat = ThreatLevel(Level.HIGH, trigger.kind, prob)
@@ -312,7 +318,7 @@ class Engine:
             threat = ThreatLevel(Level.LOW, trigger.kind, min(1.0, round(trigger.score, 3)))
             response = Response.TRACK_ONLY
         self.alerts.append(Alert(boundary, pid, state.pid_name, threat, evidence, response))
-        del self._windows[key]
+        record.window = None
         return True
 
     # -- ingestion -------------------------------------------------------------
@@ -323,38 +329,50 @@ class Engine:
         if due and due[0][0] <= ev.time:
             self.advance_time(ev.time)
         key = (ev.pid, ev.pid_name)
-        if key in self._terminated:
-            if ev.time - self._terminated[key] < self.config.window_total_us:
-                self._terminated[key] = ev.time
-                return
-            del self._terminated[key]
-            self._scored_paths.pop(key, None)  # a new process: its notes are scored afresh
-        state = self._windows.get(key)
+        record = self._processes.get(key)
+        if record is None or record.terminated and ev.time - record.last >= self.config.window_total_us:
+            record = self._processes[key] = _Process(ev.time, ev.time + self.config.window_total_us)  # a new one
+            heappush(due, (record.due, key))
+        record.last = ev.time
+        if record.terminated:  # skipped, and its quiet gap starts again
+            return
+        state = record.window
         trigger = check_event(ev, self._decoy_paths)
         if trigger is None:
             op = ev.operation
             if op is _CREATE or op is _WRITE:
-                trigger = self._note_trigger(ev, key)
+                trigger = self._note_trigger(ev, record.scored)
         if trigger is not None:
             self.metrics.triggers += 1
             if state is None:  # the one place a window opens
                 self.metrics.windows_opened += 1
                 self.threat_by_pid.setdefault(ev.pid, Level.LOW)
-                state = self._windows[key] = _WindowState(trigger, ev.pid_name)
-                heappush(due, (trigger.time + self.config.slide_us, key))
+                state = record.window = _WindowState(trigger, ev.pid_name)
+                record.due = trigger.time + self.config.slide_us
+                heappush(due, (record.due, key))
         if state is not None and ev.time >= state.trigger.time:
             state.events.append(ev)
 
     def advance_time(self, now: float) -> None:
-        """The engine's one clock: decide every slide boundary at or before ``now``, earliest first."""
-        due = self._due
+        """The engine's one clock: take every due entry at or before ``now``, earliest first. Each one that is its
+        process's ``due`` decides its open window, reschedules, or forgets it once quiet for ``window_total_us``."""
+        due, processes = self._due, self._processes
         while due and due[0][0] <= now:
-            boundary, key = heappop(due)
-            if not self._decide(self._windows[key], boundary):
-                heappush(due, (boundary + self.config.slide_us, key))
+            when, key = heappop(due)
+            record = processes.get(key)
+            if record is None or record.due != when:
+                continue
+            if record.window is not None and not self._decide(record, when):
+                record.due = when + self.config.slide_us
+            elif record.last + self.config.window_total_us > when:
+                record.due = record.last + self.config.window_total_us
+            else:
+                del processes[key]
+                continue
+            heappush(due, (record.due, key))
 
     def finish(self) -> None:
-        """End of stream: the clock runs out, so every open window is decided to its close."""
+        """End of stream: the clock runs out, so every window is decided to its close and every process forgotten."""
         self.advance_time(math.inf)
 
     def result(self, issues: Optional[list[ParseIssue]] = None) -> ReplayResult:

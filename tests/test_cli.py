@@ -459,6 +459,18 @@ def test_features_extract_warns_on_a_line_that_is_not_utf8(runner, tmp_path):
     assert json.loads(out.read_text())["events"] == 2
 
 
+def test_features_extract_takes_the_image_that_pid_name_names(runner, tmp_path):
+    line = '{{"time":{0},"pid":1,"pid_name":"{1}","operation":"Write","file_name":"C:/u/f{0}.txt","file_type":"txt"}}\n'
+    trace = tmp_path / "two_images.jsonl"
+    trace.write_text("".join(line.format(t, name) for t, name in ((1, "x.exe"), (2, "y.exe"), (3, "y.exe"))))
+    out = tmp_path / "fv.json"
+    for args, events in (([], 1), (["--pid-name", "x.exe"], 1), (["--pid-name", "y.exe"], 2)):
+        _invoke(runner, ["features", "extract", "--log", str(trace), "--pid", "1", *args, "--out", str(out)])
+        assert json.loads(out.read_text())["events"] == events
+    _one_line_error(runner, ["features", "extract", "--log", str(trace), "--pid", "1", "--pid-name", "z.exe",
+                             "--out", str(out)], "no events for pid 1 named z.exe")
+
+
 def test_note_score_reports_malformed_pool_and_content_in_one_line(runner, artifacts, tmp_path):
     note = tmp_path / "note.txt"
     note.write_text(make_note_corpus(1, seed=31)[0], encoding="utf-8")

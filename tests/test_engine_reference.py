@@ -3,7 +3,10 @@
 A process is a (pid, pid_name) pair. The reference decides every open window
 at each of its slide boundaries as soon as the stream's time reaches it,
 whichever process's event moves the time; at the end of the stream the time
-runs on until every window has closed. It scores each window from scratch at
+runs on until every window has closed. Once the time reaches window_total_us
+past a process's last event, and it has no open window, the process is
+forgotten: its next event starts a new process, not terminated, with no
+note paths scored. It scores each window from scratch at
 every boundary, so it also checks the engine's skip of a window that gained
 no event. It is the event-time contract, written for plainness rather than
 speed (QuickCheck-style differential testing, Claessen and Hughes, ICFP 2000).
@@ -32,7 +35,8 @@ from ransomwatch.events import (
 from ransomwatch.features import Mode, name_pattern_class
 from ransomwatch.notes import decode_note, similarity, tokenize
 from ransomwatch.simulator import (
-    BenignProfile, BenignSpec, Mix, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, generate, mix,
+    BenignProfile, BenignSpec, Mix, RansomwareSpec, ScenarioSpec, TreeSpec, first_dir_decoy, generate,
+    make_note_corpus, mix,
 )
 
 
@@ -47,7 +51,8 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig(), p
     """
     stream = sorted(events, key=lambda ev: ev.time)
     content = pipeline.MappingContentProvider(notes or {})
-    alerts, threat, terminated = [], {}, {}  # terminated: (pid, pid_name) -> the time of its last event
+    alerts, threat, terminated = [], {}, set()  # terminated: the (pid, pid_name) whose events are skipped
+    last = {}  # (pid, pid_name) -> the time of its last event, for each process not forgotten
     windows = {}  # (pid, pid_name) -> [trigger, index of the trigger event, next slide boundary]
     scored = {}  # (pid, pid_name) -> the note paths scored for that process
 
@@ -80,7 +85,7 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig(), p
         if prob >= config.decision_threshold:
             threat[pid] = Level.HIGH
             if pid:  # pid 0 is never terminated
-                terminated[process] = evs[-1].time
+                terminated.add(process)
             digest = hashlib.sha256(row.tobytes()).hexdigest()[:12]
             alerts.append(Alert(boundary, pid, pid_name, ThreatLevel(Level.HIGH, trigger.kind, prob),
                                 evidence + (f"classifier_p={prob:.4f}", f"feature_digest={digest}"),
@@ -101,16 +106,19 @@ def reference_replay(events, decoys, forest, config=pipeline.PipelineConfig(), p
                 return
             decide(process)
 
+    def forget(now):
+        for process in [p for p, t in last.items() if p not in windows and now - t >= config.window_total_us]:
+            del last[process]
+            terminated.discard(process)
+            scored.pop(process, None)
+
     for i, ev in enumerate(stream):
         advance(ev.time)
+        forget(ev.time)
         process = (ev.pid, ev.pid_name)
-        if process in terminated:
-            # an event window_total_us or more after the last one is a new process under the same name
-            if ev.time - terminated[process] < config.window_total_us:
-                terminated[process] = ev.time
-                continue
-            del terminated[process]
-            scored.pop(process, None)
+        last[process] = ev.time
+        if process in terminated:  # skipped until it is forgotten, window_total_us after its last event
+            continue
         trigger = check_event(ev, decoys) or note_trigger(ev, process)
         if trigger is not None and process not in windows:
             windows[process] = [trigger, i, trigger.time + config.slide_us]
@@ -132,6 +140,7 @@ def _assert_engine_matches_reference(events, registry, forest, config=pipeline.P
     alerts, threat = reference_replay(events, registry, forest, config, pool, notes)
     assert engine.alerts == alerts  # in the order they are raised
     assert engine.threat_by_pid == threat
+    assert not engine._processes and not engine._due  # a finished engine holds nothing
     return engine
 
 
@@ -268,20 +277,23 @@ def test_a_terminated_pid_that_keeps_writing_stays_skipped(trained_forest):
 
 
 def test_window_events_rebuilds_a_high_row_under_a_reused_pid(trained_forest):
-    # the second image starts inside the first one's window: it opens its own,
-    # and the first one's row holds only the first image's events
+    # the second image starts inside the first one's window: it opens its own, and each
+    # image's row holds only its own events, though each interval holds both images'
     m = _two_attack_trace(("first.exe", "second.exe"), 500_000, 7)
     engine = _assert_engine_matches_reference(m.events, m.registry, trained_forest)
-    highs = [(a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH]
-    assert highs == [(7, "first.exe"), (7, "second.exe")]
+    highs = [a for a in engine.alerts if a.threat.level is Level.HIGH]
+    assert [(a.pid, a.pid_name) for a in highs] == [(7, "first.exe"), (7, "second.exe")]
     assert engine.metrics.triggers == engine.metrics.windows_opened == 2
-    (alert,) = [a for a in engine.alerts if a.pid_name == "first.exe"]
-    fields = dict(e.split("=", 1) for e in alert.evidence[1:])  # after the trigger detail
-    trigger_time = int(fields["trigger_time_us"])
-    window = window_events(m.events, 7, trigger_time, alert.created_at - trigger_time)
-    assert {ev.pid_name for ev in m.events if trigger_time <= ev.time < alert.created_at} == {"first.exe", "second.exe"}
-    row = pipeline.featurize(window, trained_forest.dims, trained_forest.hash_seed)
-    assert hashlib.sha256(row.tobytes()).hexdigest()[:12] == fields["feature_digest"]
+    for alert in highs:
+        fields = dict(e.split("=", 1) for e in alert.evidence[1:])  # after the trigger detail
+        trigger_time = int(fields["trigger_time_us"])
+        inside = {ev.pid_name for ev in m.events if trigger_time <= ev.time < alert.created_at}
+        assert inside == {"first.exe", "second.exe"}
+        names = (alert.pid_name, None) if alert.pid_name == "first.exe" else (alert.pid_name,)  # None: the first's
+        for pid_name in names:
+            window = window_events(m.events, 7, trigger_time, alert.created_at - trigger_time, pid_name)
+            row = pipeline.featurize(window, trained_forest.dims, trained_forest.hash_seed)
+            assert hashlib.sha256(row.tobytes()).hexdigest()[:12] == fields["feature_digest"]
 
 
 def test_a_process_that_is_new_after_its_quiet_gap_is_scored_for_notes_again(trained_forest, gene_pool):
@@ -294,6 +306,19 @@ def test_a_process_that_is_new_after_its_quiet_gap_is_scored_for_notes_again(tra
     engine = _assert_engine_matches_reference(events, m.registry, trained_forest, pool=gene_pool, notes=m.notes)
     highs = [(a.created_at, a.pid, a.pid_name) for a in engine.alerts if a.threat.level is Level.HIGH]
     assert highs == [(1_000_000, 7, "same.exe"), (13_000_000, 7, "same.exe")]
+
+
+def test_a_process_quiet_for_window_total_us_is_forgotten_and_scored_for_notes_again(trained_forest, gene_pool):
+    # never terminated, since every slide decides Low: its note rewrite 2.5 s after its last event is not
+    # scored, and the one 3.5 s after it is, as a new process's first note
+    note, draft = "C:/Users/alice/Documents/README.txt", "C:/Users/alice/Documents/draft.txt"
+    events = [FileEvent(t, 7, "editor.exe", Operation.WRITE, path, "txt")
+              for t, path in ((0, note), (2_000_000, draft), (4_500_000, note), (8_000_000, note))]
+    config = pipeline.PipelineConfig(decision_threshold=1.01)
+    engine = _assert_engine_matches_reference(events, DecoyRegistry(), trained_forest, config, gene_pool,
+                                              {note: make_note_corpus(1, seed=31)[0]})
+    assert engine.metrics.triggers == 2
+    assert [(a.created_at, a.threat.level) for a in engine.alerts] == [(3_000_000, Level.LOW), (11_000_000, Level.LOW)]
 
 
 # Two M3 attacks with one seed on one 200-file tree and no decoy, the second

@@ -372,13 +372,15 @@ def test_window_matches_brute_force_filter_bulk():
     st.integers(min_value=1, max_value=5),
     st.integers(min_value=0, max_value=9_000_000),
     st.integers(min_value=1, max_value=4_000_000),
+    st.sampled_from([None, "a.exe", "b.exe"]),
 )
-def test_window_equals_brute_force_property(events, pid, t0, dt):
-    window = window_events(events, pid, t0, dt)
+def test_window_equals_brute_force_property(events, pid, t0, dt, pid_name):
+    window = window_events(events, pid, t0, dt, pid_name)
     inside = [ev for ev in events if ev.pid == pid and t0 <= ev.time < t0 + dt]
-    brute = [ev for ev in inside if ev.pid_name == inside[0].pid_name]  # the image of the first one
-    assert list(window.events) == brute
-    assert window.pid_name == (inside[0].pid_name if inside else "")
+    if pid_name is None:  # the image of the first one
+        pid_name = inside[0].pid_name if inside else ""
+    assert list(window.events) == [ev for ev in inside if ev.pid_name == pid_name]
+    assert window.pid_name == pid_name
 
 
 def test_process_window_validates_members():

@@ -208,7 +208,7 @@ def test_a_reused_pid_stays_out_of_the_open_window_of_its_old_image(trained_fore
     first = FileEvent(0, 7, "a.exe", Operation.WRITE, decoy, "docx")
     engine.process(first)
     engine.process(FileEvent(500_000, 7, "b.exe", Operation.WRITE, "C:/Users/alice/Documents/a.txt", "txt"))
-    assert engine._windows[(7, "a.exe")].events == [first]
+    assert engine._processes[(7, "a.exe")].window.events == [first]
     engine.finish()
     assert [alert.pid_name for alert in engine.alerts] == ["a.exe"]
     assert engine.metrics.windows_opened == 1
@@ -534,9 +534,39 @@ def test_window_is_decided_when_other_pids_pass_its_boundaries(trained_forest, g
     editor = quiet_pids + 1
     for t in range(100_000, 5_000_001, 100_000):
         engine.process(FileEvent(t, editor, "editor.exe", Operation.WRITE, f"C:/Users/bob/Documents/r{t}.docx", "docx"))
-    # by t = 5 s every slide boundary of each quiet pid's 3 s window has passed
+    # by t = 5 s every slide boundary of each quiet pid's 3 s window has passed, and so has its quiet gap
     assert sorted(a.pid for a in engine.alerts) == list(range(1, quiet_pids + 1))
-    assert not engine._windows
+    assert list(engine._processes) == [(editor, "editor.exe")]
+
+
+class _OneText:
+    """Content provider: one benign document at every path."""
+
+    def get(self, path):
+        return b"Minutes of the weekly planning meeting, with the actions agreed."
+
+
+def test_state_stays_bounded_over_many_short_lived_processes(trained_forest, gene_pool):
+    # one process every millisecond under a pid of its own, each with one event: an even pid touches a decoy and
+    # opens a window, an odd one writes a document that is scored for notes; each is quiet after its event
+    decoy = "C:/Users/alice/Documents/family_budget.docx"
+    config, spacing_us, n = pipeline.PipelineConfig(), 1_000, 20_000
+    engine = pipeline.Engine(_registry_for([decoy]), gene_pool, trained_forest, config, _OneText())
+    events = (FileEvent(pid * spacing_us, pid, "p.exe", Operation.WRITE, *(
+        (decoy, "docx") if pid % 2 == 0 else (f"C:/Users/bob/Documents/d{pid}.txt", "txt"))) for pid in range(1, n + 1))
+    peak_processes = peak_due = 0
+    for ev in events:
+        engine.process(ev)
+        peak_processes = max(peak_processes, len(engine._processes))
+        peak_due = max(peak_due, len(engine._due))
+    # a process is forgotten window_total_us after its event, so the processes of one quiet gap are kept, and
+    # the heap holds one entry for each and one stale expiry for each that opened a window
+    bound = config.window_total_us // spacing_us + 1
+    assert bound // 2 < peak_processes <= bound and peak_due <= 2 * bound
+    assert engine.metrics.windows_opened == n // 2 and engine.metrics.triggers == n // 2
+    engine.finish()
+    assert not engine._processes and not engine._due
+    assert len(engine.alerts) == n // 2
 
 
 def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, trained_forest, gene_pool, monkeypatch):
@@ -552,9 +582,9 @@ def test_a_late_event_joins_its_open_window_from_the_next_slide_on(tmp_path, tra
     real_decide = pipeline.Engine._decide
     decided = []
 
-    def decide(self, state, boundary):
-        decided.append((boundary, len(state.events)))
-        return real_decide(self, state, boundary)
+    def decide(self, record, boundary):
+        decided.append((boundary, len(record.window.events)))
+        return real_decide(self, record, boundary)
 
     monkeypatch.setattr(pipeline.Engine, "_decide", decide)
     config = pipeline.PipelineConfig(decision_threshold=1.01)  # every slide decides Low
@@ -737,15 +767,15 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
 
     folded_by_window = {}
 
-    def decide(self, state, boundary):
+    def decide(self, record, boundary):
         boundaries.append(boundary)
-        return real_decide(self, state, boundary)
+        return real_decide(self, record, boundary)
 
     def checked(window, dims, hash_seed, fold=None):
         # the engine scores the window it keeps, so its events are checked here
         trigger = window.trigger
         key = (trigger.pid, trigger.time)
-        assert window is engine._windows[(trigger.pid, window.pid_name)] and fold is window.fold
+        assert window is engine._processes[(trigger.pid, window.pid_name)].window and fold is window.fold
         events = tuple(window.events)
         assert all(ev.pid == trigger.pid and trigger.time <= ev.time < boundaries[-1] for ev in events)
         assert fold.n == folded_by_window.get(key, 0)  # folded at the window's earlier slides
@@ -766,15 +796,15 @@ def test_kept_fold_gives_the_row_from_scratch_at_every_slide(trained_forest, gen
         engine.process(ev)
         if engine.metrics.windows_opened > opened:
             # a line out of time order, from before the trigger, stays out of the open window
-            state = engine._windows[(ev.pid, ev.pid_name)]
+            state = engine._processes[(ev.pid, ev.pid_name)].window
             engine.process(replace(ev, time=state.trigger.time - 1, operation=Operation.WRITE,
                                    file_name="C:/stale/a.bin", file_type="bin", old_file_name=None))
             assert len(state.events) == 1
             stale += 1
-        for state in engine._windows.values():
-            assert state.fold.n <= len(state.events)
+        for record in engine._processes.values():
+            assert record.window is None or record.window.fold.n <= len(record.window.events)
     engine.finish()
-    assert not engine._windows
+    assert not engine._processes and not engine._due
     assert stale == engine.metrics.windows_opened == len(m.truth)
     assert len(slides_by_window) == len(m.truth)
     # a slide whose window gained no event is decided without a classification
